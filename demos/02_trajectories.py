@@ -24,9 +24,9 @@ cfg = SimConfig(uniform10, 0.37, 20_000, master_seed=3)
 traj = run_trajectory(cfg, rep_index=0)
 print("uniform 10-atom, p=0.37 (quantiles coincide at",
       uniform10.left_quantile(0.37), ")")
-for n, lq, rq in traj.records()[::400]:
+for n, lq, rq in list(zip(traj.ns, traj.lq, traj.rq))[::400]:
     print(f"  n={n:>6}  lq={lq}  rq={rq}")
-print("  final:", traj.records()[-1])
+print("  final:", (int(traj.ns[-1]), float(traj.lq[-1]), float(traj.rq[-1])))
 
 # --- the fair coin at p=1/2: the sample quantile oscillates forever
 print()

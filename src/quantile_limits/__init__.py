@@ -52,7 +52,6 @@ from .simulate import (
     report_to_json_bytes,
     run_replicated,
     run_trajectory,
-    run_trajectory_streaming,
     sample_stream,
     sandwich_check,
     switch_stats,

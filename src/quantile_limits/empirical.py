@@ -87,26 +87,18 @@ class EmpiricalSample:
     def left_quantile(self, p: float) -> float:
         """Sample left quantile: inf{x : F_n(x) >= p}, i.e. order statistic
         at rank ceil(n*p).  Requires 0 < p < 1 and a nonempty sample."""
-        self._require_data()
-        _check_open_level(p)
-        acc = 0
-        for v, c in zip(self.values, self.counts):
-            acc += int(c)
-            if acc / self.n >= p:
-                return v
-        return self.values[-1]  # p < 1 guarantees we never get here
+        return self.values[self._quantile_indices(p)[0]]
 
     def right_quantile(self, p: float) -> float:
         """Sample right quantile: inf{x : F_n(x) > p}, i.e. order statistic
         at rank floor(n*p) + 1."""
+        return self.values[self._quantile_indices(p)[1]]
+
+    def _quantile_indices(self, p: float) -> tuple[int, int]:
         self._require_data()
         _check_open_level(p)
-        acc = 0
-        for v, c in zip(self.values, self.counts):
-            acc += int(c)
-            if acc / self.n > p:
-                return v
-        return self.values[-1]
+        left, right = quantile_indices(np.cumsum(self.counts), self.n, p)
+        return int(left), int(right)
 
     def to_distribution(self) -> DiscreteDistribution:
         """The empirical distribution: observed atoms weighted counts/n."""
@@ -122,6 +114,20 @@ class EmpiricalSample:
 
     def __repr__(self) -> str:
         return f"EmpiricalSample(n={self.n}, support={self.values})"
+
+
+def quantile_indices(cum_counts, n, p: float):
+    """Atom indices of the sample left and right quantiles at level p.
+
+    ``cum_counts[..., j]`` is the number of observations <= atom j among
+    ``n`` (a scalar, or one count per row), so its last entry is ``n``.
+    The left quantile is the first atom with ``cum_counts / n >= p``, the
+    right quantile the first with ``cum_counts / n > p``; for 0 < p < 1 the
+    last atom always qualifies.  This is the one place the sample-quantile
+    rank rule lives.
+    """
+    ecdf = np.asarray(cum_counts) / np.asarray(n)[..., None]
+    return (ecdf >= p).argmax(axis=-1), (ecdf > p).argmax(axis=-1)
 
 
 def _check_open_level(p: float) -> None:

@@ -63,16 +63,12 @@ def stream_words(seed: int, n: int, start: int = 0) -> np.ndarray:
 def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n uniform draws in the open interval (0, 1), offset by ``start``.
 
-    Draw i equals ``to_unit(stream_word(seed, start + i))``; generating a
-    stream in slices yields the same values as one shot.
+    Draw i is the top 53 bits of ``stream_word(seed, start + i)`` mapped
+    into (0, 1) as in the module docstring; generating a stream in slices
+    yields the same values as one shot.
     """
     words = stream_words(seed, n, start)
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
-def to_unit(word: int) -> float:
-    """Map one 64-bit word to the same (0, 1) double `uniforms` produces."""
-    return ((word >> 11) + 0.5) * 2.0**-53
 
 
 def uniform_matrix(seeds: np.ndarray, n: int, start: int = 0) -> np.ndarray:

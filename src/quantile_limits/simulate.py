@@ -16,9 +16,9 @@ import numpy as np
 
 from .berry_esseen import BEParams, bernoulli_moments, phi_of_k
 from .distributions import DiscreteDistribution
-from .empirical import EmpiricalSample
+from .empirical import quantile_indices
 from .errors import EmptyWindow, ParameterOutOfRange, ProbabilityOutOfRange
-from .rng import MASK64, derive_seed, uniform_matrix, uniforms
+from .rng import MASK64, derive_seed, stream_words, uniform_matrix, uniforms
 
 __all__ = [
     "SimConfig",
@@ -28,7 +28,6 @@ __all__ = [
     "derive_seed",
     "sample_stream",
     "run_trajectory",
-    "run_trajectory_streaming",
     "switch_stats",
     "sandwich_check",
     "gap_interior_hits",
@@ -44,7 +43,10 @@ __all__ = [
 #: n_max at or below which the default record stride stays 1.
 DENSE_RECORD_LIMIT = 10_000
 
+# run_trajectory working-set bounds: draws per chunk, and cells of the
+# chunk's segment-by-atom count matrix
 _CHUNK = 1 << 15
+_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.ns)
-
-    def records(self) -> list[tuple[int, float, float]]:
-        return [
-            (int(n), float(a), float(b))
-            for n, a, b in zip(self.ns, self.lq, self.rq)
-        ]
 
     def __repr__(self) -> str:
         return f"Trajectory(records={len(self)}, seed={self.seed})"
@@ -158,63 +154,50 @@ def _record_points(n_max: int, stride: int) -> np.ndarray:
 def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
     """Stream cfg.n_max draws and record both sample quantiles along the way.
 
-    Records are taken every ``record_stride`` draws and at n_max.  The
-    computation is chunked and vectorized but matches
-    :func:`run_trajectory_streaming` record for record; total work is
-    O(n_max * atoms) either way.
+    Records are taken every ``record_stride`` draws and at n_max.  Draws
+    are binned by record segment (the draws after one record point up to
+    and including the next) and atom, so the per-atom counts at every
+    record point come from one cumulative sum over segments: total work is
+    O(n_max + records * atoms).  Each chunk holds at most ``_CHUNK`` draws
+    and ``_CELLS`` segment-by-atom counts (a single segment when the
+    support alone is larger), whatever the stride.
     """
     seed = derive_seed(cfg.master_seed, rep_index)
     d = cfg.distribution
-    values = d.values_array
-    atoms = np.arange(len(values), dtype=np.int64)
-    p = cfg.p
+    atoms = len(d)
+    n_max, stride = cfg.n_max, cfg.record_stride
 
-    rec_ns = _record_points(cfg.n_max, cfg.record_stride)
+    rec_ns = _record_points(n_max, stride)
+    values = d.values_array
     lq_out = np.empty(len(rec_ns), dtype=np.float64)
     rq_out = np.empty(len(rec_ns), dtype=np.float64)
+    max_segs = max(1, _CELLS // atoms)
 
-    carry = np.zeros(len(values), dtype=np.int64)
-    for lo in range(0, cfg.n_max, _CHUNK):
-        hi = min(lo + _CHUNK, cfg.n_max)
+    carry = np.zeros(atoms, dtype=np.int64)  # per-atom counts of draws before lo
+    lo = 0
+    while lo < n_max:
+        # draw k (0-based) first counts at record k // stride: n = k + 1
+        # rounded up to a stride multiple, or n_max past the last multiple
+        r0 = lo // stride
+        hi = min(lo + _CHUNK, (r0 + max_segs) * stride, n_max)
         idx = _draw_indices(d, seed, hi - lo, start=lo)
-        # cumulative per-level counts C_j(n) = #{draws <= atom_j} for each
-        # step of the chunk; the empirical CDF at atom_j is C_j(n)/n
-        counts = (idx[:, None] <= atoms[None, :]).cumsum(axis=0, dtype=np.int64)
-        counts += carry[None, :]
+        seg = np.arange(lo, hi, dtype=np.int64) // stride - r0
+        segs = int(seg[-1]) + 1
+        counts = np.bincount(seg * atoms + idx, minlength=segs * atoms)
+        counts = counts.reshape(segs, atoms)
+        counts[0] += carry
+        counts.cumsum(axis=0, out=counts)
         carry = counts[-1].copy()
 
-        r0 = int(np.searchsorted(rec_ns, lo, side="right"))
+        # records complete within this chunk: C[r, j] = #draws <= atom j
         r1 = int(np.searchsorted(rec_ns, hi, side="right"))
-        if r0 == r1:
-            continue
-        sel = rec_ns[r0:r1]
-        ecdf = counts[sel - lo - 1] / sel[:, None]
-        lq_out[r0:r1] = values[(ecdf >= p).argmax(axis=1)]
-        rq_out[r0:r1] = values[(ecdf > p).argmax(axis=1)]
+        if r1 > r0:
+            cum = counts[: r1 - r0].cumsum(axis=1)
+            left, right = quantile_indices(cum, rec_ns[r0:r1], cfg.p)
+            lq_out[r0:r1] = values[left]
+            rq_out[r0:r1] = values[right]
+        lo = hi
 
-    return Trajectory(ns=rec_ns, lq=lq_out, rq=rq_out, seed=seed)
-
-
-def run_trajectory_streaming(cfg: SimConfig, rep_index: int) -> Trajectory:
-    """Reference trajectory runner: one EmpiricalSample, one draw at a time.
-
-    Produces exactly the same records as :func:`run_trajectory`; use it when
-    auditing the vectorized path or when memory must stay at O(atoms).
-    """
-    seed = derive_seed(cfg.master_seed, rep_index)
-    sample = EmpiricalSample.from_distribution(cfg.distribution)
-    rec_ns = _record_points(cfg.n_max, cfg.record_stride)
-    lq_out = np.empty(len(rec_ns), dtype=np.float64)
-    rq_out = np.empty(len(rec_ns), dtype=np.float64)
-
-    draws = sample_stream(cfg.distribution, seed, cfg.n_max)
-    rpos = 0
-    for i, x in enumerate(draws, start=1):
-        sample.insert(float(x))
-        if rpos < len(rec_ns) and rec_ns[rpos] == i:
-            lq_out[rpos] = sample.left_quantile(cfg.p)
-            rq_out[rpos] = sample.right_quantile(cfg.p)
-            rpos += 1
     return Trajectory(ns=rec_ns, lq=lq_out, rq=rq_out, seed=seed)
 
 
@@ -328,10 +311,8 @@ def _bernoulli_block_sums(
     rows = max(1, (4 << 20) // max(block_len, 1))  # bound matrix memory
     for r0 in range(0, reps, rows):
         r1 = min(r0 + rows, reps)
-        seeds = np.array(
-            [derive_seed(master_seed, r) for r in range(r0, r1)], dtype=np.uint64
-        )
-        u = uniform_matrix(seeds, block_len)
+        # stream word r of master_seed is derive_seed(master_seed, r)
+        u = uniform_matrix(stream_words(master_seed, r1 - r0, r0), block_len)
         sums[r0:r1] = (u > zero_mass).sum(axis=1)
     return sums
 
@@ -389,10 +370,7 @@ def block_event_experiment(
     phi_b = phi_of_k(params, m1, alpha).phi
 
     d_sums = _bernoulli_block_sums(q, phi_a, reps, master_seed)
-    seeds = np.array(
-        [derive_seed(master_seed, r) for r in range(reps)], dtype=np.uint64
-    )
-    u_next = uniform_matrix(seeds, 1, start=phi_a)[:, 0]
+    u_next = uniform_matrix(stream_words(master_seed, reps), 1, start=phi_a)[:, 0]
     e_sums = binom.ppf(u_next, phi_b, q)
 
     d_hit = (d_sums - phi_a * q) < -1.0
@@ -408,14 +386,14 @@ ANALYSES = ("convergence", "switch_stats", "sandwich_check")
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("QL_THREADS", "")
+    """QL_THREADS clamped to the CPU count; the CPU count when QL_THREADS is
+    unset or not a positive integer."""
+    cpus = os.cpu_count() or 1
     try:
-        n = int(raw)
+        n = int(os.environ.get("QL_THREADS", ""))
     except ValueError:
         n = 0
-    if n >= 1:
-        return n
-    return os.cpu_count() or 1
+    return min(n, cpus) if n >= 1 else cpus
 
 
 def run_replicated(
@@ -430,7 +408,7 @@ def run_replicated(
     """Run cfg.replications trajectories and aggregate one analysis.
 
     Replications use derived seeds and may execute on several worker threads
-    (capped by the QL_THREADS environment variable); per-replication results
+    (QL_THREADS of them, at most the CPU count); per-replication results
     are keyed by index, so the report is identical however the work is
     scheduled.  ``on_trajectory(rep_index, trajectory)``, when given, is
     invoked once per replication (used by the CLI to write trajectory CSVs).

@@ -11,6 +11,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from quantile_limits.distributions import DiscreteDistribution, make_discrete
+from quantile_limits.empirical import EmpiricalSample
+from quantile_limits.simulate import SimConfig, Trajectory, derive_seed, sample_stream
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -144,6 +146,31 @@ def dist_and_level_st(draw, max_atoms: int = 20):
         if not 0.0 < p < 1.0:
             p = 0.5
     return d, p
+
+
+# ---------------------------------------------------------------------------
+# Trajectory oracle
+
+
+def run_trajectory_streaming(cfg: SimConfig, rep_index: int) -> Trajectory:
+    """Reference for ``run_trajectory``: one EmpiricalSample, one draw at a
+    time, both sample quantiles queried at every record point (every
+    ``record_stride``-th draw and the last)."""
+    seed = derive_seed(cfg.master_seed, rep_index)
+    sample = EmpiricalSample.from_distribution(cfg.distribution)
+    ns, lq, rq = [], [], []
+    for i, x in enumerate(sample_stream(cfg.distribution, seed, cfg.n_max), start=1):
+        sample.insert(float(x))
+        if i % cfg.record_stride == 0 or i == cfg.n_max:
+            ns.append(i)
+            lq.append(sample.left_quantile(cfg.p))
+            rq.append(sample.right_quantile(cfg.p))
+    return Trajectory(
+        ns=np.array(ns, dtype=np.int64),
+        lq=np.array(lq, dtype=np.float64),
+        rq=np.array(rq, dtype=np.float64),
+        seed=seed,
+    )
 
 
 def assert_same_records(a, b):

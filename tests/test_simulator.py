@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_records, random_distribution
+from conftest import assert_same_records, random_distribution, run_trajectory_streaming
+from quantile_limits import simulate
 from quantile_limits import rng as qrng
 from quantile_limits.berry_esseen import bernoulli_moments, phi_of_k, std_normal_cdf
 from quantile_limits.distributions import (
     bernoulli,
     fair_coin,
     gapped_example,
+    make_discrete,
     point_mass,
 )
 from quantile_limits.errors import (
@@ -29,7 +32,6 @@ from quantile_limits.simulate import (
     report_to_json_bytes,
     run_replicated,
     run_trajectory,
-    run_trajectory_streaming,
     sample_stream,
     sandwich_check,
     switch_stats,
@@ -148,6 +150,44 @@ class TestRunTrajectory:
             fast = run_trajectory(cfg, 0)
             slow = run_trajectory_streaming(cfg, 0)
             assert_same_records(fast, slow)
+
+    @pytest.mark.parametrize("atoms", [1, 2, 13, 257])
+    @pytest.mark.parametrize("stride", [1, 7, simulate._CHUNK + 3, "above"])
+    def test_matches_oracle_across_supports_and_strides(self, atoms, stride):
+        # n_max spans two draw chunks and is no multiple of 7 or _CHUNK + 3
+        n_max = 33_001
+        stride = n_max + 1 if stride == "above" else stride
+        rng = np.random.default_rng(1000 * atoms + 7)
+        # half the mass on each side of the middle: a gap at p = 1/2, where
+        # F_n(x) == p ties separate the left from the right quantile
+        half = atoms // 2
+        weights = rng.integers(1, 1000, size=atoms).astype(np.float64)
+        if half:
+            weights[:half] /= 2 * weights[:half].sum()
+            weights[half:] /= 2 * weights[half:].sum()
+        else:
+            weights /= weights.sum()
+        values = np.cumsum(rng.integers(1, 10, size=atoms)) * 0.5
+        d = make_discrete(zip(values.tolist(), weights.tolist()))
+        assert len(d) == atoms
+        cfg = SimConfig(d, 0.5, n_max, 11, record_stride=stride)
+        assert_same_records(run_trajectory(cfg, 2), run_trajectory_streaming(cfg, 2))
+
+    @pytest.mark.parametrize("n_max, stride", [(10**5, 1000), (3000, 1)])
+    def test_working_set_is_bounded(self, n_max, stride):
+        # 4096 atoms: a chunk x atoms one-hot count takes about 1 GB, and a
+        # count matrix over every record of one chunk about 100 MB at stride 1
+        values = np.arange(4096, dtype=np.float64)
+        d = make_discrete(zip(values.tolist(), [1.0 / 4096] * 4096))
+        cfg = SimConfig(d, 0.5, n_max, 5, record_stride=stride)
+        tracemalloc.start()
+        try:
+            traj = run_trajectory(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == n_max // stride
+        assert peak < 32 * 2**20
 
     def test_record_points_include_n_max(self):
         cfg = SimConfig(fair_coin(), 0.5, 1003, 1, record_stride=10)
@@ -417,6 +457,16 @@ class TestRunReplicated:
         monkeypatch.setenv("QL_THREADS", "4")
         b = report_to_json_bytes(run_replicated(cfg, "sandwich_check", burn_in=50, epsilon=0.1))
         assert a == b
+
+    def test_worker_count_clamped_to_cpus(self, monkeypatch):
+        # calls _worker_count only: no pool is started
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        for raw, want in [("2", 2), ("3", 3), ("1000000", 3), ("0", 3),
+                          ("-4", 3), ("two", 3), ("1.5", 3), ("", 3)]:
+            monkeypatch.setenv("QL_THREADS", raw)
+            assert simulate._worker_count() == want, raw
+        monkeypatch.delenv("QL_THREADS")
+        assert simulate._worker_count() == 3
 
     def test_unknown_analysis_rejected(self):
         cfg = SimConfig(fair_coin(), 0.5, 10, 0)
