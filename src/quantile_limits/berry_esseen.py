@@ -14,7 +14,14 @@ sum escapes +/-k with probability > 1/2 - alpha on each side.
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidInterval, ParameterOutOfRange
+from .errors import (
+    InvalidInterval,
+    ParameterOutOfRange,
+    check_at_least,
+    check_finite,
+    check_open,
+    check_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -26,10 +33,9 @@ class BEParams:
     rho: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ParameterOutOfRange(f"sigma must be positive, got {self.sigma!r}")
-        if not self.rho > 0.0:
-            raise ParameterOutOfRange(f"rho must be positive, got {self.rho!r}")
+        check_finite("mu", self.mu)
+        check_positive("sigma", self.sigma)
+        check_positive("rho", self.rho)
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,7 @@ def std_normal_cdf(z: float) -> float:
 def bernoulli_moments(q: float) -> BEParams:
     """Moments of a Bernoulli(q) draw: mean q, sd sqrt(q(1-q)),
     third absolute central moment q^3(1-q) + (1-q)^3 q."""
-    if not 0.0 < q < 1.0:
-        raise ParameterOutOfRange(f"bernoulli_moments requires 0 < q < 1, got {q!r}")
+    check_open("q", q)
     sigma = math.sqrt(q * (1.0 - q))
     rho = q**3 * (1.0 - q) + (1.0 - q) ** 3 * q
     return BEParams(mu=q, sigma=sigma, rho=rho)
@@ -73,6 +78,7 @@ def bernoulli_moments(q: float) -> BEParams:
 
 def be_bound(params: BEParams, n: int) -> float:
     """The uniform CDF error bound 3*rho/(sigma^3*sqrt(n)) at sample size n."""
+    check_at_least("n", n, 1)
     return 3.0 * params.rho / (params.sigma**3 * math.sqrt(n))
 
 
@@ -109,10 +115,8 @@ def phi_of_k(params: BEParams, k: int, alpha: float) -> PhiOfK:
     n2 - 1.  The n1 condition is a weak inequality and the n2 condition is
     strict, so the two strictnesses combine to the strict lemma conclusion.
     """
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be a positive integer, got {k!r}")
-    if not 0.0 < alpha < 0.5:
-        raise ParameterOutOfRange(f"alpha must be in (0, 1/2), got {alpha!r}")
+    check_at_least("k", k, 1)
+    check_open("alpha", alpha, 0.0, 0.5)
     half = alpha / 2.0
     n1 = _least_n(lambda n: be_bound(params, n) <= half)
     n2 = _least_n(

@@ -4,6 +4,8 @@ Subcommands: quantile, simulate, blocks, be-bound, phi-of-k, transform, gc.
 Outputs are CSV and JSON only; plotting belongs to downstream tools.  Exit
 codes: 0 success, 2 validation error (message names the offending flag),
 1 internal error.  Identical flags and seeds produce byte-identical output.
+Value ranges are checked in the library only: its errors carry the argument
+name, which matches the flag (``n_max`` is reported as ``--n-max``).
 """
 
 import argparse
@@ -43,32 +45,20 @@ def _resolve_distribution(args) -> dist_mod.DiscreteDistribution:
             raise CliValidation(f"--dist-file: cannot read {args.dist_file}: {exc}")
         except json.JSONDecodeError as exc:
             raise CliValidation(f"--dist-file: invalid JSON: {exc}")
-        return dist_mod.from_spec(spec)
+        try:
+            return dist_mod.from_spec(spec)
+        except QuantileLimitsError as exc:
+            exc.param = "dist_file"  # a bad field of the file, not a flag
+            raise
     if args.family is None:
         raise CliValidation("one of --family or --dist-file is required")
     if args.family == "bernoulli":
         if args.q is None:
             raise CliValidation("--family bernoulli requires --q")
-        _check_open_unit("--q", args.q)
         return dist_mod.bernoulli(args.q)
     if args.q is not None:
         raise CliValidation("--q is only valid with --family bernoulli")
     return dist_mod.fair_coin() if args.family == "coin" else dist_mod.gapped_example()
-
-
-def _check_open_unit(flag: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise CliValidation(f"{flag} must be strictly between 0 and 1, got {value!r}")
-
-
-def _check_closed_unit(flag: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise CliValidation(f"{flag} must be in [0, 1], got {value!r}")
-
-
-def _check_min(flag: str, value, minimum) -> None:
-    if value < minimum:
-        raise CliValidation(f"{flag} must be >= {minimum}, got {value!r}")
 
 
 def _fmt(x: float) -> str:
@@ -76,11 +66,10 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies (validated args in, exit code out)
+# Subcommand bodies (parsed args in, exit code out)
 
 
 def _cmd_quantile(args) -> int:
-    _check_closed_unit("--p", args.p)
     d = _resolve_distribution(args)
     pair = d.quantile_pair(args.p)
     print(f"p: {_fmt(args.p)}")
@@ -97,19 +86,6 @@ def _cmd_quantile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check_open_unit("--p", args.p)
-    _check_min("--n-max", args.n_max, 1)
-    _check_min("--replications", args.replications, 1)
-    _check_min("--master-seed", args.master_seed, 0)
-    if args.record_stride is not None:
-        _check_min("--record-stride", args.record_stride, 1)
-    _check_min("--burn-in", args.burn_in, 0)
-    if args.analysis == "sandwich_check":
-        if args.epsilon is None:
-            raise CliValidation("--analysis sandwich_check requires --epsilon")
-        if args.epsilon <= 0:
-            raise CliValidation(f"--epsilon must be positive, got {args.epsilon!r}")
-    _check_min("--min-switches", args.min_switches, 0)
     d = _resolve_distribution(args)
     cfg = sim.SimConfig(
         distribution=d,
@@ -121,7 +97,6 @@ def _cmd_simulate(args) -> int:
     )
 
     out_dir: Path = args.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     targets = [out_dir / f"traj_{rep}.csv" for rep in range(cfg.replications)]
     targets.append(out_dir / "report.json")
     if not args.force:
@@ -134,12 +109,13 @@ def _cmd_simulate(args) -> int:
     tmp_paths: list[tuple[Path, Path]] = []
 
     def writer(rep: int, traj: sim.Trajectory) -> None:
+        out_dir.mkdir(parents=True, exist_ok=True)
         final = out_dir / f"traj_{rep}.csv"
         tmp = out_dir / f"traj_{rep}.csv.tmp"
         sim.write_trajectory_csv(traj, tmp)
         tmp_paths.append((tmp, final))
 
-    try:
+    try:  # run_replicated validates first: a flag error creates no out_dir
         report = sim.run_replicated(
             cfg,
             args.analysis,
@@ -164,13 +140,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    _check_open_unit("--q", args.q)
-    if not 0.0 < args.alpha < 0.5:
-        raise CliValidation(f"--alpha must be in (0, 1/2), got {args.alpha!r}")
-    _check_min("--k", args.k, 1)
-    _check_min("--reps", args.reps, 1)
-    _check_min("--master-seed", args.master_seed, 0)
-
     params = bernoulli_moments(args.q)
     info = phi_of_k(params, args.k, args.alpha)
     freq_low, freq_high = sim.deviation_experiment(
@@ -210,19 +179,13 @@ def _params_from_args(args) -> BEParams:
     if by_q and by_moments:
         raise CliValidation("pass either --q or the --mu/--sigma/--rho triple")
     if by_q:
-        _check_open_unit("--q", args.q)
         return bernoulli_moments(args.q)
     if args.mu is None or args.sigma is None or args.rho is None:
         raise CliValidation("need --q, or all of --mu, --sigma and --rho")
-    if args.sigma <= 0:
-        raise CliValidation(f"--sigma must be positive, got {args.sigma!r}")
-    if args.rho <= 0:
-        raise CliValidation(f"--rho must be positive, got {args.rho!r}")
     return BEParams(mu=args.mu, sigma=args.sigma, rho=args.rho)
 
 
 def _cmd_be_bound(args) -> int:
-    _check_min("--n", args.n, 1)
     params = _params_from_args(args)
     payload = {
         "mu": params.mu,
@@ -236,9 +199,6 @@ def _cmd_be_bound(args) -> int:
 
 
 def _cmd_phi_of_k(args) -> int:
-    _check_min("--k", args.k, 1)
-    if not 0.0 < args.alpha < 0.5:
-        raise CliValidation(f"--alpha must be in (0, 1/2), got {args.alpha!r}")
     params = _params_from_args(args)
     info = phi_of_k(params, args.k, args.alpha)
     payload = {
@@ -253,7 +213,6 @@ def _cmd_phi_of_k(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    _check_open_unit("--p", args.p)
     d = _resolve_distribution(args)
     kind = BINARIZE if args.kind == "binarize" else COLLAPSE_SHIFT
     out = binarize(d, args.p) if kind == BINARIZE else collapse_shift(d, args.p)
@@ -285,8 +244,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_gc(args) -> int:
-    _check_min("--n", args.n, 1)
-    _check_min("--seed", args.seed, 0)
     d = _resolve_distribution(args)
     if args.checkpoints:
         try:
@@ -415,7 +372,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliValidation, QuantileLimitsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        param = getattr(exc, "param", None)
+        flag = f"--{param.replace('_', '-')}: " if param else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

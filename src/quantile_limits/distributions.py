@@ -21,6 +21,7 @@ from .errors import (
     ProbabilityOutOfRange,
     ProbabilitySumOutOfTolerance,
     QuantileLimitsError,
+    check_open,
 )
 
 
@@ -137,10 +138,7 @@ class DiscreteDistribution:
         inequality is deliberate: with a strict one the set would lose its
         equivalence to quantile coincidence on flat CDF levels.
         """
-        if not 0.0 < p < 1.0:
-            raise ProbabilityOutOfRange(
-                f"solution_interval requires 0 < p < 1, got {p!r}"
-            )
+        check_open("p", p)
         return SolutionInterval(self.left_quantile(p), self.right_quantile(p))
 
     def as_pairs(self) -> list[tuple[float, float]]:
@@ -150,7 +148,7 @@ class DiscreteDistribution:
 
 def _check_level(p: float) -> None:
     if not 0.0 <= p <= 1.0:
-        raise ProbabilityOutOfRange(f"probability level must be in [0, 1], got {p!r}")
+        raise ProbabilityOutOfRange(f"p must be in [0, 1], got {p!r}", param="p")
 
 
 def make_discrete(pairs: Iterable[tuple[float, float]]) -> DiscreteDistribution:
@@ -236,8 +234,7 @@ def fair_coin() -> DiscreteDistribution:
 
 def bernoulli(q: float) -> DiscreteDistribution:
     """Atoms 0 and 1 with P(1) = q, for 0 < q < 1."""
-    if not 0.0 < q < 1.0:
-        raise ProbabilityOutOfRange(f"bernoulli requires 0 < q < 1, got {q!r}")
+    check_open("q", q)
     return make_discrete([(0.0, 1.0 - q), (1.0, q)])
 
 

@@ -11,11 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, make_discrete
-from .errors import (
-    EmptySample,
-    ProbabilityOutOfRange,
-    ValueOutsideSupport,
-)
+from .errors import EmptySample, ValueOutsideSupport, check_open
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ class EmpiricalSample:
 
     def _quantile_indices(self, p: float) -> tuple[int, int]:
         self._require_data()
-        _check_open_level(p)
+        check_open("p", p)
         left, right = quantile_indices(np.cumsum(self.counts), self.n, p)
         return int(left), int(right)
 
@@ -130,13 +126,6 @@ def quantile_indices(cum_counts, n, p: float):
     return (ecdf >= p).argmax(axis=-1), (ecdf > p).argmax(axis=-1)
 
 
-def _check_open_level(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ProbabilityOutOfRange(
-            f"sample quantiles require 0 < p < 1, got {p!r}"
-        )
-
-
 def gc_distance(sample: EmpiricalSample, d: DiscreteDistribution) -> GCDistance:
     """Exact sup_x |F_n(x) - F(x)| for a sample bound to d's support.
 
@@ -145,8 +134,7 @@ def gc_distance(sample: EmpiricalSample, d: DiscreteDistribution) -> GCDistance:
     per-atom levels; evaluating at the atoms covers every left limit too.
     The witness is the leftmost maximizer.
     """
-    if sample.n == 0:
-        raise EmptySample("sample holds no observations")
+    sample._require_data()
     if sample.values != d.values:
         raise ValueOutsideSupport("sample is not bound to this distribution's support")
     emp = np.cumsum(sample.counts) / sample.n

@@ -1,8 +1,21 @@
-"""Exception types raised by quantile-limits operations."""
+"""Exception types raised by quantile-limits operations, and the range checks
+that raise them.
+
+Each ``check_*`` helper holds one range rule on an argument.  Rules are
+written as ``not <in range>``, so NaN fails, and the error's ``param`` names
+the argument (the CLI prints ``n_max`` as ``--n-max``).
+"""
+
+import math
 
 
 class QuantileLimitsError(ValueError):
-    """Base class for all validation errors raised by this package."""
+    """Base class for all validation errors raised by this package; ``param``
+    names the argument at fault, or is None."""
+
+    def __init__(self, *args, param: str | None = None):
+        super().__init__(*args)
+        self.param = param
 
 
 class EmptyDistribution(QuantileLimitsError):
@@ -21,8 +34,12 @@ class ProbabilitySumOutOfTolerance(QuantileLimitsError):
     """Atom probabilities do not sum to 1 within the construction tolerance."""
 
 
-class ProbabilityOutOfRange(QuantileLimitsError):
-    """A probability level lies outside the range required by the operation."""
+class ParameterOutOfRange(QuantileLimitsError):
+    """A numeric parameter violates its documented range."""
+
+
+class ProbabilityOutOfRange(ParameterOutOfRange):
+    """A probability-valued parameter lies outside its required range."""
 
 
 class ValueOutsideSupport(QuantileLimitsError):
@@ -31,10 +48,6 @@ class ValueOutsideSupport(QuantileLimitsError):
 
 class EmptySample(QuantileLimitsError):
     """Operation requires at least one observation."""
-
-
-class ParameterOutOfRange(QuantileLimitsError):
-    """A numeric parameter violates its documented range."""
 
 
 class InvalidInterval(QuantileLimitsError):
@@ -51,3 +64,39 @@ class ValueInGap(QuantileLimitsError):
 
 class EmptyWindow(QuantileLimitsError):
     """No trajectory records remain after the burn-in cutoff."""
+
+
+def _out_of_range(param: str, rule: str, x, error=ParameterOutOfRange):
+    return error(f"{param} must be {rule}, got {x!r}", param=param)
+
+
+def check_open(param: str, x, lo=0.0, hi=1.0) -> None:
+    """``lo < x < hi``, for a probability-valued argument."""
+    if not lo < x < hi:
+        raise _out_of_range(param, f"in ({lo:g}, {hi:g})", x, ProbabilityOutOfRange)
+
+
+def check_at_least(param: str, x, lo) -> None:
+    if not x >= lo:
+        raise _out_of_range(param, f">= {lo}", x)
+
+
+def check_at_most(param: str, x, hi) -> None:
+    if not x <= hi:
+        raise _out_of_range(param, f"<= {hi}", x)
+
+
+def check_positive(param: str, x) -> None:
+    if not 0.0 < x < math.inf:
+        raise _out_of_range(param, "positive and finite", x)
+
+
+def check_finite(param: str, x) -> None:
+    if not math.isfinite(x):
+        raise _out_of_range(param, "finite", x)
+
+
+def check_seed(param: str, x) -> None:
+    """``0 <= x < 2**64``: a seed is never silently reduced mod 2**64."""
+    if not 0 <= x < 1 << 64:
+        raise _out_of_range(param, "an unsigned 64-bit integer", x)

@@ -14,6 +14,8 @@ Uniform doubles are built from the top 53 bits of an output word as
 
 import numpy as np
 
+from .errors import check_at_least, check_seed
+
 MASK64 = (1 << 64) - 1
 INCREMENT = 0x9E3779B97F4A7C15
 
@@ -41,9 +43,9 @@ def derive_seed(master_seed: int, rep_index: int) -> int:
     is injective mod 2**64 and the finalizer is a bijection), so replications
     may run in any order, or concurrently, without stream reuse.
     """
-    if rep_index < 0:
-        raise ValueError("rep_index must be >= 0")
-    return stream_word(master_seed & MASK64, rep_index)
+    check_seed("master_seed", master_seed)
+    check_at_least("rep_index", rep_index, 0)
+    return stream_word(master_seed, rep_index)
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:

@@ -17,8 +17,16 @@ import numpy as np
 from .berry_esseen import BEParams, bernoulli_moments, phi_of_k
 from .distributions import DiscreteDistribution
 from .empirical import quantile_indices
-from .errors import EmptyWindow, ParameterOutOfRange, ProbabilityOutOfRange
-from .rng import MASK64, derive_seed, stream_words, uniform_matrix, uniforms
+from .errors import (
+    EmptyWindow,
+    ParameterOutOfRange,
+    check_at_least,
+    check_at_most,
+    check_open,
+    check_positive,
+    check_seed,
+)
+from .rng import derive_seed, stream_words, uniform_matrix, uniforms
 
 __all__ = [
     "SimConfig",
@@ -61,23 +69,15 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ProbabilityOutOfRange(f"p must be in (0, 1), got {self.p!r}")
-        if self.n_max < 1:
-            raise ParameterOutOfRange(f"n_max must be >= 1, got {self.n_max!r}")
-        if self.replications < 1:
-            raise ParameterOutOfRange(
-                f"replications must be >= 1, got {self.replications!r}"
-            )
-        if not 0 <= self.master_seed <= MASK64:
-            raise ParameterOutOfRange("master_seed must be an unsigned 64-bit integer")
+        check_open("p", self.p)
+        check_at_least("n_max", self.n_max, 1)
+        check_at_least("replications", self.replications, 1)
+        check_seed("master_seed", self.master_seed)
         if self.record_stride is None:
             stride = 1 if self.n_max <= DENSE_RECORD_LIMIT else 10
             object.__setattr__(self, "record_stride", stride)
-        elif self.record_stride < 1:
-            raise ParameterOutOfRange(
-                f"record_stride must be >= 1, got {self.record_stride!r}"
-            )
+        else:
+            check_at_least("record_stride", self.record_stride, 1)
 
 
 class Trajectory:
@@ -139,8 +139,8 @@ def sample_stream(d: DiscreteDistribution, seed: int, n: int) -> np.ndarray:
     Deterministic in (d, seed, n); prefixes agree, so growing n extends the
     same sequence.
     """
-    if n < 1:
-        raise ParameterOutOfRange(f"n must be >= 1, got {n!r}")
+    check_at_least("n", n, 1)
+    check_seed("seed", seed)
     return d.values_array[_draw_indices(d, seed, n)]
 
 
@@ -241,8 +241,7 @@ def sandwich_check(
 ) -> bool:
     """True iff every record past burn_in sits in the two-sided sandwich
     (lq - epsilon, lq] union [rq, rq + epsilon) around the quantile pair."""
-    if not epsilon > 0.0:
-        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon!r}")
+    check_positive("epsilon", epsilon)
     pair = d.quantile_pair(p)
     mask = _window(traj, burn_in)
 
@@ -277,10 +276,8 @@ def block_schedule(
     phi grows quadratically in its argument, so only the first window or two
     are reachable at desk scale; the cap makes the truncation explicit.
     """
-    if k_max < 1:
-        raise ParameterOutOfRange(f"k_max must be >= 1, got {k_max!r}")
-    if n_cap < 1:
-        raise ParameterOutOfRange(f"n_cap must be >= 1, got {n_cap!r}")
+    check_at_least("k_max", k_max, 1)
+    check_at_least("n_cap", n_cap, 1)
     indices = [1]
     entries: list[tuple[int, int]] = []
     n_k = 1
@@ -331,10 +328,9 @@ def deviation_experiment(
     (freq_low, freq_high) : tuple of float
         Empirical frequencies over ``reps`` replications.
     """
-    if not 0.0 < q < 1.0:
-        raise ParameterOutOfRange(f"q must be in (0, 1), got {q!r}")
-    if reps < 1:
-        raise ParameterOutOfRange(f"reps must be >= 1, got {reps!r}")
+    check_open("q", q)
+    check_at_least("reps", reps, 1)
+    check_seed("master_seed", master_seed)
     phi = phi_of_k(bernoulli_moments(q), k, alpha).phi
     sums = _bernoulli_block_sums(q, phi, reps, master_seed)
     centered = sums - phi * q
@@ -358,10 +354,9 @@ def block_event_experiment(
     the inverse CDF of its exact Binomial(phi(m_1), q) distribution, using
     the next uniform of the same per-replication stream.
     """
-    if not 0.0 < q < 1.0:
-        raise ParameterOutOfRange(f"q must be in (0, 1), got {q!r}")
-    if reps < 1:
-        raise ParameterOutOfRange(f"reps must be >= 1, got {reps!r}")
+    check_open("q", q)
+    check_at_least("reps", reps, 1)
+    check_seed("master_seed", master_seed)
     from scipy.stats import binom
 
     params = bernoulli_moments(q)
@@ -427,8 +422,15 @@ def run_replicated(
     """
     if analysis not in ANALYSES:
         raise ParameterOutOfRange(f"analysis must be one of {ANALYSES}, got {analysis!r}")
-    if analysis == "sandwich_check" and (epsilon is None or epsilon <= 0.0):
-        raise ParameterOutOfRange("sandwich_check requires a positive epsilon")
+    # every check runs before the first trajectory (and its on_trajectory)
+    check_at_least("burn_in", burn_in, 0)
+    check_at_least("min_switches", min_switches, 0)
+    if analysis != "convergence":  # the window past burn_in holds the last record
+        check_at_most("burn_in", burn_in, cfg.n_max)
+    if analysis == "sandwich_check":
+        if epsilon is None:
+            raise ParameterOutOfRange("sandwich_check requires epsilon", param="epsilon")
+        check_positive("epsilon", epsilon)
 
     d = cfg.distribution
     target = d.left_quantile(cfg.p)

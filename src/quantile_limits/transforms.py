@@ -18,7 +18,7 @@ value level (streaming simulation of transformed paths).
 from dataclasses import dataclass
 
 from .distributions import DiscreteDistribution, make_discrete
-from .errors import NoQuantileGap, ProbabilityOutOfRange, ValueInGap
+from .errors import NoQuantileGap, ValueInGap, check_open
 
 BINARIZE = "binarize"
 COLLAPSE_SHIFT = "collapse_shift"
@@ -39,7 +39,8 @@ class TransformSpec:
             raise ValueError(f"unknown transform kind {self.kind!r}")
         if not self.lq < self.rq:
             raise NoQuantileGap(
-                f"transform needs a genuine gap, got lq={self.lq!r} rq={self.rq!r}"
+                f"left and right quantiles coincide or invert at p={self.p!r}: "
+                f"lq={self.lq!r}, rq={self.rq!r}"
             )
         if self.kind == COLLAPSE_SHIFT and self.h != self.rq - self.lq:
             raise ValueError("collapse_shift requires h == rq - lq")
@@ -47,13 +48,8 @@ class TransformSpec:
 
 def gap_spec(d: DiscreteDistribution, p: float, kind: str) -> TransformSpec:
     """Build the transform spec for d at level p; requires a quantile gap."""
-    if not 0.0 < p < 1.0:
-        raise ProbabilityOutOfRange(f"transforms require 0 < p < 1, got {p!r}")
+    check_open("p", p)
     pair = d.quantile_pair(p)
-    if pair.coincide:
-        raise NoQuantileGap(
-            f"left and right quantiles coincide at p={p!r} (both {pair.left!r})"
-        )
     h = pair.right - pair.left if kind == COLLAPSE_SHIFT else None
     return TransformSpec(kind=kind, p=p, lq=pair.left, rq=pair.right, h=h)
 

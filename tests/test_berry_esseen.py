@@ -101,6 +101,23 @@ class TestBeBound:
         for n in (1, 7, 50):
             assert be_bound(params, 4 * n) == be_bound(params, n) / 2.0
 
+    def test_sample_size_checked(self):
+        for bad in (0, -1):
+            with pytest.raises(ParameterOutOfRange) as info:
+                be_bound(bernoulli_moments(0.5), bad)
+            assert info.value.param == "n"
+
+    @pytest.mark.parametrize(
+        "mu,sigma,rho,param",
+        [(math.nan, 1.0, 1.0, "mu"), (math.inf, 1.0, 1.0, "mu"),
+         (0.0, math.nan, 1.0, "sigma"), (0.0, math.inf, 1.0, "sigma"),
+         (0.0, 1.0, math.nan, "rho"), (0.0, 1.0, math.inf, "rho")],
+    )
+    def test_moments_must_be_finite(self, mu, sigma, rho, param):
+        with pytest.raises(ParameterOutOfRange) as info:
+            BEParams(mu=mu, sigma=sigma, rho=rho)
+        assert info.value.param == param
+
 
 class TestIntervalProbBounds:
     def test_one_sided_window_at_million(self):

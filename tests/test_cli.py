@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,92 @@ class TestParserBehavior:
             capsys, "quantile", "--family", "coin", "--dist-file", str(f), "--p", "0.5"
         )
         assert code == 2
+
+
+SEED_2_64 = str(2**64)
+BLOCKS = ("blocks", "--q", "0.5", "--reps", "10")
+BE = ("be-bound", "--n", "4")
+PHI = ("phi-of-k", "--q", "0.5", "--k", "1")
+GC = ("gc", "--family", "coin", "--n", "100")
+SIM = ("simulate", "--family", "coin", "--p", "0.5", "--n-max", "100")
+SANDWICH = SIM + ("--analysis", "sandwich_check", "--epsilon", "0.1")
+SWITCHES = SIM + ("--analysis", "switch_stats", "--min-switches", "0")
+
+BAD_FLAGS = [
+    (("quantile", "--family", "coin", "--p", "1.5"), "--p"),
+    (("quantile", "--family", "coin", "--p", "-0.1"), "--p"),
+    (("quantile", "--family", "coin", "--p", "nan"), "--p"),
+    (("quantile", "--family", "bernoulli", "--q", "0", "--p", "0.5"), "--q"),
+    (("quantile", "--family", "bernoulli", "--q", "nan", "--p", "0.5"), "--q"),
+    (("simulate", "--family", "coin", "--p", "0", "--n-max", "100"), "--p"),
+    (("simulate", "--family", "coin", "--p", "nan", "--n-max", "100"), "--p"),
+    (("simulate", "--family", "bernoulli", "--q", "1", "--p", "0.5",
+      "--n-max", "100"), "--q"),
+    (("simulate", "--family", "coin", "--p", "0.5", "--n-max", "0"), "--n-max"),
+    (SIM + ("--replications", "0"), "--replications"),
+    (SIM + ("--master-seed", "-1"), "--master-seed"),
+    (SIM + ("--master-seed", SEED_2_64), "--master-seed"),
+    (SIM + ("--record-stride", "0"), "--record-stride"),
+    (SIM + ("--burn-in", "-1"), "--burn-in"),
+    (SIM + ("--min-switches", "-1"), "--min-switches"),
+    (SIM + ("--analysis", "sandwich_check"), "--epsilon"),
+    (SIM + ("--analysis", "sandwich_check", "--epsilon", "0"), "--epsilon"),
+    (SIM + ("--analysis", "sandwich_check", "--epsilon", "nan"), "--epsilon"),
+    (SIM + ("--analysis", "sandwich_check", "--epsilon", "inf"), "--epsilon"),
+    (SWITCHES + ("--burn-in", "101"), "--burn-in"),
+    (SANDWICH + ("--burn-in", "150"), "--burn-in"),
+    (("blocks", "--q", "0", "--reps", "10"), "--q"),
+    (BLOCKS + ("--alpha", "0.5"), "--alpha"),
+    (BLOCKS + ("--alpha", "nan"), "--alpha"),
+    (BLOCKS + ("--k", "0"), "--k"),
+    (("blocks", "--q", "0.5", "--reps", "0"), "--reps"),
+    (BLOCKS + ("--master-seed", "-1"), "--master-seed"),
+    (BLOCKS + ("--master-seed", SEED_2_64), "--master-seed"),
+    (BE + ("--q", "1"), "--q"),
+    (("be-bound", "--q", "0.5", "--n", "0"), "--n"),
+    (("be-bound", "--q", "0.5", "--n", "-1"), "--n"),
+    (BE + ("--mu", "0", "--sigma", "0", "--rho", "1"), "--sigma"),
+    (BE + ("--mu", "0", "--sigma", "nan", "--rho", "1"), "--sigma"),
+    (BE + ("--mu", "0", "--sigma", "inf", "--rho", "1"), "--sigma"),
+    (BE + ("--mu", "0", "--sigma", "1", "--rho", "-1"), "--rho"),
+    (BE + ("--mu", "0", "--sigma", "1", "--rho", "inf"), "--rho"),
+    (BE + ("--mu", "nan", "--sigma", "1", "--rho", "1"), "--mu"),
+    (BE + ("--mu", "inf", "--sigma", "1", "--rho", "1"), "--mu"),
+    (("phi-of-k", "--q", "0.5", "--k", "0"), "--k"),
+    (PHI + ("--alpha", "0.8"), "--alpha"),
+    (("phi-of-k", "--q", "0", "--k", "1"), "--q"),
+    (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "0", "--rho", "1"), "--sigma"),
+    (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1", "--rho", "0"), "--rho"),
+    (("transform", "--family", "figure", "--p", "1", "--kind", "binarize"), "--p"),
+    (("transform", "--family", "figure", "--p", "nan", "--kind",
+      "collapse_shift"), "--p"),
+    (("gc", "--family", "coin", "--n", "0"), "--n"),
+    (GC + ("--seed", "-1"), "--seed"),
+    (GC + ("--seed", SEED_2_64), "--seed"),
+]
+
+
+def _row_id(row) -> str:
+    argv, flag = row
+    value = argv[argv.index(flag) + 1] if flag in argv else "missing"
+    return f"{argv[0]} {flag}={value}"
+
+
+@pytest.mark.parametrize("argv,flag", BAD_FLAGS, ids=map(_row_id, BAD_FLAGS))
+def test_bad_flag_value_names_flag(capsys, tmp_path, argv, flag):
+    out_dir = tmp_path / "out"
+    extra = ("--output-dir", str(out_dir)) if argv[0] == "simulate" else ()
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 2, out
+    assert re.search(rf"{flag}(?![\w-])", err), err  # --n must not match --n-max
+    assert not out_dir.exists()
+
+
+def test_bad_dist_file_field_names_dist_file(capsys, tmp_path):
+    # the library names its own q; the value came from the file, not from --q
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"family": "bernoulli", "q": 2}))
+    code, _, err = run_cli(capsys, "quantile", "--dist-file", str(f), "--p", "0.5")
+    assert code == 2
+    assert err.startswith("error: --dist-file: ")
+    assert "--q" not in err

@@ -83,6 +83,31 @@ class TestDeriveSeed:
             derive_seed(1, -1)
 
 
+class TestSeedRange:
+    """A seed outside [0, 2**64) is rejected, never reduced mod 2**64 into
+    another seed's stream."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_out_of_range_seed_rejected(self, seed):
+        calls = [
+            ("master_seed", lambda: deviation_experiment(0.5, 1, 0.25, 10, seed)),
+            ("master_seed", lambda: block_event_experiment(0.5, 0.25, 10, seed)),
+            ("master_seed", lambda: SimConfig(fair_coin(), 0.5, 10, seed)),
+            ("master_seed", lambda: derive_seed(seed, 0)),
+            ("seed", lambda: sample_stream(fair_coin(), seed, 10)),
+        ]
+        for param, call in calls:
+            with pytest.raises(ParameterOutOfRange) as info:
+                call()
+            assert info.value.param == param
+
+    def test_largest_seed_accepted(self):
+        top = 2**64 - 1
+        low, high = deviation_experiment(0.5, 1, 0.25, 10, top)
+        assert 0.0 <= low <= 1.0 and 0.0 <= high <= 1.0
+        assert len(sample_stream(fair_coin(), top, 10)) == 10
+
+
 class TestSampleStream:
     def test_point_mass(self):
         assert np.all(sample_stream(point_mass(7.0), 3, 1000) == 7.0)
@@ -119,6 +144,8 @@ class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ProbabilityOutOfRange):
             SimConfig(fair_coin(), 0.0, 10, 0)
+        with pytest.raises(ProbabilityOutOfRange):
+            SimConfig(fair_coin(), math.nan, 10, 0)
         with pytest.raises(ParameterOutOfRange):
             SimConfig(fair_coin(), 0.5, 0, 0)
         with pytest.raises(ParameterOutOfRange):
@@ -474,6 +501,30 @@ class TestRunReplicated:
             run_replicated(cfg, "spectral")
         with pytest.raises(ParameterOutOfRange):
             run_replicated(cfg, "sandwich_check")  # epsilon missing
+
+    @pytest.mark.parametrize(
+        "analysis,kwargs,param",
+        [
+            ("convergence", {"burn_in": -1}, "burn_in"),
+            ("convergence", {"min_switches": -1}, "min_switches"),
+            ("switch_stats", {"burn_in": 101}, "burn_in"),
+            ("sandwich_check", {"epsilon": 0.1, "burn_in": 101}, "burn_in"),
+            ("sandwich_check", {"epsilon": math.nan}, "epsilon"),
+            ("sandwich_check", {"epsilon": -0.1}, "epsilon"),
+        ],
+    )
+    def test_rejected_before_first_trajectory(self, analysis, kwargs, param):
+        cfg = SimConfig(fair_coin(), 0.5, 100, 0)
+        seen = []
+        with pytest.raises(ParameterOutOfRange) as info:
+            run_replicated(cfg, analysis, on_trajectory=lambda r, t: seen.append(r), **kwargs)
+        assert info.value.param == param
+        assert seen == []
+
+    def test_burn_in_at_n_max_accepted(self):
+        cfg = SimConfig(fair_coin(), 0.5, 100, 0)
+        report = run_replicated(cfg, "switch_stats", burn_in=100, min_switches=0)
+        assert report["aggregate"]["pass_count"] == 1
 
     def test_on_trajectory_callback(self):
         seen = []
