@@ -79,7 +79,17 @@ def bernoulli_moments(q: float) -> BEParams:
 def be_bound(params: BEParams, n: int) -> float:
     """The uniform CDF error bound 3*rho/(sigma^3*sqrt(n)) at sample size n."""
     check_at_least("n", n, 1)
-    return 3.0 * params.rho / (params.sigma**3 * math.sqrt(n))
+    try:
+        bound = 3.0 * params.rho / (params.sigma**3 * math.sqrt(n))
+    except (OverflowError, ZeroDivisionError):  # sigma**3 leaves the double range
+        bound = math.nan
+    if not math.isfinite(bound):
+        raise ParameterOutOfRange(
+            f"sigma={params.sigma!r} is too small or too large: "
+            f"3*rho/(sigma^3*sqrt(n)) is not a finite double",
+            param="sigma",
+        )
+    return bound
 
 
 def interval_prob_bounds(

@@ -262,12 +262,14 @@ def from_spec(spec: Mapping) -> DiscreteDistribution:
         {"family": "bernoulli", "q": 0.3}
         {"family": "figure"}
     """
+    if not isinstance(spec, Mapping):
+        raise QuantileSpecError(f"a distribution spec must be an object, got {spec!r}")
     if "atoms" in spec:
         atoms = spec["atoms"]
         if not isinstance(atoms, Sequence):
             raise QuantileSpecError("'atoms' must be a list of {x, p} objects")
         try:
-            pairs = [(a["x"], a["p"]) for a in atoms]
+            pairs = [(_spec_number(a["x"]), _spec_number(a["p"])) for a in atoms]
         except (TypeError, KeyError) as exc:
             raise QuantileSpecError("each atom needs 'x' and 'p' fields") from exc
         return make_discrete(pairs)
@@ -277,10 +279,17 @@ def from_spec(spec: Mapping) -> DiscreteDistribution:
     if family == "bernoulli":
         if "q" not in spec:
             raise QuantileSpecError("family 'bernoulli' requires field 'q'")
-        return bernoulli(float(spec["q"]))
+        return bernoulli(_spec_number(spec["q"]))
     if family == "figure":
         return gapped_example()
     raise QuantileSpecError(
         f"unrecognized distribution spec: expected 'atoms' or family "
         f"coin/bernoulli/figure, got {dict(spec)!r}"
     )
+
+
+def _spec_number(x) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError) as exc:
+        raise QuantileSpecError(f"expected a number, got {x!r}") from exc

@@ -49,17 +49,27 @@ def derive_seed(master_seed: int, rep_index: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, which is exactly what SplitMix64 needs
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-    return z ^ (z >> np.uint64(31))
+    # mixes z in place; uint64 arithmetic wraps mod 2**64, which is exactly
+    # what SplitMix64 needs
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _word_matrix(seeds: np.ndarray, n: int, start: int) -> np.ndarray:
+    # row r: outputs start .. start+n-1 of the stream of seeds[r]; one
+    # expression, so that no counter array outlives the mixing
+    return _mix64_array(np.add.outer(
+        seeds, np.arange(start + 1, start + n + 1, dtype=np.uint64) * np.uint64(INCREMENT)
+    ))
 
 
 def stream_words(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Raw outputs ``start .. start+n-1`` of the stream, as a uint64 array."""
-    counters = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    counters = counters * np.uint64(INCREMENT) + np.uint64(seed & MASK64)
-    return _mix64_array(counters)
+    return _word_matrix(np.array([seed & MASK64], dtype=np.uint64), n, start)[0]
 
 
 def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -69,13 +79,14 @@ def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     into (0, 1) as in the module docstring; generating a stream in slices
     yields the same values as one shot.
     """
-    words = stream_words(seed, n, start)
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return uniform_matrix(np.array([seed & MASK64], dtype=np.uint64), n, start)[0]
 
 
 def uniform_matrix(seeds: np.ndarray, n: int, start: int = 0) -> np.ndarray:
     """Row r holds ``uniforms(seeds[r], n, start)``; one stream per seed."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    counters = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    words = _mix64_array(counters[None, :] * np.uint64(INCREMENT) + seeds[:, None])
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    words = _word_matrix(np.asarray(seeds, dtype=np.uint64), n, start)
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u

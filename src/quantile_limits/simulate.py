@@ -8,6 +8,7 @@ platform, regardless of worker scheduling.
 """
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,6 +56,11 @@ DENSE_RECORD_LIMIT = 10_000
 # chunk's segment-by-atom count matrix
 _CHUNK = 1 << 15
 _CELLS = 1 << 18
+
+# _binomial_cdf window half-width in standard deviations (plus 30 atoms),
+# and the atoms it weighs at a time
+_TAIL_SDS = 12
+_TAIL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -339,6 +345,38 @@ def deviation_experiment(
     return freq_low, freq_high
 
 
+def _binomial_cdf(t: int, n: int, q: float) -> float:
+    """P(X <= t) for X ~ Binomial(n, q), 0 < q < 1.
+
+    Sums the pmf relative to the mode over the mode +/- (12 sd + 30); the
+    mass outside that window is below 1e-30 and is left out.  The weights
+    are products of the ratios pmf(k+1)/pmf(k) = (n-k)/(k+1) * q/(1-q),
+    taken outward from the mode ``_TAIL_CHUNK`` atoms at a time, so memory
+    does not grow with n.
+    """
+    mode = min(int((n + 1) * q), n)
+    half = int(_TAIL_SDS * math.sqrt(n * q * (1.0 - q))) + 30
+    lo, hi = max(0, mode - half), min(n, mode + half)
+    if t < lo:
+        return 0.0
+    if t >= hi:
+        return 1.0
+    below, total = (1.0 if mode <= t else 0.0), 1.0  # the mode's weight is 1
+    for end, step in ((lo, -1), (hi, 1)):
+        w = 1.0
+        for a in range(mode, end, step * _TAIL_CHUNK):
+            k = np.arange(a, a + step * min(_TAIL_CHUNK, abs(end - a)), step, dtype=np.float64)
+            if step > 0:  # pmf(k+1) / pmf(k)
+                ratio = (n - k) / (k + 1.0) * (q / (1.0 - q))
+            else:  # pmf(k-1) / pmf(k)
+                ratio = k / (n - k + 1.0) * ((1.0 - q) / q)
+            weights = w * np.cumprod(ratio)  # of the atoms k + step
+            w = float(weights[-1])
+            total += float(weights.sum())
+            below += float(weights[k + step <= t].sum())
+    return below / total
+
+
 def block_event_experiment(
     q: float, alpha: float, reps: int, master_seed: int
 ) -> float:
@@ -350,14 +388,14 @@ def block_event_experiment(
     events are independent and the true probability exceeds 1/16.
 
     The first block is drawn Bernoulli by Bernoulli.  The second block is
-    tens of millions of draws long, so its sum is drawn in one step through
-    the inverse CDF of its exact Binomial(phi(m_1), q) distribution, using
-    the next uniform of the same per-replication stream.
+    tens of millions of draws long, so its sum S is the inverse CDF of its
+    exact Binomial(phi(m_1), q) distribution F at the next uniform u of the
+    same per-replication stream.  S exceeds an integer t exactly when
+    u > F(t), so E_1 is decided by comparing u with one tail probability.
     """
     check_open("q", q)
     check_at_least("reps", reps, 1)
     check_seed("master_seed", master_seed)
-    from scipy.stats import binom
 
     params = bernoulli_moments(q)
     phi_a = phi_of_k(params, 1, alpha).phi
@@ -366,10 +404,17 @@ def block_event_experiment(
 
     d_sums = _bernoulli_block_sums(q, phi_a, reps, master_seed)
     u_next = uniform_matrix(stream_words(master_seed, reps), 1, start=phi_a)[:, 0]
-    e_sums = binom.ppf(u_next, phi_b, q)
+
+    # E_1 is float(S) - phi_b*q > m1: t is the largest S that fails it
+    mean = phi_b * q
+    t = int(m1 + mean)
+    while t + 1 - mean <= m1:
+        t += 1
+    while t - mean > m1:
+        t -= 1
 
     d_hit = (d_sums - phi_a * q) < -1.0
-    e_hit = (e_sums - phi_b * q) > m1
+    e_hit = u_next > _binomial_cdf(t, phi_b, q)
     return float(np.count_nonzero(d_hit & e_hit)) / reps
 
 

@@ -107,6 +107,18 @@ class TestBeBound:
                 be_bound(bernoulli_moments(0.5), bad)
             assert info.value.param == "n"
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-105, 1e103])
+    def test_sigma_cube_out_of_double_range(self, sigma):
+        # sigma**3 underflows to 0 (1e-200), makes the bound overflow
+        # (1e-105) or overflows itself (1e103)
+        params = BEParams(mu=0.0, sigma=sigma, rho=1.0)
+        with pytest.raises(ParameterOutOfRange) as info:
+            be_bound(params, 4)
+        assert info.value.param == "sigma"
+        with pytest.raises(ParameterOutOfRange) as info:
+            phi_of_k(params, 1, 0.25)
+        assert info.value.param == "sigma"
+
     @pytest.mark.parametrize(
         "mu,sigma,rho,param",
         [(math.nan, 1.0, 1.0, "mu"), (math.inf, 1.0, 1.0, "mu"),

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,25 @@ class TestBlocksCommand:
         code, _, err = run_cli(capsys, "blocks", "--q", "0", "--reps", "10")
         assert code == 2
         assert "--q" in err
+
+    def test_runs_without_scipy(self):
+        # scipy is a test-only dependency: the package never imports it
+        code = (
+            "import sys, quantile_limits\n"
+            "from quantile_limits import cli\n"
+            "rc = cli.main(['blocks', '--q', '0.5', '--reps', '20'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["config"]["reps"] == 20
 
 
 class TestBeBoundCommand:
@@ -339,17 +362,27 @@ BAD_FLAGS = [
     (BE + ("--mu", "0", "--sigma", "1", "--rho", "inf"), "--rho"),
     (BE + ("--mu", "nan", "--sigma", "1", "--rho", "1"), "--mu"),
     (BE + ("--mu", "inf", "--sigma", "1", "--rho", "1"), "--mu"),
+    (BE + ("--mu", "0", "--sigma", "1e-200", "--rho", "1"), "--sigma"),
+    (BE + ("--mu", "0", "--sigma", "1e-105", "--rho", "1"), "--sigma"),
     (("phi-of-k", "--q", "0.5", "--k", "0"), "--k"),
     (PHI + ("--alpha", "0.8"), "--alpha"),
     (("phi-of-k", "--q", "0", "--k", "1"), "--q"),
     (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "0", "--rho", "1"), "--sigma"),
     (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1", "--rho", "0"), "--rho"),
+    (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1e-200", "--rho", "1"), "--sigma"),
+    (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1e-105", "--rho", "1"), "--sigma"),
     (("transform", "--family", "figure", "--p", "1", "--kind", "binarize"), "--p"),
     (("transform", "--family", "figure", "--p", "nan", "--kind",
       "collapse_shift"), "--p"),
     (("gc", "--family", "coin", "--n", "0"), "--n"),
     (GC + ("--seed", "-1"), "--seed"),
     (GC + ("--seed", SEED_2_64), "--seed"),
+    # a --dist-file row holds the file's content; the test writes the file
+    (("quantile", "--dist-file", '{"family": "bernoulli", "q": "abc"}', "--p", "0.5"),
+     "--dist-file"),
+    (("quantile", "--dist-file", "[1, 2]", "--p", "0.5"), "--dist-file"),
+    (("quantile", "--dist-file", '{"atoms": [{"x": "a", "p": 1}]}', "--p", "0.5"),
+     "--dist-file"),
 ]
 
 
@@ -363,6 +396,11 @@ def _row_id(row) -> str:
 def test_bad_flag_value_names_flag(capsys, tmp_path, argv, flag):
     out_dir = tmp_path / "out"
     extra = ("--output-dir", str(out_dir)) if argv[0] == "simulate" else ()
+    if "--dist-file" in argv:
+        spec = tmp_path / "d.json"
+        i = argv.index("--dist-file") + 1
+        spec.write_text(argv[i])
+        argv = argv[:i] + (str(spec),) + argv[i + 1:]
     code, out, err = run_cli(capsys, *argv, *extra)
     assert code == 2, out
     assert re.search(rf"{flag}(?![\w-])", err), err  # --n must not match --n-max

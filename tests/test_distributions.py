@@ -230,6 +230,16 @@ class TestFromSpec:
         with pytest.raises(QuantileSpecError):
             from_spec({"atoms": [{"x": 0}]})
 
+    @pytest.mark.parametrize(
+        "spec",
+        [{"family": "bernoulli", "q": "abc"}, {"family": "bernoulli", "q": [1]},
+         [1, 2], "coin", None, {"atoms": [{"x": "a", "p": 1}]},
+         {"atoms": [{"x": 0, "p": None}]}],
+    )
+    def test_malformed_content(self, spec):
+        with pytest.raises(QuantileSpecError):
+            from_spec(spec)
+
     def test_bernoulli_range(self):
         with pytest.raises(ProbabilityOutOfRange):
             bernoulli(1.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -59,6 +60,17 @@ class TestRng:
         mat = qrng.uniform_matrix(seeds, 17, start=3)
         for row, seed in zip(mat, seeds):
             assert np.array_equal(row, qrng.uniforms(int(seed), 17, start=3))
+
+    def test_uniforms_follow_documented_formula(self):
+        # draw i is (top 53 bits of word start + i + 0.5) * 2**-53
+        for seed, start in ((0, 0), (2**64 - 1, 5), (1234567, 10**12)):
+            u = qrng.uniforms(seed, 40, start)
+            want = [((qrng.stream_word(seed, start + i) >> 11) + 0.5) * 2.0**-53
+                    for i in range(40)]
+            assert u.tolist() == want
+            assert qrng.stream_words(seed, 40, start).tolist() == [
+                qrng.stream_word(seed, start + i) for i in range(40)
+            ]
 
     def test_uniforms_open_interval(self):
         u = qrng.uniforms(0, 10_000)
@@ -420,7 +432,119 @@ class TestDeviationExperiment:
             deviation_experiment(0.5, 1, 0.25, 0, 0)
 
 
+def exact_binomial_cdfs(n: int, q: float) -> list[float]:
+    """P(Binomial(n, q) <= t) for t = 0..n, summed exactly for the double q."""
+    qf = Fraction(q)
+    pmf = [math.comb(n, j) * qf**j * (1 - qf) ** (n - j) for j in range(n + 1)]
+    return [float(c) for c in itertools.accumulate(pmf)]
+
+
+def block_event_ppf_oracle(q: float, alpha: float, reps: int, master_seed: int) -> float:
+    """C_1 frequency with E_1 drawn as binom.ppf at the stream's next uniform."""
+    from scipy.stats import binom
+
+    params = bernoulli_moments(q)
+    phi_a = phi_of_k(params, 1, alpha).phi
+    m1 = 1 + phi_a
+    phi_b = phi_of_k(params, m1, alpha).phi
+    hits = 0
+    for rep in range(reps):
+        u = qrng.uniforms(derive_seed(master_seed, rep), phi_a + 1)
+        d_sum = int(np.count_nonzero(u[:phi_a] > 1.0 - q))
+        e_sum = binom.ppf(u[phi_a], phi_b, q)
+        hits += bool(d_sum - phi_a * q < -1.0 and e_sum - phi_b * q > m1)
+    return float(hits) / reps
+
+
+class TestBinomialCdf:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
+    @pytest.mark.parametrize("q", [0.001, 0.1, 0.3, 0.5, 0.77, 0.999])
+    def test_matches_exact_sum(self, n, q):
+        exact_cdf = exact_binomial_cdfs(n, q)
+        for t in range(-2, n + 2):
+            exact = 0.0 if t < 0 else exact_cdf[min(t, n)]
+            got = simulate._binomial_cdf(t, n, q)
+            assert math.isclose(got, exact, rel_tol=1e-13, abs_tol=1e-30), (t, got, exact)
+
+    @pytest.mark.parametrize(
+        "n,q",
+        [(10**6, 1e-9), (10**6, 1e-4), (5 * 10**7, 1e-6), (10**6, 1 - 1e-9),
+         (10**6, 1 - 1e-4), (5 * 10**7, 1 - 1e-6), (2000, 0.02), (2000, 0.98)],
+    )
+    def test_matches_scipy_near_the_ends(self, n, q):
+        # q near 0 or 1: the mode is at 0 or n, or at most 100 atoms from
+        # it; t runs from below the summed window through it to above it.
+        # scipy itself is off by 1.4e-9 at n = 5e7, q = 1e-6, t = 11 (an
+        # mpmath sum agrees with the helper to 1e-15 there)
+        from scipy.stats import binom
+
+        mode = min(int((n + 1) * q), n)
+        sd = math.sqrt(n * q * (1 - q))
+        ts = {0, n - 1, n, mode - 1, mode, mode + 1}
+        ts |= {int(mode + z * sd) + d for z in (-40, -5, -1, 1, 5, 40) for d in (-31, 0, 31)}
+        for t in sorted(ts):
+            got = simulate._binomial_cdf(t, n, q)
+            want = float(binom.cdf(t, n, q))
+            assert math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-28), (t, got, want)
+
+    def test_large_n_against_scipy(self):
+        from scipy.stats import binom
+
+        n, q = 5_137_317_727_695, 0.05  # phi(m_1) at q = 0.05, alpha = 0.1
+        sd = math.sqrt(n * q * (1 - q))
+        for z in (-3.0, -0.5, 0.0, 0.2, 4.0):
+            t = int(n * q + z * sd)
+            got = simulate._binomial_cdf(t, n, q)
+            assert math.isclose(got, binom.cdf(t, n, q), rel_tol=1e-9)
+
+    def test_memory_does_not_grow_with_n(self):
+        # about 1.2e7 atoms in the window at n ~ 5e12: unchunked, each
+        # array of it would take ~100 MB
+        params = bernoulli_moments(0.05)
+        m1 = 1 + phi_of_k(params, 1, 0.1).phi
+        n = phi_of_k(params, m1, 0.1).phi
+        assert n > 10**12
+        tracemalloc.start()
+        try:
+            f = simulate._binomial_cdf(int(n * 0.05) + m1, n, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < f < 0.6
+        assert peak < 8 * 2**20
+
+
 class TestBlockEventExperiment:
+    @pytest.mark.parametrize(
+        "q,alpha,seed,reps",
+        [(0.5, 0.25, 1, 4000), (0.5, 0.25, 5249979066121302517, 2000),
+         (0.5, 0.1, 7, 1500), (0.3, 0.25, 11, 2000), (0.7, 0.4, 12, 3000),
+         (0.05, 0.1, 13, 600), (0.05, 0.25, 2**64 - 1, 1000), (0.93, 0.1, 14, 600),
+         (0.5, 0.25, 15, 1)],
+    )
+    def test_equals_ppf_recount(self, q, alpha, seed, reps):
+        # the tail comparison is the old per-replication binom.ppf draw
+        assert block_event_experiment(q, alpha, reps, seed) == block_event_ppf_oracle(
+            q, alpha, reps, seed
+        )
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("alpha", [0.1, 0.25])
+    def test_tail_decision_is_ppf_decision(self, q, alpha):
+        # E_1 alone, over 4000 uniforms: u > F(t) iff ppf(u) - phi*q > m1
+        from scipy.stats import binom
+
+        params = bernoulli_moments(q)
+        m1 = 1 + phi_of_k(params, 1, alpha).phi
+        n = phi_of_k(params, m1, alpha).phi
+        e = np.arange(int(n * q + m1) - 50, int(n * q + m1) + 50, dtype=np.float64)
+        t = int(e[(e - n * q) <= m1].max())
+        assert (t + 1) - n * q > m1
+        u = qrng.uniforms(derive_seed(99, int(q * 100 + alpha * 1000)), 4000)
+        want = (binom.ppf(u, n, q) - n * q) > m1
+        assert np.array_equal(u > simulate._binomial_cdf(t, n, q), want)
+        assert 0.2 < want.mean() < 0.8
+
     def test_fair_coin_frequency(self):
         freq = block_event_experiment(0.5, 0.25, 10_000, 2024)
         assert freq > 1.0 / 16.0
