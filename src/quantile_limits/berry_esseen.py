@@ -132,18 +132,25 @@ def phi_of_k(params: BEParams, k: int, alpha: float) -> PhiOfK:
     n2 = _least_n(
         lambda n: std_normal_cdf(k / (params.sigma * math.sqrt(n))) < 0.5 + half
     )
+    if n1 is None or n2 is None:  # both searches run away as sigma shrinks
+        raise ParameterOutOfRange(
+            f"no feasible n below 2^62 for sigma={params.sigma!r}, "
+            f"rho={params.rho!r}, alpha={alpha!r}",
+            param="sigma",
+        )
     return PhiOfK(k=k, alpha=alpha, n1=n1, n2=n2)
 
 
-def _least_n(pred) -> int:
-    """Least n >= 1 satisfying a monotone predicate, by doubling + bisection."""
+def _least_n(pred) -> int | None:
+    """Least n >= 1 satisfying a monotone predicate, by doubling + bisection;
+    None when there is none below 2^62."""
     if pred(1):
         return 1
     lo, hi = 1, 2  # invariant: pred(lo) false
     while not pred(hi):
         lo, hi = hi, hi * 2
         if hi > 1 << 62:
-            raise ParameterOutOfRange("no feasible n below 2^62")
+            return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pred(mid):

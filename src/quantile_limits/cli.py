@@ -112,8 +112,8 @@ def _cmd_simulate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         final = out_dir / f"traj_{rep}.csv"
         tmp = out_dir / f"traj_{rep}.csv.tmp"
+        tmp_paths.append((tmp, final))  # before the write: a failed one is cleaned up
         sim.write_trajectory_csv(traj, tmp)
-        tmp_paths.append((tmp, final))
 
     try:  # run_replicated validates first: a flag error creates no out_dir
         report = sim.run_replicated(

@@ -7,6 +7,7 @@ seeds therefore give byte-identical trajectories, reports and files, on any
 platform, regardless of worker scheduling.
 """
 
+import functools
 import json
 import math
 import os
@@ -61,6 +62,9 @@ _CELLS = 1 << 18
 # and the atoms it weighs at a time
 _TAIL_SDS = 12
 _TAIL_CHUNK = 1 << 16
+
+# trajectory_csv_bytes: records encoded at a time
+_CSV_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -305,10 +309,16 @@ def block_schedule(
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _bernoulli_block_sums(
     q: float, block_len: int, reps: int, master_seed: int
 ) -> np.ndarray:
-    """Sum of each replication's Bernoulli(q) block, one derived seed per rep."""
+    """Sum of each replication's Bernoulli(q) block, one derived seed per rep.
+
+    Read-only and cached for the last arguments: with k = 1 the deviation
+    block and the first paired block are the same draws, so ``qlim blocks``
+    makes them once.
+    """
     zero_mass = 1.0 - q  # inverse-CDF threshold: draw is 1 iff u > 1 - q
     sums = np.empty(reps, dtype=np.int64)
     rows = max(1, (4 << 20) // max(block_len, 1))  # bound matrix memory
@@ -317,6 +327,7 @@ def _bernoulli_block_sums(
         # stream word r of master_seed is derive_seed(master_seed, r)
         u = uniform_matrix(stream_words(master_seed, r1 - r0, r0), block_len)
         sums[r0:r1] = (u > zero_mass).sum(axis=1)
+    sums.flags.writeable = False
     return sums
 
 
@@ -548,19 +559,75 @@ def _config_dict(cfg: SimConfig) -> dict:
 
 
 def trajectory_csv_bytes(traj: Trajectory) -> bytes:
-    """CSV encoding of the records: header ``n,lq,rq``, one row per record."""
-    lines = ["n,lq,rq"]
-    lines.extend(
-        f"{int(n)},{float(a)!r},{float(b)!r}"
-        for n, a, b in zip(traj.ns, traj.lq, traj.rq)
-    )
-    return ("\n".join(lines) + "\n").encode("ascii")
+    r"""CSV encoding of the records.
+
+    Byte contract: the ASCII header ``n,lq,rq``, then one row per record,
+    each ending in ``\n``: ``n`` in decimal, then ``repr(float(v))`` of the
+    left and the right quantile, comma-separated, exactly as
+    ``f"{int(n)},{float(lq)!r},{float(rq)!r}\n"`` spells it.
+
+    Each distinct float64 bit pattern is ``repr``'d once per trajectory, so
+    ``-0.0``, NaN and values off the support keep their exact text.  Rows
+    are laid out ``_CSV_ROWS`` at a time in a NUL-padded byte matrix, whose
+    padding one mask drops (ASCII text holds no NUL), so the scratch memory
+    does not grow with the trajectory.
+    """
+    ns = np.asarray(traj.ns, dtype=np.int64)
+    lq = np.asarray(traj.lq, dtype=np.float64)
+    rq = np.asarray(traj.rq, dtype=np.float64)
+    text: dict[int, bytes] = {}  # float64 bit pattern -> its repr
+    pieces = [b"n,lq,rq\n"]
+    for r0 in range(0, len(ns), _CSV_ROWS):
+        r1 = r0 + _CSV_ROWS
+        pieces.append(_csv_rows(ns[r0:r1], lq[r0:r1], rq[r0:r1], text))
+    return b"".join(pieces)
+
+
+def _csv_rows(ns: np.ndarray, lq: np.ndarray, rq: np.ndarray, text: dict) -> bytes:
+    rows = len(ns)
+    # value table: the chunk's distinct bit patterns, repr'd and NUL-padded
+    bits = np.concatenate([lq, rq]).view(np.uint64)
+    keys = np.sort(bits)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    reprs = [
+        text.get(k) or text.setdefault(k, repr(v).encode("ascii"))
+        for k, v in zip(keys.tolist(), keys.view(np.float64).tolist())
+    ]
+    w = max(map(len, reprs))
+    table = np.frombuffer(b"".join(t.ljust(w, b"\0") for t in reprs), np.uint8)
+    vals = np.take(table.reshape(-1, w), np.searchsorted(keys, bits), axis=0)
+
+    # decimal digits of |n|, least significant first; leading places stay 0
+    neg = ns < 0
+    mag = ns.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    wn = len(str(int(mag.max()))) + bool(neg.any())
+    digits = np.zeros((wn, rows), np.uint8)
+    for j in range(wn - 1, -1, -1):
+        q = mag // np.uint64(10)
+        np.subtract(mag, q * np.uint64(10), out=digits[j], casting="unsafe")
+        digits[j] += ord("0")
+        if j < wn - 1:
+            digits[j][mag == 0] = 0
+        mag = q
+    if neg.any():  # the sign goes just left of the leading digit
+        lead = wn - 1 - np.count_nonzero(digits[:, neg], axis=0)
+        digits[lead, np.flatnonzero(neg)] = ord("-")
+
+    m = np.zeros((rows, wn + 2 * w + 3), np.uint8)
+    m[:, :wn] = digits.T
+    m[:, wn] = m[:, wn + w + 1] = ord(",")
+    m[:, wn + 1 : wn + w + 1] = vals[:rows]
+    m[:, wn + w + 2 : -1] = vals[rows:]
+    m[:, -1] = ord("\n")
+    return m[m != 0].tobytes()
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write records as CSV with header ``n,lq,rq`` (one row per record)."""
+    data = trajectory_csv_bytes(traj)  # before open: a failed encode leaves no file
     with open(path, "wb") as fh:
-        fh.write(trajectory_csv_bytes(traj))
+        fh.write(data)
 
 
 def report_to_json_bytes(report: dict) -> bytes:

@@ -173,6 +173,16 @@ def run_trajectory_streaming(cfg: SimConfig, rep_index: int) -> Trajectory:
     )
 
 
+def trajectory_csv_bytes_rowwise(traj: Trajectory) -> bytes:
+    """Reference for ``trajectory_csv_bytes``: one f-string per record."""
+    lines = ["n,lq,rq"]
+    lines.extend(
+        f"{int(n)},{float(a)!r},{float(b)!r}"
+        for n, a, b in zip(traj.ns, traj.lq, traj.rq)
+    )
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def assert_same_records(a, b):
     assert np.array_equal(a.ns, b.ns)
     assert np.array_equal(a.lq, b.lq)

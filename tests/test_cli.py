@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quantile_limits import simulate as sim
 from quantile_limits.cli import main
 
 
@@ -146,6 +147,32 @@ class TestSimulateCommand:
         assert code == 2
         assert "--p" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("fault", ["encode", "write"])
+    def test_failed_write_leaves_no_tmp_file(self, capsys, tmp_path, monkeypatch, threads, fault):
+        # replication 1 fails while its CSV is encoded, or after its file is open
+        encode = sim.trajectory_csv_bytes
+        bad_seed = sim.derive_seed(7, 1)
+
+        def failing(traj):
+            if traj.seed != bad_seed:
+                return encode(traj)
+            if fault == "encode":
+                raise RuntimeError("encoder failed")
+            return "not bytes"  # fh.write raises TypeError
+
+        monkeypatch.setattr(sim, "trajectory_csv_bytes", failing)
+        monkeypatch.setenv("QL_THREADS", threads)
+        out_dir = tmp_path / "runs"
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--family", "coin", "--p", "0.5", "--n-max", "100",
+            "--replications", "4", "--master-seed", "7",
+            "--output-dir", str(out_dir),
+        )
+        assert code == 1, err
+        assert sorted(p.name for p in out_dir.iterdir()) == []
 
 
 class TestBlocksCommand:
@@ -371,6 +398,7 @@ BAD_FLAGS = [
     (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1", "--rho", "0"), "--rho"),
     (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1e-200", "--rho", "1"), "--sigma"),
     (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1e-105", "--rho", "1"), "--sigma"),
+    (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1e-50", "--rho", "1"), "--sigma"),
     (("transform", "--family", "figure", "--p", "1", "--kind", "binarize"), "--p"),
     (("transform", "--family", "figure", "--p", "nan", "--kind",
       "collapse_shift"), "--p"),

@@ -6,7 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import assert_same_records, random_distribution, run_trajectory_streaming
+from conftest import (
+    assert_same_records,
+    random_distribution,
+    run_trajectory_streaming,
+    trajectory_csv_bytes_rowwise,
+)
 from quantile_limits import simulate
 from quantile_limits import rng as qrng
 from quantile_limits.berry_esseen import bernoulli_moments, phi_of_k, std_normal_cdf
@@ -36,6 +41,7 @@ from quantile_limits.simulate import (
     sample_stream,
     sandwich_check,
     switch_stats,
+    trajectory_csv_bytes,
 )
 
 
@@ -425,6 +431,29 @@ class TestDeviationExperiment:
             draws = sample_stream(d, derive_seed(4242, rep), phi)
             assert sums[rep] == int(draws.sum())
 
+    def test_k1_shares_the_first_block(self, monkeypatch):
+        # deviation_experiment at k = 1 and block_event_experiment draw the
+        # same phi(1) block: uniforms are made for it once, plus one per rep
+        q, alpha, reps, seed = 0.5, 0.25, 50, 31
+        phi = phi_of_k(bernoulli_moments(q), 1, alpha).phi
+        simulate._bernoulli_block_sums.cache_clear()
+        fresh = block_event_experiment(q, alpha, reps, seed)
+        simulate._bernoulli_block_sums.cache_clear()
+        drawn = []
+        uniform_matrix = simulate.uniform_matrix
+
+        def counted(words, n, start=0):
+            u = uniform_matrix(words, n, start)
+            drawn.append(u.size)
+            return u
+
+        monkeypatch.setattr(simulate, "uniform_matrix", counted)
+        deviation_experiment(q, 1, alpha, reps, seed)
+        assert block_event_experiment(q, alpha, reps, seed) == fresh
+        assert sum(drawn) == reps * phi + reps
+        sums = simulate._bernoulli_block_sums(q, phi, reps, seed)
+        assert not sums.flags.writeable
+
     def test_validation(self):
         with pytest.raises(ParameterOutOfRange):
             deviation_experiment(0.0, 1, 0.25, 10, 0)
@@ -655,3 +684,84 @@ class TestRunReplicated:
         cfg = SimConfig(point_mass(1.0), 0.5, 50, 0, replications=3)
         run_replicated(cfg, "convergence", on_trajectory=lambda r, t: seen.append((r, len(t))))
         assert sorted(seen) == [(0, 50), (1, 50), (2, 50)]
+
+
+def _traj(ns, lq, rq) -> Trajectory:
+    return Trajectory(
+        np.asarray(ns, dtype=np.int64),
+        np.asarray(lq, dtype=np.float64),
+        np.asarray(rq, dtype=np.float64),
+        seed=0,
+    )
+
+
+class TestTrajectoryCsv:
+    """trajectory_csv_bytes against the one-f-string-per-row oracle."""
+
+    ATOMS = [-0.0, 0.1, 0.30000000000000004, 5e-324, 1e-300, 1e16, 1e22]
+
+    def assert_oracle_bytes(self, traj) -> bytes:
+        out = trajectory_csv_bytes(traj)
+        assert out == trajectory_csv_bytes_rowwise(traj)
+        return out
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_simulated_atoms(self, p):
+        d = make_discrete((x, 1.0 / len(self.ATOMS)) for x in self.ATOMS)
+        traj = run_trajectory(SimConfig(d, p, 3000, 5, record_stride=1), 0)
+        self.assert_oracle_bytes(traj)
+
+    def test_atoms_keep_their_repr(self):
+        vals = np.array(self.ATOMS)
+        traj = _traj(np.arange(1, 50), np.resize(vals, 49), np.resize(vals[::-1], 49))
+        lines = self.assert_oracle_bytes(traj).splitlines()
+        assert lines[1] == b"1,-0.0,1e+22"
+        assert lines[3] == b"3,0.30000000000000004,1e-300"
+
+    def test_values_off_the_support(self):
+        neg_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        vals = [math.nan, neg_nan, math.inf, -math.inf, -1.5, 2.2250738585072014e-308,
+                -5e-324, 123456789.123, 1e-5, 1e16 + 2, -0.0, 0.0]
+        rng = np.random.default_rng(3)
+        lq = np.concatenate([vals, rng.standard_normal(200) * 1e6])
+        rq = np.concatenate([vals[::-1], rng.choice(vals, 200)])
+        out = self.assert_oracle_bytes(_traj(np.arange(1, len(lq) + 1), lq, rq))
+        assert out.splitlines()[1] == b"1,nan,0.0"
+
+    def test_n_digit_boundaries(self):
+        ns = [1, 8, 9, 10, 11, 98, 99, 100, 101, 999, 1000, 999_999, 10**6,
+              10**6 + 1, 2**40 - 1, 2**40, 0, -1, -9, -10, 2**63 - 1, -(2**63)]
+        out = self.assert_oracle_bytes(_traj(ns, [1.0] * len(ns), [-1.0] * len(ns)))
+        assert out.splitlines()[16] == b"1099511627776,1.0,-1.0"
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_rows_at_a_chunk_boundary(self, chunks, offset):
+        rows = chunks * simulate._CSV_ROWS + offset
+        rng = np.random.default_rng(rows)
+        lq = rng.choice(self.ATOMS, rows)
+        rq = rng.choice([0.5, 1.0], rows)
+        rq[-1] = 1e-300  # a wider value in the last chunk only
+        ns = np.arange(1, rows + 1) * 7
+        out = self.assert_oracle_bytes(_traj(ns, lq, rq))
+        assert out.count(b"\n") == rows + 1
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_no_and_one_record(self, rows):
+        out = self.assert_oracle_bytes(_traj(np.arange(1, rows + 1), [0.5] * rows, [1.5] * rows))
+        assert out == b"n,lq,rq\n" + b"1,0.5,1.5\n" * rows
+
+    def test_scratch_memory_is_bounded(self):
+        # 10^6 records: 15 MB of CSV, built from chunk pieces and joined once;
+        # encoding every row in one matrix peaks above 85 MB
+        n = 10**6
+        rng = np.random.default_rng(0)
+        traj = _traj(np.arange(1, n + 1), rng.choice([-1.0, 1.0], n), rng.choice([-1.0, 1.0], n))
+        tracemalloc.start()
+        try:
+            out = trajectory_csv_bytes(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count(b"\n") == n + 1
+        assert peak < 2 * len(out) + 8 * 2**20
