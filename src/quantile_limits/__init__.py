@@ -49,6 +49,7 @@ from .simulate import (
     derive_seed,
     deviation_experiment,
     gap_interior_hits,
+    gc_path,
     report_to_json_bytes,
     run_replicated,
     run_trajectory,

@@ -4,20 +4,22 @@ Subcommands: quantile, simulate, blocks, be-bound, phi-of-k, transform, gc.
 Outputs are CSV and JSON only; plotting belongs to downstream tools.  Exit
 codes: 0 success, 2 validation error (message names the offending flag),
 1 internal error.  Identical flags and seeds produce byte-identical output.
-Value ranges are checked in the library only: its errors carry the argument
-name, which matches the flag (``n_max`` is reported as ``--n-max``).
+Value ranges are checked by the library's ``errors.check_*`` rules only
+(``qlim gc --n``, which no library call takes, is checked with one here):
+their errors carry the argument name, which matches the flag (``n_max`` is
+reported as ``--n-max``).
 """
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
 from . import distributions as dist_mod
 from . import simulate as sim
 from .berry_esseen import BEParams, be_bound, bernoulli_moments, phi_of_k
-from .empirical import EmpiricalSample, gc_distance
-from .errors import QuantileLimitsError
+from .errors import QuantileLimitsError, check_at_least
 from .transforms import BINARIZE, COLLAPSE_SHIFT, binarize, collapse_shift
 
 
@@ -131,6 +133,11 @@ def _cmd_simulate(args) -> int:
         for tmp, _ in tmp_paths:
             tmp.unlink(missing_ok=True)
         raise
+    if args.force:  # an earlier run's surplus files would look like part of this one
+        for path in out_dir.glob("traj_*.csv*"):
+            m = re.fullmatch(r"traj_(\d+)\.csv|traj_.*\.csv\.tmp", path.name)
+            if m and (m[1] is None or int(m[1]) >= cfg.replications):
+                path.unlink()
     agg = report["aggregate"]
     print(
         f"wrote {cfg.replications} trajectory files and report.json to {out_dir} "
@@ -245,6 +252,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_gc(args) -> int:
     d = _resolve_distribution(args)
+    check_at_least("n", args.n, 1)
     if args.checkpoints:
         try:
             checkpoints = sorted({int(tok) for tok in args.checkpoints.split(",")})
@@ -252,7 +260,7 @@ def _cmd_gc(args) -> int:
             raise CliValidation(
                 f"--checkpoints must be comma-separated integers, got {args.checkpoints!r}"
             )
-        if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > args.n):
+        if checkpoints[-1] > args.n:
             raise CliValidation("--checkpoints values must lie in [1, --n]")
     else:
         checkpoints = []
@@ -261,19 +269,20 @@ def _cmd_gc(args) -> int:
             checkpoints.append(decade)
             decade *= 10
         checkpoints.append(args.n)
+    if args.output is not None and not args.output.parent.is_dir():
+        raise CliValidation(f"--output: directory {args.output.parent} does not exist")
 
-    draws = sim.sample_stream(d, args.seed, args.n)
-    sample = EmpiricalSample.from_distribution(d)
+    dist, witness = sim.gc_path(d, args.seed, checkpoints)
     lines = ["n,gc_distance,witness"]
-    done = 0
-    for ck in checkpoints:
-        sample.extend(draws[done:ck])
-        done = ck
-        g = gc_distance(sample, d)
-        lines.append(f"{ck},{_fmt(g.value)},{_fmt(g.witness)}")
+    lines.extend(
+        f"{ck},{_fmt(g)},{_fmt(w)}" for ck, g, w in zip(checkpoints, dist, witness)
+    )
     text = "\n".join(lines) + "\n"
     if args.output is not None:
-        args.output.write_text(text)
+        try:
+            args.output.write_text(text)
+        except OSError as exc:
+            raise CliValidation(f"--output: cannot write {args.output}: {exc}")
         print(f"wrote {len(checkpoints)} checkpoints to {args.output}")
     else:
         sys.stdout.write(text)

@@ -126,18 +126,26 @@ def quantile_indices(cum_counts, n, p: float):
     return (ecdf >= p).argmax(axis=-1), (ecdf > p).argmax(axis=-1)
 
 
-def gc_distance(sample: EmpiricalSample, d: DiscreteDistribution) -> GCDistance:
-    """Exact sup_x |F_n(x) - F(x)| for a sample bound to d's support.
+def sup_distances(cum_counts, n, cdf):
+    """sup_x |F_n(x) - F(x)| and the atom index of its leftmost witness.
 
-    Both functions are constant between consecutive atoms and zero below the
-    first one, so the supremum over the reals equals the maximum over the
-    per-atom levels; evaluating at the atoms covers every left limit too.
-    The witness is the leftmost maximizer.
+    ``cum_counts[..., j]`` is the number of observations <= atom j among
+    ``n`` (a scalar, or one count per row), and ``cdf[j]`` is F at atom j.
+    Both functions are constant between consecutive atoms and zero below
+    the first one, so the supremum over the reals equals the maximum over
+    the per-atom levels; evaluating at the atoms covers every left limit
+    too.  This is the one place the sup distance is computed.
     """
+    diffs = np.abs(np.asarray(cum_counts) / np.asarray(n)[..., None] - cdf)
+    j = diffs.argmax(axis=-1)
+    return np.take_along_axis(diffs, j[..., None], axis=-1)[..., 0], j
+
+
+def gc_distance(sample: EmpiricalSample, d: DiscreteDistribution) -> GCDistance:
+    """Exact sup_x |F_n(x) - F(x)| for a sample bound to d's support, with
+    its leftmost witness atom (see :func:`sup_distances`)."""
     sample._require_data()
     if sample.values != d.values:
         raise ValueOutsideSupport("sample is not bound to this distribution's support")
-    emp = np.cumsum(sample.counts) / sample.n
-    diffs = np.abs(emp - d.cum_array)
-    j = int(np.argmax(diffs))
-    return GCDistance(float(diffs[j]), d.values[j])
+    value, j = sup_distances(np.cumsum(sample.counts), sample.n, d.cum_array)
+    return GCDistance(float(value), d.values[int(j)])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .berry_esseen import BEParams, bernoulli_moments, phi_of_k
 from .distributions import DiscreteDistribution
-from .empirical import quantile_indices
+from .empirical import quantile_indices, sup_distances
 from .errors import (
     EmptyWindow,
     ParameterOutOfRange,
@@ -38,6 +38,7 @@ __all__ = [
     "derive_seed",
     "sample_stream",
     "run_trajectory",
+    "gc_path",
     "switch_stats",
     "sandwich_check",
     "gap_interior_hits",
@@ -161,38 +162,38 @@ def _record_points(n_max: int, stride: int) -> np.ndarray:
     return ns
 
 
-def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
-    """Stream cfg.n_max draws and record both sample quantiles along the way.
+def _cumulative_counts(d: DiscreteDistribution, seed: int, rec_ns: np.ndarray):
+    """Per-atom cumulative counts of one sample path at each record point.
 
-    Records are taken every ``record_stride`` draws and at n_max.  Draws
-    are binned by record segment (the draws after one record point up to
-    and including the next) and atom, so the per-atom counts at every
-    record point come from one cumulative sum over segments: total work is
-    O(n_max + records * atoms).  Each chunk holds at most ``_CHUNK`` draws
-    and ``_CELLS`` segment-by-atom counts (a single segment when the
-    support alone is larger), whatever the stride.
+    ``rec_ns`` is a strictly increasing int64 array of positive sample
+    sizes.  For the records each chunk of draws completes, yields
+    ``(r0, r1, C)`` where ``C[r - r0, j]`` is the number of draws at or below
+    atom j among the first ``rec_ns[r]`` draws; the ranges are consecutive
+    and cover every record.  Drawing stops at ``rec_ns[-1]``.
+
+    Draws are binned by record segment (the draws after one record point up
+    to and including the next) and atom, so the counts at every record point
+    come from one cumulative sum over segments: total work is
+    O(rec_ns[-1] + records * atoms).  Each chunk holds at most ``_CHUNK``
+    draws and ``_CELLS`` segment-by-atom counts (a single segment when the
+    support alone is larger), however the records are spaced.
     """
-    seed = derive_seed(cfg.master_seed, rep_index)
-    d = cfg.distribution
     atoms = len(d)
-    n_max, stride = cfg.n_max, cfg.record_stride
-
-    rec_ns = _record_points(n_max, stride)
-    values = d.values_array
-    lq_out = np.empty(len(rec_ns), dtype=np.float64)
-    rq_out = np.empty(len(rec_ns), dtype=np.float64)
     max_segs = max(1, _CELLS // atoms)
-
+    n_end = int(rec_ns[-1])
     carry = np.zeros(atoms, dtype=np.int64)  # per-atom counts of draws before lo
-    lo = 0
-    while lo < n_max:
-        # draw k (0-based) first counts at record k // stride: n = k + 1
-        # rounded up to a stride multiple, or n_max past the last multiple
-        r0 = lo // stride
-        hi = min(lo + _CHUNK, (r0 + max_segs) * stride, n_max)
+    lo = r0 = 0  # records before r0 are complete: rec_ns[r0] > lo
+    while lo < n_end:
+        hi = min(lo + _CHUNK, int(rec_ns[min(r0 + max_segs, len(rec_ns)) - 1]))
         idx = _draw_indices(d, seed, hi - lo, start=lo)
-        seg = np.arange(lo, hi, dtype=np.int64) // stride - r0
-        segs = int(seg[-1]) + 1
+        # draw k (0-based) first counts at the first record n >= k + 1: its
+        # segment is the number of record points in (lo, k], a running sum
+        # of boundary marks at offsets n - lo
+        rb = int(np.searchsorted(rec_ns, hi, side="left"))
+        seg = np.zeros(hi - lo, dtype=np.int64)
+        seg[rec_ns[r0:rb] - lo] = 1
+        np.cumsum(seg, out=seg)
+        segs = rb - r0 + 1
         counts = np.bincount(seg * atoms + idx, minlength=segs * atoms)
         counts = counts.reshape(segs, atoms)
         counts[0] += carry
@@ -202,13 +203,54 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
         # records complete within this chunk: C[r, j] = #draws <= atom j
         r1 = int(np.searchsorted(rec_ns, hi, side="right"))
         if r1 > r0:
-            cum = counts[: r1 - r0].cumsum(axis=1)
-            left, right = quantile_indices(cum, rec_ns[r0:r1], cfg.p)
-            lq_out[r0:r1] = values[left]
-            rq_out[r0:r1] = values[right]
-        lo = hi
+            yield r0, r1, counts[: r1 - r0].cumsum(axis=1)
+        lo, r0 = hi, r1
 
+
+def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
+    """Stream cfg.n_max draws and record both sample quantiles along the way.
+
+    Records are taken every ``record_stride`` draws and at n_max, from the
+    per-atom cumulative counts of ``_cumulative_counts``: total work is
+    O(n_max + records * atoms) and the working set is bounded by the chunk
+    size, whatever the stride.
+    """
+    seed = derive_seed(cfg.master_seed, rep_index)
+    rec_ns = _record_points(cfg.n_max, cfg.record_stride)
+    values = cfg.distribution.values_array
+    lq_out = np.empty(len(rec_ns), dtype=np.float64)
+    rq_out = np.empty(len(rec_ns), dtype=np.float64)
+    for r0, r1, cum in _cumulative_counts(cfg.distribution, seed, rec_ns):
+        left, right = quantile_indices(cum, rec_ns[r0:r1], cfg.p)
+        lq_out[r0:r1] = values[left]
+        rq_out[r0:r1] = values[right]
     return Trajectory(ns=rec_ns, lq=lq_out, rq=rq_out, seed=seed)
+
+
+def gc_path(
+    d: DiscreteDistribution, seed: int, checkpoints
+) -> tuple[np.ndarray, np.ndarray]:
+    """sup_x |F_n(x) - F(x)| along one sample path, at each checkpoint n.
+
+    The path is ``sample_stream(d, seed, n)``; ``checkpoints`` are strictly
+    increasing sample sizes >= 1.  Returns the distances and their leftmost
+    witness atoms, one per checkpoint.  Drawing stops at the last
+    checkpoint; past the checkpoint arrays, memory is bounded by the chunk
+    size of ``_cumulative_counts``, however large the checkpoints are.
+    """
+    check_seed("seed", seed)
+    ns = np.asarray(checkpoints, dtype=np.int64)
+    if ns.ndim != 1 or len(ns) == 0 or ns[0] < 1 or np.any(ns[1:] <= ns[:-1]):
+        raise ParameterOutOfRange(
+            f"checkpoints must be strictly increasing sizes >= 1, got {checkpoints!r}",
+            param="checkpoints",
+        )
+    dist = np.empty(len(ns), dtype=np.float64)
+    witness = np.empty(len(ns), dtype=np.float64)
+    for r0, r1, cum in _cumulative_counts(d, seed, ns):
+        dist[r0:r1], j = sup_distances(cum, ns[r0:r1], d.cum_array)
+        witness[r0:r1] = d.values_array[j]
+    return dist, witness
 
 
 # ---------------------------------------------------------------------------

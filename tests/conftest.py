@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from quantile_limits.distributions import DiscreteDistribution, make_discrete
-from quantile_limits.empirical import EmpiricalSample
+from quantile_limits.empirical import EmpiricalSample, gc_distance
 from quantile_limits.simulate import SimConfig, Trajectory, derive_seed, sample_stream
 
 NEG_INF = float("-inf")
@@ -171,6 +171,22 @@ def run_trajectory_streaming(cfg: SimConfig, rep_index: int) -> Trajectory:
         rq=np.array(rq, dtype=np.float64),
         seed=seed,
     )
+
+
+def gc_table_materialised(d: DiscreteDistribution, seed: int, n: int, checkpoints) -> str:
+    """Reference for the ``qlim gc`` table: all n draws materialised as atom
+    values, fed to one EmpiricalSample checkpoint by checkpoint, and
+    ``gc_distance`` taken at each."""
+    draws = sample_stream(d, seed, n)
+    sample = EmpiricalSample.from_distribution(d)
+    lines = ["n,gc_distance,witness"]
+    done = 0
+    for ck in checkpoints:
+        sample.extend(draws[done:ck])
+        done = ck
+        g = gc_distance(sample, d)
+        lines.append(f"{ck},{g.value!r},{g.witness!r}")
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_csv_bytes_rowwise(traj: Trajectory) -> bytes:

@@ -3,13 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import gc_table_materialised
 from quantile_limits import simulate as sim
 from quantile_limits.cli import main
+from quantile_limits.distributions import fair_coin, from_spec, gapped_example
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +112,39 @@ class TestSimulateCommand:
         assert run_cli(capsys, *args, "--force")[0] == 0
         second = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         assert first == second
+
+    def test_force_rerun_removes_surplus_files(self, capsys, tmp_path):
+        out_dir = tmp_path / "runs"
+        args = (
+            "simulate", "--family", "coin", "--p", "0.5", "--n-max", "50",
+            "--master-seed", "3", "--output-dir", str(out_dir),
+        )
+        assert run_cli(capsys, *args, "--replications", "5")[0] == 0
+        (out_dir / "traj_9.csv.tmp").write_bytes(b"left by a killed run")
+        assert run_cli(capsys, *args, "--replications", "2", "--force")[0] == 0
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["report.json", "traj_0.csv", "traj_1.csv"]
+        assert json.loads((out_dir / "report.json").read_text())["aggregate"]["total"] == 2
+
+    def test_failed_force_rerun_keeps_earlier_files(self, capsys, tmp_path, monkeypatch):
+        out_dir = tmp_path / "runs"
+        args = (
+            "simulate", "--family", "coin", "--p", "0.5", "--n-max", "50",
+            "--master-seed", "3", "--output-dir", str(out_dir),
+        )
+        assert run_cli(capsys, *args, "--replications", "5")[0] == 0
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        encode = sim.trajectory_csv_bytes
+        bad_seed = sim.derive_seed(3, 1)
+
+        def failing(traj):
+            if traj.seed == bad_seed:
+                raise RuntimeError("encoder failed")
+            return encode(traj)
+
+        monkeypatch.setattr(sim, "trajectory_csv_bytes", failing)
+        assert run_cli(capsys, *args, "--replications", "2", "--force")[0] == 1
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
 
     def test_sandwich_report_schema(self, capsys, tmp_path):
         out_dir = tmp_path / "runs"
@@ -316,6 +352,56 @@ class TestGcCommand:
             larges.append(float(rows[1][1]))
         assert np.median(larges) < np.median(smalls)
 
+    @pytest.mark.parametrize("support", ["figure", "coin", "dyadic128", "uniform4096"])
+    @pytest.mark.parametrize(
+        "n, checkpoints",
+        [
+            (70_001, None),  # every decade, then n
+            (1, None),
+            (sim._CHUNK + 1, [sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 1]),
+            (300, list(range(1, 301))),
+            (100_000, [7, 5000, 77_777]),  # drawing stops below --n
+        ],
+        ids=["decades", "one", "chunk-edges", "every-n", "below-n"],
+    )
+    def test_table_matches_materialised_path(self, capsys, tmp_path, support, n, checkpoints):
+        if support in ("figure", "coin"):
+            d = gapped_example() if support == "figure" else fair_coin()
+            dist_flags = ("--family", support)
+        else:
+            atoms = 128 if support == "dyadic128" else 4096
+            # mass 1/atoms each, with a wide gap after the middle atom
+            xs = np.cumsum(1 + np.arange(atoms) % 9 + 1000 * (np.arange(atoms) == atoms // 2))
+            spec = {"atoms": [{"x": float(x), "p": 1.0 / atoms} for x in xs]}
+            f = tmp_path / "d.json"
+            f.write_text(json.dumps(spec))
+            d = from_spec(spec)
+            dist_flags = ("--dist-file", str(f))
+        flags = ("--checkpoints", ",".join(map(str, checkpoints))) if checkpoints else ()
+        if checkpoints is None:
+            checkpoints = [10**k for k in range(1, len(str(n - 1)))] + [n]
+        for seed in [*range(1, 11), 2**64 - 1]:
+            code, out, err = run_cli(
+                capsys, "gc", *dist_flags, "--n", str(n), "--seed", str(seed), *flags
+            )
+            assert code == 0, err
+            assert out == gc_table_materialised(d, seed, n, checkpoints)
+
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_memory_does_not_grow_with_n(self, capsys, tmp_path, n):
+        out_file = tmp_path / "gc.csv"
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                capsys, "gc", "--family", "figure", "--n", str(n), "--seed", "1",
+                "--output", str(out_file),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 8 * 2**20
+
     def test_bad_checkpoints(self, capsys):
         code, _, err = run_cli(
             capsys, "gc", "--family", "coin", "--n", "100", "--checkpoints", "5,x"
@@ -405,6 +491,11 @@ BAD_FLAGS = [
     (("gc", "--family", "coin", "--n", "0"), "--n"),
     (GC + ("--seed", "-1"), "--seed"),
     (GC + ("--seed", SEED_2_64), "--seed"),
+    (GC + ("--checkpoints", "0,5"), "--checkpoints"),
+    (GC + ("--checkpoints", "5,101"), "--checkpoints"),
+    # an --output row's path is taken under the test's directory
+    (GC + ("--output", "missing/gc.csv"), "--output"),
+    (GC + ("--output", "."), "--output"),  # a directory: the write fails
     # a --dist-file row holds the file's content; the test writes the file
     (("quantile", "--dist-file", '{"family": "bernoulli", "q": "abc"}', "--p", "0.5"),
      "--dist-file"),
@@ -429,6 +520,9 @@ def test_bad_flag_value_names_flag(capsys, tmp_path, argv, flag):
         i = argv.index("--dist-file") + 1
         spec.write_text(argv[i])
         argv = argv[:i] + (str(spec),) + argv[i + 1:]
+    if "--output" in argv:
+        i = argv.index("--output") + 1
+        argv = argv[:i] + (str(tmp_path / argv[i]),) + argv[i + 1:]
     code, out, err = run_cli(capsys, *argv, *extra)
     assert code == 2, out
     assert re.search(rf"{flag}(?![\w-])", err), err  # --n must not match --n-max

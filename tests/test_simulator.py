@@ -218,6 +218,41 @@ class TestRunTrajectory:
         cfg = SimConfig(d, 0.5, n_max, 11, record_stride=stride)
         assert_same_records(run_trajectory(cfg, 2), run_trajectory_streaming(cfg, 2))
 
+    @pytest.mark.parametrize("atoms", [1, 3, 257, 4096])
+    def test_cumulative_counts_match_prefix_recount(self, atoms):
+        rng = np.random.default_rng(atoms)
+        values = np.arange(atoms, dtype=np.float64)
+        weights = rng.integers(1, 1000, size=atoms).astype(np.float64)
+        d = make_discrete(zip(values.tolist(), (weights / weights.sum()).tolist()))
+        # record gaps: runs of single draws, short and long gaps, and gaps
+        # wider than a chunk, so chunks start on and off record points
+        gaps = np.concatenate([
+            np.ones(300, dtype=np.int64),
+            rng.integers(2, 50, size=200),
+            rng.integers(50, 3000, size=40),
+            [simulate._CHUNK + 5, 3 * simulate._CHUNK, simulate._CHUNK],
+        ])
+        rng.shuffle(gaps)
+        rec_ns = np.cumsum(gaps)
+        seed = 99
+        idx = np.searchsorted(d.values_array, sample_stream(d, seed, int(rec_ns[-1])))
+        counts = np.zeros(atoms, dtype=np.int64)
+        want = np.empty((len(rec_ns), atoms), dtype=np.int64)
+        done = 0
+        for r, n in enumerate(rec_ns):
+            counts += np.bincount(idx[done:n], minlength=atoms)
+            done = n
+            want[r] = np.cumsum(counts)
+        got = np.empty_like(want)
+        covered = 0
+        for r0, r1, cum in simulate._cumulative_counts(d, seed, rec_ns):
+            assert r0 == covered < r1
+            assert (r1 - r0) * atoms <= max(simulate._CELLS, atoms)
+            got[r0:r1] = cum
+            covered = r1
+        assert covered == len(rec_ns)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("n_max, stride", [(10**5, 1000), (3000, 1)])
     def test_working_set_is_bounded(self, n_max, stride):
         # 4096 atoms: a chunk x atoms one-hot count takes about 1 GB, and a
