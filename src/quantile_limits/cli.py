@@ -4,10 +4,10 @@ Subcommands: quantile, simulate, blocks, be-bound, phi-of-k, transform, gc.
 Outputs are CSV and JSON only; plotting belongs to downstream tools.  Exit
 codes: 0 success, 2 validation error (message names the offending flag),
 1 internal error.  Identical flags and seeds produce byte-identical output.
-Value ranges are checked by the library's ``errors.check_*`` rules only
-(``qlim gc --n``, which no library call takes, is checked with one here):
-their errors carry the argument name, which matches the flag (``n_max`` is
-reported as ``--n-max``).
+Every flag error is a ``QuantileLimitsError`` whose ``param`` names the flag
+(``n_max`` is reported as ``--n-max``).  Value ranges are checked by the
+library's ``errors.check_*`` rules only (``qlim gc --n``, which no library
+call takes, is checked with them here), whose argument names match the flags.
 """
 
 import argparse
@@ -19,12 +19,8 @@ from pathlib import Path
 from . import distributions as dist_mod
 from . import simulate as sim
 from .berry_esseen import BEParams, be_bound, bernoulli_moments, phi_of_k
-from .errors import QuantileLimitsError, check_at_least
+from .errors import QuantileLimitsError, check_at_least, check_at_most
 from .transforms import BINARIZE, COLLAPSE_SHIFT, binarize, collapse_shift
-
-
-class CliValidation(Exception):
-    """Flag-level validation failure; message names the flag."""
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:
@@ -39,27 +35,27 @@ def _add_dist_flags(p: argparse.ArgumentParser) -> None:
 
 def _resolve_distribution(args) -> dist_mod.DiscreteDistribution:
     if args.dist_file is not None and args.family is not None:
-        raise CliValidation("pass either --family or --dist-file, not both")
+        raise QuantileLimitsError("pass either --family or --dist-file, not both", param="family")
     if args.dist_file is not None:
         try:
             spec = json.loads(args.dist_file.read_text())
         except OSError as exc:
-            raise CliValidation(f"--dist-file: cannot read {args.dist_file}: {exc}")
+            raise QuantileLimitsError(f"cannot read {args.dist_file}: {exc}", param="dist_file")
         except json.JSONDecodeError as exc:
-            raise CliValidation(f"--dist-file: invalid JSON: {exc}")
+            raise QuantileLimitsError(f"invalid JSON: {exc}", param="dist_file")
         try:
             return dist_mod.from_spec(spec)
         except QuantileLimitsError as exc:
             exc.param = "dist_file"  # a bad field of the file, not a flag
             raise
     if args.family is None:
-        raise CliValidation("one of --family or --dist-file is required")
+        raise QuantileLimitsError("one of --family or --dist-file is required", param="family")
     if args.family == "bernoulli":
         if args.q is None:
-            raise CliValidation("--family bernoulli requires --q")
+            raise QuantileLimitsError("required with --family bernoulli", param="q")
         return dist_mod.bernoulli(args.q)
     if args.q is not None:
-        raise CliValidation("--q is only valid with --family bernoulli")
+        raise QuantileLimitsError("only valid with --family bernoulli", param="q")
     return dist_mod.fair_coin() if args.family == "coin" else dist_mod.gapped_example()
 
 
@@ -104,8 +100,8 @@ def _cmd_simulate(args) -> int:
     if not args.force:
         clashes = [t.name for t in targets if t.exists()]
         if clashes:
-            raise CliValidation(
-                f"--output-dir: {', '.join(clashes)} already exist(s); use --force"
+            raise QuantileLimitsError(
+                f"{', '.join(clashes)} already exist(s); use --force", param="output_dir"
             )
 
     tmp_paths: list[tuple[Path, Path]] = []
@@ -126,18 +122,25 @@ def _cmd_simulate(args) -> int:
             min_switches=args.min_switches,
             on_trajectory=writer,
         )
+        # report.json marks a complete run: the old one goes before the first
+        # rename, the new one is renamed into place last
+        report_tmp, report_path = out_dir / "report.json.tmp", out_dir / "report.json"
+        tmp_paths.append((report_tmp, report_path))
+        report_tmp.write_bytes(sim.report_to_json_bytes(report))
+        report_path.unlink(missing_ok=True)
+        if args.force:  # an earlier run's surplus files would look like part of this one
+            ours = {path.name for pair in tmp_paths for path in pair}
+            for path in out_dir.glob("traj_*.csv*"):
+                if path.name not in ours and re.fullmatch(
+                    r"traj_\d+\.csv|traj_.*\.csv\.tmp", path.name
+                ):
+                    path.unlink()
         for tmp, final in tmp_paths:
             tmp.replace(final)
-        (out_dir / "report.json").write_bytes(sim.report_to_json_bytes(report))
     except BaseException:
         for tmp, _ in tmp_paths:
             tmp.unlink(missing_ok=True)
         raise
-    if args.force:  # an earlier run's surplus files would look like part of this one
-        for path in out_dir.glob("traj_*.csv*"):
-            m = re.fullmatch(r"traj_(\d+)\.csv|traj_.*\.csv\.tmp", path.name)
-            if m and (m[1] is None or int(m[1]) >= cfg.replications):
-                path.unlink()
     agg = report["aggregate"]
     print(
         f"wrote {cfg.replications} trajectory files and report.json to {out_dir} "
@@ -176,7 +179,7 @@ def _cmd_blocks(args) -> int:
             "guaranteed_above": (0.5 - args.alpha) ** 2,
         },
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    sys.stdout.write(sim.report_to_json_bytes(payload).decode())
     return 0
 
 
@@ -184,11 +187,11 @@ def _params_from_args(args) -> BEParams:
     by_q = args.q is not None
     by_moments = args.mu is not None or args.sigma is not None or args.rho is not None
     if by_q and by_moments:
-        raise CliValidation("pass either --q or the --mu/--sigma/--rho triple")
+        raise QuantileLimitsError("pass either --q or the --mu/--sigma/--rho triple", param="q")
     if by_q:
         return bernoulli_moments(args.q)
     if args.mu is None or args.sigma is None or args.rho is None:
-        raise CliValidation("need --q, or all of --mu, --sigma and --rho")
+        raise QuantileLimitsError("need --q, or all of --mu, --sigma and --rho", param="q")
     return BEParams(mu=args.mu, sigma=args.sigma, rho=args.rho)
 
 
@@ -201,7 +204,7 @@ def _cmd_be_bound(args) -> int:
         "n": args.n,
         "bound": be_bound(params, args.n),
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    sys.stdout.write(sim.report_to_json_bytes(payload).decode())
     return 0
 
 
@@ -215,7 +218,7 @@ def _cmd_phi_of_k(args) -> int:
         "n2": info.n2,
         "phi": info.phi,
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    sys.stdout.write(sim.report_to_json_bytes(payload).decode())
     return 0
 
 
@@ -253,15 +256,16 @@ def _cmd_transform(args) -> int:
 def _cmd_gc(args) -> int:
     d = _resolve_distribution(args)
     check_at_least("n", args.n, 1)
+    check_at_most("n", args.n, 2**63 - 1)  # a sample size is an int64
     if args.checkpoints:
         try:
             checkpoints = sorted({int(tok) for tok in args.checkpoints.split(",")})
         except ValueError:
-            raise CliValidation(
-                f"--checkpoints must be comma-separated integers, got {args.checkpoints!r}"
+            raise QuantileLimitsError(
+                f"must be comma-separated integers, got {args.checkpoints!r}", param="checkpoints"
             )
         if checkpoints[-1] > args.n:
-            raise CliValidation("--checkpoints values must lie in [1, --n]")
+            raise QuantileLimitsError("values must lie in [1, --n]", param="checkpoints")
     else:
         checkpoints = []
         decade = 10
@@ -270,7 +274,7 @@ def _cmd_gc(args) -> int:
             decade *= 10
         checkpoints.append(args.n)
     if args.output is not None and not args.output.parent.is_dir():
-        raise CliValidation(f"--output: directory {args.output.parent} does not exist")
+        raise QuantileLimitsError(f"directory {args.output.parent} does not exist", param="output")
 
     dist, witness = sim.gc_path(d, args.seed, checkpoints)
     lines = ["n,gc_distance,witness"]
@@ -282,7 +286,7 @@ def _cmd_gc(args) -> int:
         try:
             args.output.write_text(text)
         except OSError as exc:
-            raise CliValidation(f"--output: cannot write {args.output}: {exc}")
+            raise QuantileLimitsError(f"cannot write {args.output}: {exc}", param="output")
         print(f"wrote {len(checkpoints)} checkpoints to {args.output}")
     else:
         sys.stdout.write(text)
@@ -380,9 +384,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliValidation, QuantileLimitsError) as exc:
-        param = getattr(exc, "param", None)
-        flag = f"--{param.replace('_', '-')}: " if param else ""
+    except QuantileLimitsError as exc:
+        flag = f"--{exc.param.replace('_', '-')}: " if exc.param else ""
         print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -65,7 +65,7 @@ class EmpiricalSample:
         idx = np.searchsorted(values, xs)
         idx_clipped = np.minimum(idx, len(values) - 1)
         if not np.all(values[idx_clipped] == xs):
-            bad = xs[values[idx_clipped] != xs][0]
+            bad = float(xs[values[idx_clipped] != xs][0])
             raise ValueOutsideSupport(f"{bad!r} is not an atom of the bound support")
         self.counts += np.bincount(idx_clipped, minlength=len(values))
         self.n += len(xs)

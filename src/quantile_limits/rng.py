@@ -8,44 +8,33 @@ increment 0x9E3779B97F4A7C15 and finalizer constants 0xBF58476D1CE4E5B9 /
 and identical on every platform.  Reference outputs for seed 1234567:
 6457827717110365317, 3203168211198807973, 9817491932198370423.
 
-Uniform doubles are built from the top 53 bits of an output word as
+One implementation, over numpy uint64 arrays, makes every word, replication
+seeds included.  Uniform doubles are built from the top 53 bits of a word as
 ``(word >> 11 + 0.5) * 2**-53``, which lies strictly inside (0, 1).
 """
 
 import numpy as np
 
-from .errors import check_at_least, check_seed
+from .errors import check_at_least, check_at_most, check_seed
 
-MASK64 = (1 << 64) - 1
 INCREMENT = 0x9E3779B97F4A7C15
 
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 
 
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer: bijective avalanche mix of a 64-bit word."""
-    z = x & MASK64
-    z = ((z ^ (z >> 30)) * _MUL1) & MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & MASK64
-    return (z ^ (z >> 31)) & MASK64
-
-
-def stream_word(seed: int, index: int) -> int:
-    """The index-th (0-based) raw output of the SplitMix64 stream for seed."""
-    return mix64(seed + (index + 1) * INCREMENT)
-
-
 def derive_seed(master_seed: int, rep_index: int) -> int:
-    """Stateless per-replication seed: mix of (master_seed, rep_index).
+    """Stateless per-replication seed: word ``rep_index`` of master_seed's stream.
 
     Distinct replication indices give distinct 64-bit seeds (the counter map
     is injective mod 2**64 and the finalizer is a bijection), so replications
-    may run in any order, or concurrently, without stream reuse.
+    may run in any order, or concurrently, without stream reuse.  The
+    counter ``rep_index + 1`` must fit in 64 bits: ``rep_index <= 2**64 - 2``.
     """
     check_seed("master_seed", master_seed)
     check_at_least("rep_index", rep_index, 0)
-    return stream_word(master_seed, rep_index)
+    check_at_most("rep_index", rep_index, (1 << 64) - 2)
+    return int(stream_words(master_seed, 1, rep_index)[0])
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -69,17 +58,19 @@ def _word_matrix(seeds: np.ndarray, n: int, start: int) -> np.ndarray:
 
 def stream_words(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Raw outputs ``start .. start+n-1`` of the stream, as a uint64 array."""
-    return _word_matrix(np.array([seed & MASK64], dtype=np.uint64), n, start)[0]
+    check_seed("seed", seed)
+    return _word_matrix(np.array([seed], dtype=np.uint64), n, start)[0]
 
 
 def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n uniform draws in the open interval (0, 1), offset by ``start``.
 
-    Draw i is the top 53 bits of ``stream_word(seed, start + i)`` mapped
-    into (0, 1) as in the module docstring; generating a stream in slices
-    yields the same values as one shot.
+    Draw i is the top 53 bits of word ``start + i`` of the stream (see
+    :func:`stream_words`) mapped into (0, 1) as in the module docstring;
+    generating a stream in slices yields the same values as one shot.
     """
-    return uniform_matrix(np.array([seed & MASK64], dtype=np.uint64), n, start)[0]
+    check_seed("seed", seed)
+    return uniform_matrix(np.array([seed], dtype=np.uint64), n, start)[0]
 
 
 def uniform_matrix(seeds: np.ndarray, n: int, start: int = 0) -> np.ndarray:

@@ -233,16 +233,19 @@ def gc_path(
     """sup_x |F_n(x) - F(x)| along one sample path, at each checkpoint n.
 
     The path is ``sample_stream(d, seed, n)``; ``checkpoints`` are strictly
-    increasing sample sizes >= 1.  Returns the distances and their leftmost
-    witness atoms, one per checkpoint.  Drawing stops at the last
-    checkpoint; past the checkpoint arrays, memory is bounded by the chunk
-    size of ``_cumulative_counts``, however large the checkpoints are.
+    increasing sample sizes in ``[1, 2**63)``.  Returns the distances and
+    their leftmost witness atoms, one per checkpoint.  Drawing stops at the
+    last checkpoint; past the checkpoint arrays, memory is bounded by the
+    chunk size of ``_cumulative_counts``, however large the checkpoints are.
     """
     check_seed("seed", seed)
-    ns = np.asarray(checkpoints, dtype=np.int64)
-    if ns.ndim != 1 or len(ns) == 0 or ns[0] < 1 or np.any(ns[1:] <= ns[:-1]):
+    try:
+        ns = np.asarray(checkpoints, dtype=np.int64)
+    except OverflowError:  # a size past int64
+        ns = None
+    if ns is None or ns.ndim != 1 or len(ns) == 0 or ns[0] < 1 or np.any(ns[1:] <= ns[:-1]):
         raise ParameterOutOfRange(
-            f"checkpoints must be strictly increasing sizes >= 1, got {checkpoints!r}",
+            f"checkpoints must be strictly increasing sizes in [1, 2**63), got {checkpoints!r}",
             param="checkpoints",
         )
     dist = np.empty(len(ns), dtype=np.float64)

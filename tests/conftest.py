@@ -19,6 +19,20 @@ POS_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
+# Generator oracle
+
+
+def stream_word(seed: int, index: int) -> int:
+    """Reference for the generator: the index-th (0-based) SplitMix64 output
+    for seed, one word at a time in Python integers."""
+    mask = (1 << 64) - 1
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+# ---------------------------------------------------------------------------
 # Brute-force quantile oracles (definition scans over candidate grids)
 
 

@@ -146,6 +146,30 @@ class TestSimulateCommand:
         assert run_cli(capsys, *args, "--replications", "2", "--force")[0] == 1
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
 
+    def test_failed_rename_leaves_no_report(self, capsys, tmp_path, monkeypatch):
+        # report.json marks a complete run; a rerun that fails mid-rename
+        # must not leave the old one beside a mix of new and old files
+        out_dir = tmp_path / "runs"
+        args = (
+            "simulate", "--family", "coin", "--p", "0.5", "--n-max", "50",
+            "--replications", "3", "--master-seed", "3", "--output-dir", str(out_dir),
+        )
+        assert run_cli(capsys, *args)[0] == 0
+        replace, calls = Path.replace, []
+
+        def failing(self, target):
+            calls.append(self)
+            if len(calls) == 2:
+                raise OSError("rename failed")
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", failing)
+        code, _, err = run_cli(capsys, *args, "--force")
+        assert code == 1, err
+        assert len(calls) == 2
+        assert not (out_dir / "report.json").exists()
+        assert not list(out_dir.glob("*.tmp"))
+
     def test_sandwich_report_schema(self, capsys, tmp_path):
         out_dir = tmp_path / "runs"
         code, _, _ = run_cli(
@@ -489,6 +513,7 @@ BAD_FLAGS = [
     (("transform", "--family", "figure", "--p", "nan", "--kind",
       "collapse_shift"), "--p"),
     (("gc", "--family", "coin", "--n", "0"), "--n"),
+    (("gc", "--family", "coin", "--n", str(2**63)), "--n"),
     (GC + ("--seed", "-1"), "--seed"),
     (GC + ("--seed", SEED_2_64), "--seed"),
     (GC + ("--checkpoints", "0,5"), "--checkpoints"),

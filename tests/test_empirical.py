@@ -72,6 +72,13 @@ class TestSampleBasics:
         with pytest.raises(ValueOutsideSupport):
             s.extend(np.array([-1.0, 2.0]))
 
+    @pytest.mark.parametrize("add", ["insert", "extend"])
+    def test_off_support_message(self, add):
+        s = EmpiricalSample.from_distribution(fair_coin())
+        with pytest.raises(ValueOutsideSupport) as info:
+            getattr(s, add)(2.5 if add == "insert" else np.array([-1.0, 2.5]))
+        assert str(info.value) == "2.5 is not an atom of the bound support"
+
     def test_reset(self):
         s = sample_of(fair_coin(), [1.0])
         s.reset()

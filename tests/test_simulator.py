@@ -10,6 +10,7 @@ from conftest import (
     assert_same_records,
     random_distribution,
     run_trajectory_streaming,
+    stream_word,
     trajectory_csv_bytes_rowwise,
 )
 from quantile_limits import simulate
@@ -53,7 +54,7 @@ class TestRng:
             3203168211198807973,
             9817491932198370423,
         ]
-        assert [qrng.stream_word(1234567, i) for i in range(3)] == expected
+        assert [stream_word(1234567, i) for i in range(3)] == expected
         assert [int(w) for w in qrng.stream_words(1234567, 3)] == expected
 
     def test_uniform_slicing_agrees(self):
@@ -71,11 +72,11 @@ class TestRng:
         # draw i is (top 53 bits of word start + i + 0.5) * 2**-53
         for seed, start in ((0, 0), (2**64 - 1, 5), (1234567, 10**12)):
             u = qrng.uniforms(seed, 40, start)
-            want = [((qrng.stream_word(seed, start + i) >> 11) + 0.5) * 2.0**-53
+            want = [((stream_word(seed, start + i) >> 11) + 0.5) * 2.0**-53
                     for i in range(40)]
             assert u.tolist() == want
             assert qrng.stream_words(seed, 40, start).tolist() == [
-                qrng.stream_word(seed, start + i) for i in range(40)
+                stream_word(seed, start + i) for i in range(40)
             ]
 
     def test_uniforms_open_interval(self):
@@ -100,6 +101,18 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(1, -1)
 
+    @pytest.mark.parametrize("master_seed", [0, 1234567, 2**64 - 1])
+    def test_matches_scalar_oracle(self, master_seed):
+        for rep in [*range(1000), 2**63, 2**64 - 2]:
+            assert derive_seed(master_seed, rep) == stream_word(master_seed, rep)
+
+    @pytest.mark.parametrize("rep_index", [2**64 - 1, 2**64, 2**64 + 5])
+    def test_rejects_index_past_counter_range(self, rep_index):
+        # a counter past 2**64 - 1 would wrap onto another index's seed
+        with pytest.raises(ParameterOutOfRange) as info:
+            derive_seed(7, rep_index)
+        assert info.value.param == "rep_index"
+
 
 class TestSeedRange:
     """A seed outside [0, 2**64) is rejected, never reduced mod 2**64 into
@@ -113,6 +126,8 @@ class TestSeedRange:
             ("master_seed", lambda: SimConfig(fair_coin(), 0.5, 10, seed)),
             ("master_seed", lambda: derive_seed(seed, 0)),
             ("seed", lambda: sample_stream(fair_coin(), seed, 10)),
+            ("seed", lambda: qrng.uniforms(seed, 2)),
+            ("seed", lambda: qrng.stream_words(seed, 1)),
         ]
         for param, call in calls:
             with pytest.raises(ParameterOutOfRange) as info:
@@ -303,6 +318,18 @@ class TestRunTrajectory:
         assert set(traj.rq.tolist()) <= atoms
         assert np.all(traj.lq <= traj.rq)
         assert gap_interior_hits(traj, d, 0.5) == 0
+
+
+class TestGcPath:
+    @pytest.mark.parametrize(
+        "checkpoints",
+        [[0, 5], [5, 5], [10**19], [1, 2**63], [-(2**70), 5]],
+        ids=["zero", "repeat", "past-int64", "last-past-int64", "below-int64"],
+    )
+    def test_bad_checkpoints_name_checkpoints(self, checkpoints):
+        with pytest.raises(ParameterOutOfRange) as info:
+            simulate.gc_path(fair_coin(), 1, checkpoints)
+        assert info.value.param == "checkpoints"
 
 
 class TestSwitchStats:
