@@ -10,7 +10,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +67,15 @@ class SolutionInterval:
         object.__setattr__(self, "unique", self.lo == self.hi)
 
 
+class GuideTable(NamedTuple):
+    """See :attr:`DiscreteDistribution.guide_table`."""
+
+    buckets: int
+    guide: np.ndarray
+    cum: np.ndarray
+    rounds: int
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Immutable finite distribution: strictly increasing values, positive probs.
@@ -89,6 +98,25 @@ class DiscreteDistribution:
     @cached_property
     def cum_array(self) -> np.ndarray:
         return np.asarray(self.cum, dtype=np.float64)
+
+    @cached_property
+    def guide_table(self) -> GuideTable:
+        """Chen–Asau guide table of ``cum`` for the inverse-CDF draw.
+
+        ``buckets`` is the least power of two K >= 2 * atoms, and
+        ``guide[b]`` the first index j with ``cum[j] >= b / K``.  A level u
+        in [0, 1) lies in bucket floor(u * K), so its left quantile index is
+        in ``[guide[b], guide[b + 1]]``; ``rounds`` is the bit length of the
+        widest such span, at most the bit length of the atom count.  ``cum``
+        is ``cum_array`` padded with ``2**rounds`` entries of 1.0, so a
+        bisection step never reads past the end.
+        """
+        cum = self.cum_array
+        k = 1 << (2 * len(cum) - 1).bit_length()
+        guide = np.searchsorted(cum, np.arange(k + 1) / k, side="left")
+        rounds = int(np.diff(guide).max()).bit_length()
+        padded = np.concatenate([cum, np.ones(1 << rounds)])
+        return GuideTable(k, guide[:k], padded, rounds)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -22,6 +22,8 @@ INCREMENT = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 
+_MAX_COUNTER = (1 << 64) - 1
+
 
 def derive_seed(master_seed: int, rep_index: int) -> int:
     """Stateless per-replication seed: word ``rep_index`` of master_seed's stream.
@@ -33,7 +35,7 @@ def derive_seed(master_seed: int, rep_index: int) -> int:
     """
     check_seed("master_seed", master_seed)
     check_at_least("rep_index", rep_index, 0)
-    check_at_most("rep_index", rep_index, (1 << 64) - 2)
+    check_at_most("rep_index", rep_index, _MAX_COUNTER - 1)
     return int(stream_words(master_seed, 1, rep_index)[0])
 
 
@@ -50,14 +52,23 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 def _word_matrix(seeds: np.ndarray, n: int, start: int) -> np.ndarray:
     # row r: outputs start .. start+n-1 of the stream of seeds[r]; one
-    # expression, so that no counter array outlives the mixing
+    # expression, so that no counter array outlives the mixing.  The last
+    # counter, start + n, must fit in 64 bits.
+    check_at_least("start", start, 0)
+    check_at_most("start", start, _MAX_COUNTER)
+    check_at_least("n", n, 0)
+    check_at_most("n", n, _MAX_COUNTER - start)
     return _mix64_array(np.add.outer(
         seeds, np.arange(start + 1, start + n + 1, dtype=np.uint64) * np.uint64(INCREMENT)
     ))
 
 
 def stream_words(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """Raw outputs ``start .. start+n-1`` of the stream, as a uint64 array."""
+    """Raw outputs ``start .. start+n-1`` of the stream, as a uint64 array.
+
+    ``n`` and ``start`` are non-negative and ``start + n <= 2**64 - 1``: the
+    counter of the last output fits in 64 bits.
+    """
     check_seed("seed", seed)
     return _word_matrix(np.array([seed], dtype=np.uint64), n, start)[0]
 

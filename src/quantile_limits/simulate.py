@@ -5,8 +5,17 @@ stream in :mod:`.rng` via inverse-CDF sampling, and per-replication seeds are
 a stateless mix of (master_seed, rep_index).  Identical configuration and
 seeds therefore give byte-identical trajectories, reports and files, on any
 platform, regardless of worker scheduling.
+
+The inverse-CDF lookup uses the distribution's Chen-Asau guide table
+(Chen & Asau 1974; Devroye 1986, section III.2): 2**k >= 2 * atoms buckets
+of the unit interval, each holding the first atom index a level in it can
+map to, then a fixed number of branchless bisection steps.  It finds the
+same index as a binary search of the cumulative table, exactly, in a few
+array passes whatever the support size.
 """
 
+import collections
+import contextlib
 import functools
 import json
 import math
@@ -138,10 +147,24 @@ class BlockSchedule:
 # Sampling
 
 
+def _inverse_cdf(d: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
+    # Index of the left quantile of d at each level u in [0, 1): the first j
+    # with cum[j] >= u, as searchsorted(side="left") finds it.  The guide
+    # table's bucket floor(u * K) gives the first candidate, and its
+    # ``rounds`` branchless bisection steps add the count of the bucket's
+    # candidates whose cum lies below u.  u * K and b / K are exact in
+    # binary floating point (K is a power of two), so the bucket is exact.
+    t = d.guide_table
+    j = np.take(t.guide, (u * t.buckets).astype(np.intp))
+    for r in range(t.rounds - 1, -1, -1):
+        s = 1 << r
+        j += s * (np.take(t.cum[s - 1 :], j) < u)  # cum[j + s - 1] < u
+    return j
+
+
 def _draw_indices(d: DiscreteDistribution, seed: int, n: int, start: int = 0):
     # inverse-CDF sampling: the left quantile of d at a uniform level
-    u = uniforms(seed, n, start)
-    return np.searchsorted(d.cum_array, u, side="left")
+    return _inverse_cdf(d, uniforms(seed, n, start))
 
 
 def sample_stream(d: DiscreteDistribution, seed: int, n: int) -> np.ndarray:
@@ -162,7 +185,64 @@ def _record_points(n_max: int, stride: int) -> np.ndarray:
     return ns
 
 
-def _cumulative_counts(d: DiscreteDistribution, seed: int, rec_ns: np.ndarray):
+def _chunks(atoms: int, rec_ns: np.ndarray):
+    # (lo, hi, r0, rb, r1) of each chunk of draws lo .. hi-1, in order:
+    # records r0 .. rb-1 fall strictly inside it, and r0 .. r1-1 are the
+    # records it completes
+    max_segs = max(1, _CELLS // atoms)
+    n_end = int(rec_ns[-1])
+    lo = r0 = 0  # records before r0 are complete: rec_ns[r0] > lo
+    while lo < n_end:
+        hi = min(lo + _CHUNK, int(rec_ns[min(r0 + max_segs, len(rec_ns)) - 1]))
+        rb = int(np.searchsorted(rec_ns, hi, side="left"))
+        r1 = int(np.searchsorted(rec_ns, hi, side="right"))
+        yield lo, hi, r0, rb, r1
+        lo, r0 = hi, r1
+
+
+def _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb) -> np.ndarray:
+    # segment-by-atom counts of draws lo .. hi-1: draw k (0-based) first
+    # counts at the first record n >= k + 1, so its segment is the number of
+    # record points in (lo, k], a running sum of boundary marks at offsets
+    # n - lo.  A chunk with no record point inside is one segment.
+    atoms = len(d)
+    idx = _draw_indices(d, seed, hi - lo, start=lo)
+    if rb == r0:
+        return np.bincount(idx, minlength=atoms).reshape(1, atoms)
+    seg = np.zeros(hi - lo, dtype=np.int64)
+    seg[rec_ns[r0:rb] - lo] = 1
+    np.cumsum(seg, out=seg)
+    counts = np.bincount(seg * atoms + idx, minlength=(rb - r0 + 1) * atoms)
+    return counts.reshape(rb - r0 + 1, atoms)
+
+
+def _in_order(fn, jobs, workers: int):
+    # (job, fn(*job)) for each job, in order.  With workers > 1 the calls
+    # run on that many threads, at most workers + 1 of them ahead of the
+    # consumer; closing the generator, or an error in a call, cancels the
+    # rest and joins the threads.
+    if workers <= 1:
+        for job in jobs:
+            yield job, fn(*job)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    pending = collections.deque()
+    try:
+        for job in jobs:
+            pending.append((job, pool.submit(fn, *job)))
+            if len(pending) > workers:
+                job, done = pending.popleft()
+                yield job, done.result()
+        while pending:
+            job, done = pending.popleft()
+            yield job, done.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _cumulative_counts(
+    d: DiscreteDistribution, seed: int, rec_ns: np.ndarray, workers: int = 1
+):
     """Per-atom cumulative counts of one sample path at each record point.
 
     ``rec_ns`` is a strictly increasing int64 array of positive sample
@@ -176,35 +256,25 @@ def _cumulative_counts(d: DiscreteDistribution, seed: int, rec_ns: np.ndarray):
     come from one cumulative sum over segments: total work is
     O(rec_ns[-1] + records * atoms).  Each chunk holds at most ``_CHUNK``
     draws and ``_CELLS`` segment-by-atom counts (a single segment when the
-    support alone is larger), however the records are spaced.
+    support alone is larger), however the records are spaced.  A chunk's
+    counts are a pure function of its bounds, so up to ``workers`` threads
+    make them, at most ``workers + 1`` chunks ahead; the carry of counts
+    from chunk to chunk is added in order, so the result does not depend on
+    ``workers``.
     """
     atoms = len(d)
-    max_segs = max(1, _CELLS // atoms)
-    n_end = int(rec_ns[-1])
+
+    def job(lo, hi, r0, rb, r1):
+        return _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb)
+
     carry = np.zeros(atoms, dtype=np.int64)  # per-atom counts of draws before lo
-    lo = r0 = 0  # records before r0 are complete: rec_ns[r0] > lo
-    while lo < n_end:
-        hi = min(lo + _CHUNK, int(rec_ns[min(r0 + max_segs, len(rec_ns)) - 1]))
-        idx = _draw_indices(d, seed, hi - lo, start=lo)
-        # draw k (0-based) first counts at the first record n >= k + 1: its
-        # segment is the number of record points in (lo, k], a running sum
-        # of boundary marks at offsets n - lo
-        rb = int(np.searchsorted(rec_ns, hi, side="left"))
-        seg = np.zeros(hi - lo, dtype=np.int64)
-        seg[rec_ns[r0:rb] - lo] = 1
-        np.cumsum(seg, out=seg)
-        segs = rb - r0 + 1
-        counts = np.bincount(seg * atoms + idx, minlength=segs * atoms)
-        counts = counts.reshape(segs, atoms)
+    for (_, _, r0, _, r1), counts in _in_order(job, _chunks(atoms, rec_ns), workers):
         counts[0] += carry
         counts.cumsum(axis=0, out=counts)
         carry = counts[-1].copy()
-
         # records complete within this chunk: C[r, j] = #draws <= atom j
-        r1 = int(np.searchsorted(rec_ns, hi, side="right"))
         if r1 > r0:
             yield r0, r1, counts[: r1 - r0].cumsum(axis=1)
-        lo, r0 = hi, r1
 
 
 def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
@@ -213,7 +283,8 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
     Records are taken every ``record_stride`` draws and at n_max, from the
     per-atom cumulative counts of ``_cumulative_counts``: total work is
     O(n_max + records * atoms) and the working set is bounded by the chunk
-    size, whatever the stride.
+    size, whatever the stride.  It all runs on the calling thread:
+    ``run_replicated`` spreads the replications over the worker threads.
     """
     seed = derive_seed(cfg.master_seed, rep_index)
     rec_ns = _record_points(cfg.n_max, cfg.record_stride)
@@ -237,6 +308,8 @@ def gc_path(
     their leftmost witness atoms, one per checkpoint.  Drawing stops at the
     last checkpoint; past the checkpoint arrays, memory is bounded by the
     chunk size of ``_cumulative_counts``, however large the checkpoints are.
+    Chunks are drawn and counted on QL_THREADS worker threads (see
+    ``run_replicated``); the result does not depend on their number.
     """
     check_seed("seed", seed)
     try:
@@ -250,7 +323,7 @@ def gc_path(
         )
     dist = np.empty(len(ns), dtype=np.float64)
     witness = np.empty(len(ns), dtype=np.float64)
-    for r0, r1, cum in _cumulative_counts(d, seed, ns):
+    for r0, r1, cum in _cumulative_counts(d, seed, ns, _worker_count()):
         dist[r0:r1], j = sup_distances(cum, ns[r0:r1], d.cum_array)
         witness[r0:r1] = d.values_array[j]
     return dist, witness
@@ -482,9 +555,13 @@ ANALYSES = ("convergence", "switch_stats", "sandwich_check")
 
 
 def _worker_count() -> int:
-    """QL_THREADS clamped to the CPU count; the CPU count when QL_THREADS is
-    unset or not a positive integer."""
-    cpus = os.cpu_count() or 1
+    """QL_THREADS clamped to the CPUs this process may run on (its CPU
+    affinity); all of them when QL_THREADS is unset or not a positive
+    integer."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
     try:
         n = int(os.environ.get("QL_THREADS", ""))
     except ValueError:
@@ -504,10 +581,11 @@ def run_replicated(
     """Run cfg.replications trajectories and aggregate one analysis.
 
     Replications use derived seeds and may execute on several worker threads
-    (QL_THREADS of them, at most the CPU count); per-replication results
-    are keyed by index, so the report is identical however the work is
-    scheduled.  ``on_trajectory(rep_index, trajectory)``, when given, is
-    invoked once per replication (used by the CLI to write trajectory CSVs).
+    (QL_THREADS of them, at most the CPUs the process may run on), one
+    thread per trajectory.  Per-replication results are keyed by index, so
+    the report is identical however the work is scheduled.
+    ``on_trajectory(rep_index, trajectory)``, when given, is invoked once
+    per replication (used by the CLI to write trajectory CSVs).
 
     Analyses
     --------
@@ -612,23 +690,28 @@ def trajectory_csv_bytes(traj: Trajectory) -> bytes:
     ``f"{int(n)},{float(lq)!r},{float(rq)!r}\n"`` spells it.
 
     Each distinct float64 bit pattern is ``repr``'d once per trajectory, so
-    ``-0.0``, NaN and values off the support keep their exact text.  Rows
-    are laid out ``_CSV_ROWS`` at a time in a NUL-padded byte matrix, whose
-    padding one mask drops (ASCII text holds no NUL), so the scratch memory
-    does not grow with the trajectory.
+    ``-0.0``, NaN and values off the support keep their exact text.
     """
+    return b"".join(_csv_chunks(traj))
+
+
+def _csv_chunks(traj: Trajectory):
+    # the CSV of trajectory_csv_bytes, piece by piece: the header, then
+    # _CSV_ROWS records at a time, so the scratch memory of encoding does
+    # not grow with the trajectory
     ns = np.asarray(traj.ns, dtype=np.int64)
     lq = np.asarray(traj.lq, dtype=np.float64)
     rq = np.asarray(traj.rq, dtype=np.float64)
     text: dict[int, bytes] = {}  # float64 bit pattern -> its repr
-    pieces = [b"n,lq,rq\n"]
+    yield b"n,lq,rq\n"
     for r0 in range(0, len(ns), _CSV_ROWS):
         r1 = r0 + _CSV_ROWS
-        pieces.append(_csv_rows(ns[r0:r1], lq[r0:r1], rq[r0:r1], text))
-    return b"".join(pieces)
+        yield _csv_rows(ns[r0:r1], lq[r0:r1], rq[r0:r1], text)
 
 
 def _csv_rows(ns: np.ndarray, lq: np.ndarray, rq: np.ndarray, text: dict) -> bytes:
+    # Rows are laid out in a NUL-padded byte matrix, whose padding one mask
+    # drops (ASCII text holds no NUL).
     rows = len(ns)
     # value table: the chunk's distinct bit patterns, repr'd and NUL-padded
     bits = np.concatenate([lq, rq]).view(np.uint64)
@@ -669,10 +752,21 @@ def _csv_rows(ns: np.ndarray, lq: np.ndarray, rq: np.ndarray, text: dict) -> byt
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write records as CSV with header ``n,lq,rq`` (one row per record)."""
-    data = trajectory_csv_bytes(traj)  # before open: a failed encode leaves no file
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """Write records as CSV with header ``n,lq,rq`` (one row per record).
+
+    The bytes are those of :func:`trajectory_csv_bytes`, written chunk by
+    chunk as they are encoded, so memory does not grow with the trajectory.
+    If encoding or writing fails, the partial file is removed.
+    """
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for piece in _csv_chunks(traj):
+                fh.write(piece)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
 
 
 def report_to_json_bytes(report: dict) -> bytes:

@@ -6,8 +6,10 @@ so closed-form results are checked against the raw definitions.
 """
 
 import math
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from quantile_limits.distributions import DiscreteDistribution, make_discrete
@@ -16,6 +18,21 @@ from quantile_limits.simulate import SimConfig, Trajectory, derive_seed, sample_
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+
+# ---------------------------------------------------------------------------
+# Fixtures
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fail any test that leaves a thread running after it returns: worker
+    pools must be shut down and joined, on errors and early exits too."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left alive: {left}")
 
 
 # ---------------------------------------------------------------------------

@@ -134,15 +134,15 @@ class TestSimulateCommand:
         )
         assert run_cli(capsys, *args, "--replications", "5")[0] == 0
         first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        encode = sim.trajectory_csv_bytes
+        encode = sim._csv_chunks
         bad_seed = sim.derive_seed(3, 1)
 
         def failing(traj):
             if traj.seed == bad_seed:
                 raise RuntimeError("encoder failed")
-            return encode(traj)
+            yield from encode(traj)
 
-        monkeypatch.setattr(sim, "trajectory_csv_bytes", failing)
+        monkeypatch.setattr(sim, "_csv_chunks", failing)
         assert run_cli(capsys, *args, "--replications", "2", "--force")[0] == 1
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
 
@@ -211,18 +211,21 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("fault", ["encode", "write"])
     def test_failed_write_leaves_no_tmp_file(self, capsys, tmp_path, monkeypatch, threads, fault):
-        # replication 1 fails while its CSV is encoded, or after its file is open
-        encode = sim.trajectory_csv_bytes
+        # replication 1 fails while its CSV is encoded, or while its file is
+        # written, after the header
+        encode = sim._csv_chunks
         bad_seed = sim.derive_seed(7, 1)
 
         def failing(traj):
             if traj.seed != bad_seed:
-                return encode(traj)
+                yield from encode(traj)
+                return
+            yield b"n,lq,rq\n"
             if fault == "encode":
                 raise RuntimeError("encoder failed")
-            return "not bytes"  # fh.write raises TypeError
+            yield "not bytes"  # fh.write raises TypeError
 
-        monkeypatch.setattr(sim, "trajectory_csv_bytes", failing)
+        monkeypatch.setattr(sim, "_csv_chunks", failing)
         monkeypatch.setenv("QL_THREADS", threads)
         out_dir = tmp_path / "runs"
         code, _, err = run_cli(

@@ -1,13 +1,18 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_same_records,
+    distributions_st,
     random_distribution,
     run_trajectory_streaming,
     stream_word,
@@ -23,6 +28,7 @@ from quantile_limits.distributions import (
     make_discrete,
     point_mass,
 )
+from quantile_limits.empirical import sup_distances
 from quantile_limits.errors import (
     EmptyWindow,
     ParameterOutOfRange,
@@ -43,6 +49,7 @@ from quantile_limits.simulate import (
     sandwich_check,
     switch_stats,
     trajectory_csv_bytes,
+    write_trajectory_csv,
 )
 
 
@@ -82,6 +89,92 @@ class TestRng:
     def test_uniforms_open_interval(self):
         u = qrng.uniforms(0, 10_000)
         assert np.all(u > 0.0) and np.all(u < 1.0)
+
+    @pytest.mark.parametrize(
+        "n, start, param",
+        [(-1, 0, "n"), (3, -2, "start"), (2, 2**64 - 2, "n"), (0, 2**64, "start"),
+         (2**64, 0, "n")],
+    )
+    def test_counter_range_checked(self, n, start, param):
+        # the counters start + 1 .. start + n must be 64-bit words
+        calls = [
+            lambda: qrng.stream_words(0, n, start),
+            lambda: qrng.uniforms(0, n, start),
+            lambda: qrng.uniform_matrix(np.array([0, 1], dtype=np.uint64), n, start),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterOutOfRange) as info:
+                call()
+            assert info.value.param == param
+
+    def test_counter_range_edges_accepted(self):
+        top = 2**64 - 1
+        assert qrng.stream_words(5, 1, top - 1).tolist() == [stream_word(5, top - 1)]
+        assert len(qrng.uniforms(5, 0, top)) == 0
+        assert qrng.uniform_matrix(np.array([5], dtype=np.uint64), 0).shape == (1, 0)
+
+
+@st.composite
+def packed_supports_st(draw):
+    """Supports whose masses span many scales, so some guide buckets hold
+    many atoms."""
+    k = draw(st.integers(min_value=1, max_value=300))
+    scales = draw(st.lists(st.sampled_from([1.0, 1e-3, 1e-9, 1e-15]), min_size=k, max_size=k))
+    weights = np.array(scales) * draw(
+        st.lists(st.integers(min_value=1, max_value=1000), min_size=k, max_size=k)
+    )
+    return make_discrete(zip(range(k), (weights / weights.sum()).tolist()))
+
+
+def _levels_at_cum(d) -> np.ndarray:
+    """Each cum entry, its float neighbours, and each guide bucket edge with
+    its neighbours: the levels where a lookup can go off by one."""
+    t = d.guide_table
+    edges = np.concatenate([d.cum_array, np.arange(t.buckets) / t.buckets])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuideTableDraw:
+    """The guide-table draw against np.searchsorted(side="left")."""
+
+    @staticmethod
+    def assert_matches_searchsorted(d, u):
+        got = simulate._inverse_cdf(d, u)
+        assert np.array_equal(got, np.searchsorted(d.cum_array, u, side="left"))
+        assert d.guide_table.rounds <= len(d).bit_length()
+
+    @given(st.one_of(distributions_st(), packed_supports_st()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted_at_cum_entries(self, d):
+        self.assert_matches_searchsorted(d, _levels_at_cum(d))
+
+    @given(st.one_of(distributions_st(), packed_supports_st()),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_draws_match_searchsorted(self, d, seed):
+        got = simulate._draw_indices(d, seed, 2000, start=17)
+        want = np.searchsorted(d.cum_array, qrng.uniforms(seed, 2000, 17), side="left")
+        assert np.array_equal(got, want)
+
+    def test_adversarial_packed_support(self):
+        # all 1001 cum entries lie in the top one of 2048 buckets
+        d = make_discrete([(0.0, 1.0 - 1e-6)] + [(float(i), 1e-9) for i in range(1, 1001)])
+        assert len(d) == 1001
+        assert d.guide_table.rounds == 10
+        self.assert_matches_searchsorted(d, _levels_at_cum(d))
+        self.assert_matches_searchsorted(d, 1.0 - np.geomspace(1e-6, 1e-16, 5000))
+        self.assert_matches_searchsorted(d, qrng.uniforms(3, 50_000))
+
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5, 128, 4096])
+    def test_table_shape(self, atoms):
+        d = make_discrete((float(i), 1.0 / atoms) for i in range(atoms))
+        t = d.guide_table
+        assert t.buckets >= 2 * atoms and t.buckets & (t.buckets - 1) == 0
+        assert t.buckets < 4 * atoms or t.buckets == 2
+        assert len(t.guide) == t.buckets
+        assert np.all(t.cum[atoms:] == 1.0) and len(t.cum) == atoms + 2**t.rounds
+        self.assert_matches_searchsorted(d, _levels_at_cum(d))
 
 
 class TestDeriveSeed:
@@ -318,6 +411,104 @@ class TestRunTrajectory:
         assert set(traj.rq.tolist()) <= atoms
         assert np.all(traj.lq <= traj.rq)
         assert gap_interior_hits(traj, d, 0.5) == 0
+
+
+def _use_cpus(monkeypatch, cpus: int) -> None:
+    affinity = set(range(cpus))
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+
+def _pool_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
+class TestChunkWorkers:
+    """_cumulative_counts on worker threads: the same counts, bounded, and
+    no thread outlives the generator."""
+
+    D = make_discrete([(0.0, 0.25), (1.0, 0.25), (2.5, 0.375), (4.0, 0.125)])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_counts_do_not_depend_on_workers(self, monkeypatch, workers):
+        # small chunks, and thread switches as often as the interpreter
+        # allows, so chunks finish out of order
+        monkeypatch.setattr(simulate, "_CHUNK", 64)
+        rng = np.random.default_rng(workers)
+        rec_ns = np.cumsum(rng.integers(1, 200, size=400))
+        one = list(simulate._cumulative_counts(self.D, 8, rec_ns))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = list(simulate._cumulative_counts(self.D, 8, rec_ns, workers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r[:2] for r in one] == [r[:2] for r in many]
+        assert all(np.array_equal(a[2], b[2]) for a, b in zip(one, many))
+
+    def test_gc_path_same_at_one_and_two_threads(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK", 97)
+        _use_cpus(monkeypatch, 2)
+        d = gapped_example()
+        ns = np.unique(np.concatenate([np.geomspace(1, 50_000, 40).astype(np.int64),
+                                       np.arange(1000, 1500, 7)]))
+        out = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QL_THREADS", threads)
+            out[threads] = simulate.gc_path(d, 77, ns)
+        assert np.array_equal(out["1"][0], out["2"][0])
+        assert np.array_equal(out["1"][1], out["2"][1])
+        # and both equal a recount of the materialised draws
+        idx = np.searchsorted(d.values_array, sample_stream(d, 77, int(ns[-1])))
+        cum = np.array([np.cumsum(np.bincount(idx[:n], minlength=len(d))) for n in ns])
+        dist, j = sup_distances(cum, ns, d.cum_array)
+        assert np.array_equal(out["2"][0], dist)
+        assert np.array_equal(out["2"][1], d.values_array[j])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_error_propagates(self, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "_CHUNK", 100)
+        draw = simulate._draw_indices
+
+        def failing(d, seed, n, start=0):
+            if start >= 2000:
+                raise RuntimeError("draw failed")
+            return draw(d, seed, n, start)
+
+        monkeypatch.setattr(simulate, "_draw_indices", failing)
+        seen = []
+        rec_ns = np.arange(50, 5000, 50)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            for _, r1, _ in simulate._cumulative_counts(self.D, 1, rec_ns, workers):
+                seen.append(r1)
+        assert seen[-1] == 2000 // 50  # every chunk before the failing one
+        assert _pool_threads() == []
+
+    def test_early_close_joins_workers(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK", 100)
+        gen = simulate._cumulative_counts(self.D, 1, np.arange(10, 10**6, 10), 2)
+        next(gen)
+        assert _pool_threads()
+        gen.close()
+        assert _pool_threads() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_ahead_are_bounded(self, monkeypatch, workers):
+        # records every 10 draws: each 100-draw chunk completes records, so
+        # the consumer sees every chunk
+        monkeypatch.setattr(simulate, "_CHUNK", 100)
+        count, lock, started = simulate._chunk_counts, threading.Lock(), [0]
+
+        def counting(*args):
+            with lock:
+                started[0] += 1
+            return count(*args)
+
+        monkeypatch.setattr(simulate, "_chunk_counts", counting)
+        consumed = 0
+        for _ in simulate._cumulative_counts(self.D, 1, np.arange(10, 20_001, 10), workers):
+            consumed += 1
+            assert started[0] <= consumed + (workers if workers > 1 else 0)
+        assert consumed == started[0] == 200
 
 
 class TestGcPath:
@@ -702,13 +893,25 @@ class TestRunReplicated:
 
     def test_worker_count_clamped_to_cpus(self, monkeypatch):
         # calls _worker_count only: no pool is started
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        _use_cpus(monkeypatch, 3)
         for raw, want in [("2", 2), ("3", 3), ("1000000", 3), ("0", 3),
                           ("-4", 3), ("two", 3), ("1.5", 3), ("", 3)]:
             monkeypatch.setenv("QL_THREADS", raw)
             assert simulate._worker_count() == want, raw
         monkeypatch.delenv("QL_THREADS")
         assert simulate._worker_count() == 3
+
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        # one CPU allowed on a four-CPU machine: one worker, whatever QL_THREADS
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        _use_cpus(monkeypatch, 1)
+        for raw in ("", "2", "4"):
+            monkeypatch.setenv("QL_THREADS", raw)
+            assert simulate._worker_count() == 1, raw
+        # without an affinity call, the machine's CPU count
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setenv("QL_THREADS", "")
+        assert simulate._worker_count() == 4
 
     def test_unknown_analysis_rejected(self):
         cfg = SimConfig(fair_coin(), 0.5, 10, 0)
@@ -812,6 +1015,43 @@ class TestTrajectoryCsv:
     def test_no_and_one_record(self, rows):
         out = self.assert_oracle_bytes(_traj(np.arange(1, rows + 1), [0.5] * rows, [1.5] * rows))
         assert out == b"n,lq,rq\n" + b"1,0.5,1.5\n" * rows
+
+    def test_written_file_streams_chunks(self, tmp_path):
+        # 10^6 records write 16 MB: chunk by chunk, the peak stays near
+        # 2 MB; joining the file first peaks at twice its size
+        n = 10**6
+        rng = np.random.default_rng(0)
+        traj = _traj(np.arange(1, n + 1), rng.choice([-1.0, 1.0], n), rng.choice([-1.0, 1.0], n))
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 15 * 10**6
+        assert peak < size // 4
+        assert path.read_bytes() == trajectory_csv_bytes(traj)
+
+    def test_failed_encode_removes_partial_file(self, tmp_path, monkeypatch):
+        rows = simulate._csv_rows
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("encoder failed")
+            return rows(*args)
+
+        monkeypatch.setattr(simulate, "_csv_rows", failing)
+        n = 3 * simulate._CSV_ROWS
+        traj = _traj(np.arange(1, n + 1), np.zeros(n), np.ones(n))
+        path = tmp_path / "traj.csv"
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_trajectory_csv(traj, path)
+        assert len(calls) == 2
+        assert not path.exists()
 
     def test_scratch_memory_is_bounded(self):
         # 10^6 records: 15 MB of CSV, built from chunk pieces and joined once;
