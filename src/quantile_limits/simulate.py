@@ -37,7 +37,14 @@ from .errors import (
     check_positive,
     check_seed,
 )
-from .rng import derive_seed, stream_words, uniform_matrix, uniforms
+from .rng import (
+    _word_matrix,
+    _word_threshold,
+    derive_seed,
+    stream_words,
+    uniform_matrix,
+    uniforms,
+)
 
 __all__ = [
     "SimConfig",
@@ -72,6 +79,11 @@ _CELLS = 1 << 18
 # and the atoms it weighs at a time
 _TAIL_SDS = 12
 _TAIL_CHUNK = 1 << 16
+
+# _bernoulli_block_sums: words made and counted at a time, and tiles' worth
+# of words per worker job
+_TILE = 1 << 16
+_JOB_TILES = 16
 
 # trajectory_csv_bytes: records encoded at a time
 _CSV_ROWS = 1 << 14
@@ -427,26 +439,75 @@ def block_schedule(
     )
 
 
+def _block_counts(master_seed, r0, r1, block_len, threshold) -> np.ndarray:
+    # Bernoulli sums of reps r0 .. r1-1: their words at or above threshold,
+    # made and counted a tile at a time in one reused pair of buffers
+    seeds = stream_words(master_seed, r1 - r0, r0)  # derive_seed of each rep
+    rows = max(1, min(r1 - r0, _TILE // block_len))
+    cols = min(block_len, _TILE)  # all of them when rows > 1
+    words, scratch = np.empty((2, rows * cols), dtype=np.uint64)
+    thr = np.uint64(threshold)
+    counts = np.zeros(r1 - r0, dtype=np.int64)
+    for a in range(0, r1 - r0, rows):
+        tile_seeds = seeds[a:a + rows]
+        for c0 in range(0, block_len, cols):
+            shape = (len(tile_seeds), min(cols, block_len - c0))
+            size = shape[0] * shape[1]
+            tile = _word_matrix(
+                tile_seeds, shape[1], c0,
+                words[:size].reshape(shape), scratch[:size].reshape(shape),
+            )
+            # int32 sums are the faster reduction, and a tile row holds at
+            # most _TILE words
+            counts[a:a + rows] += (tile >= thr).sum(axis=1, dtype=np.int32)
+    return counts
+
+
 @functools.lru_cache(maxsize=1)
 def _bernoulli_block_sums(
     q: float, block_len: int, reps: int, master_seed: int
 ) -> np.ndarray:
     """Sum of each replication's Bernoulli(q) block, one derived seed per rep.
 
+    A draw is 1 iff its uniform exceeds 1 - q (the inverse CDF), that is iff
+    its raw word is at least ``_word_threshold(1 - q)``: the sums count
+    words, and no uniform is made.  Words are made and counted in tiles of
+    at most ``_TILE``, a row group of ``_JOB_TILES`` tiles' worth of words
+    (at least one row) is one pure job, and the jobs run on
+    ``_worker_count()`` threads and are stored in order.  A row longer than
+    a tile is counted a tile of columns at a time, so memory does not grow
+    with the block length, and the sums do not depend on the worker count.
+
     Read-only and cached for the last arguments: with k = 1 the deviation
     block and the first paired block are the same draws, so ``qlim blocks``
     makes them once.
     """
-    zero_mass = 1.0 - q  # inverse-CDF threshold: draw is 1 iff u > 1 - q
-    sums = np.empty(reps, dtype=np.int64)
-    rows = max(1, (4 << 20) // max(block_len, 1))  # bound matrix memory
-    for r0 in range(0, reps, rows):
-        r1 = min(r0 + rows, reps)
-        # stream word r of master_seed is derive_seed(master_seed, r)
-        u = uniform_matrix(stream_words(master_seed, r1 - r0, r0), block_len)
-        sums[r0:r1] = (u > zero_mass).sum(axis=1)
+    threshold = _word_threshold(1.0 - q)
+    sums = np.zeros(reps, dtype=np.int64)
+    if threshold < 1 << 64:  # else 1 - q rounds to 1.0 and no draw is 1
+        rows = max(1, _JOB_TILES * _TILE // block_len)
+        jobs = [
+            (master_seed, r0, min(r0 + rows, reps), block_len, threshold)
+            for r0 in range(0, reps, rows)
+        ]
+        workers = min(_worker_count(), len(jobs))
+        for (_, r0, r1, _, _), counts in _in_order(_block_counts, jobs, workers):
+            sums[r0:r1] = counts
     sums.flags.writeable = False
     return sums
+
+
+def _deviation_bounds(phi: int, q: float, k: int) -> tuple[int, int]:
+    """Integer cut-offs of the +/-k deviations of a sum S of phi draws.
+
+    Exact for the double q: ``S - phi*q < -k`` iff ``S <= low`` and
+    ``S - phi*q > k`` iff ``S >= high``, with phi*q the exact rational
+    product, not a rounded float one.
+    """
+    num, den = q.as_integer_ratio()  # the double q, exactly
+    low = -((k * den - phi * num) // den) - 1  # ceil(phi*q - k) - 1
+    high = (phi * num + k * den) // den + 1  # floor(phi*q + k) + 1
+    return low, high
 
 
 def deviation_experiment(
@@ -455,8 +516,9 @@ def deviation_experiment(
     """Empirical frequencies of the +/-k deviations of a Bernoulli(q) block sum.
 
     Each replication draws an independent block of length phi(k) and tests
-    the two one-sided events {S - phi*q < -k} and {S - phi*q > k}; the
-    construction guarantees each true probability exceeds 1/2 - alpha.
+    the two one-sided events {S - phi*q < -k} and {S - phi*q > k}, exactly
+    for the double q; the construction guarantees each true probability
+    exceeds 1/2 - alpha.
 
     Returns
     -------
@@ -468,9 +530,9 @@ def deviation_experiment(
     check_seed("master_seed", master_seed)
     phi = phi_of_k(bernoulli_moments(q), k, alpha).phi
     sums = _bernoulli_block_sums(q, phi, reps, master_seed)
-    centered = sums - phi * q
-    freq_low = float(np.count_nonzero(centered < -k)) / reps
-    freq_high = float(np.count_nonzero(centered > k)) / reps
+    low, high = _deviation_bounds(phi, q, k)
+    freq_low = float(np.count_nonzero(sums <= low)) / reps
+    freq_high = float(np.count_nonzero(sums >= high)) / reps
     return freq_low, freq_high
 
 
@@ -521,6 +583,7 @@ def block_event_experiment(
     exact Binomial(phi(m_1), q) distribution F at the next uniform u of the
     same per-replication stream.  S exceeds an integer t exactly when
     u > F(t), so E_1 is decided by comparing u with one tail probability.
+    Both events compare S with integer cut-offs, exact for the double q.
     """
     check_open("q", q)
     check_at_least("reps", reps, 1)
@@ -534,15 +597,12 @@ def block_event_experiment(
     d_sums = _bernoulli_block_sums(q, phi_a, reps, master_seed)
     u_next = uniform_matrix(stream_words(master_seed, reps), 1, start=phi_a)[:, 0]
 
-    # E_1 is float(S) - phi_b*q > m1: t is the largest S that fails it
-    mean = phi_b * q
-    t = int(m1 + mean)
-    while t + 1 - mean <= m1:
-        t += 1
-    while t - mean > m1:
-        t -= 1
+    # D_1 is S - phi_a*q < -1; E_1 is S - phi_b*q > m1, so t is the largest
+    # S that fails it
+    d_low = _deviation_bounds(phi_a, q, 1)[0]
+    t = _deviation_bounds(phi_b, q, m1)[1] - 1
 
-    d_hit = (d_sums - phi_a * q) < -1.0
+    d_hit = d_sums <= d_low
     e_hit = u_next > _binomial_cdf(t, phi_b, q)
     return float(np.count_nonzero(d_hit & e_hit)) / reps
 

@@ -10,6 +10,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from quantile_limits.distributions import DiscreteDistribution, make_discrete
@@ -18,6 +19,11 @@ from quantile_limits.simulate import SimConfig, Trajectory, derive_seed, sample_
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+# every run draws the same examples, and no example database from earlier
+# runs can change an outcome
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +53,20 @@ def stream_word(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return z ^ (z >> 31)
+
+
+def seed_for_word(word: int, index: int = 0) -> int:
+    """The seed whose index-th SplitMix64 output is word: each finalizer step
+    undone in reverse (an xorshift by s is undone by iterating it, an odd
+    multiplier by its inverse mod 2**64)."""
+    mask = (1 << 64) - 1
+    z = word
+    for shift, mul in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, 1)):
+        x = z
+        for _ in range(64 // shift):
+            x = z ^ (x >> shift)
+        z = (x * pow(mul, -1, 1 << 64)) & mask
+    return (z - (index + 1) * 0x9E3779B97F4A7C15) & mask
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,23 @@ class TestBlocksCommand:
         assert 0.0 <= payload["deviation"]["freq_high"] <= 1.0
         assert 0.0 <= payload["block_event"]["freq"] <= 1.0
 
+    def test_stdout_same_at_one_and_two_threads(self, capsys, monkeypatch):
+        # 4000 reps of phi(1) = 923 words are four jobs; the cache is
+        # cleared so that each run counts its own blocks
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QL_THREADS", threads)
+            sim._bernoulli_block_sums.cache_clear()
+            code, out[threads], _ = run_cli(
+                capsys,
+                "blocks", "--q", "0.3", "--alpha", "0.25", "--k", "1",
+                "--reps", "4000", "--master-seed", "41",
+            )
+            assert code == 0
+        sim._bernoulli_block_sums.cache_clear()
+        assert out["1"] == out["2"]
+
     def test_rejects_degenerate_q(self, capsys):
         code, _, err = run_cli(capsys, "blocks", "--q", "0", "--reps", "10")
         assert code == 2

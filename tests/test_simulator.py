@@ -15,6 +15,7 @@ from conftest import (
     distributions_st,
     random_distribution,
     run_trajectory_streaming,
+    seed_for_word,
     stream_word,
     trajectory_csv_bytes_rowwise,
 )
@@ -112,6 +113,52 @@ class TestRng:
         assert qrng.stream_words(5, 1, top - 1).tolist() == [stream_word(5, top - 1)]
         assert len(qrng.uniforms(5, 0, top)) == 0
         assert qrng.uniform_matrix(np.array([5], dtype=np.uint64), 0).shape == (1, 0)
+
+
+def _uniforms_of_words(words) -> np.ndarray:
+    # uniform_matrix on seeds whose first word is each given word
+    seeds = np.array([seed_for_word(w) for w in words], dtype=np.uint64)
+    return qrng.uniform_matrix(seeds, 1)[:, 0]
+
+
+class TestWordThreshold:
+    """rng._word_threshold(x): a word's uniform exceeds x iff word >= W."""
+
+    def test_agrees_with_uniform_matrix_on_a_stream(self):
+        seeds = qrng.stream_words(2024, 3)
+        words = qrng._word_matrix(seeds, 3000, 0)
+        u = qrng.uniform_matrix(seeds, 3000)
+        assert u.min() < 0.5 <= u.max()  # levels below and above 2**52
+        for x0 in [u.min(), u.max(), *u[0, :30], *u[2, -30:]]:
+            for x in (np.nextafter(x0, 0.0), x0, np.nextafter(x0, 1.0)):
+                w = qrng._word_threshold(float(x))
+                assert np.array_equal(words >= np.uint64(w), u > x), x
+
+    @pytest.mark.parametrize(
+        "level",
+        [0, 1, 2**51 + 7, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2,
+         3 * 2**51 + 5, 2**53 - 3, 2**53 - 2, 2**53 - 1],
+    )
+    def test_neighbour_levels(self, level):
+        # words of the levels around one, lowest and highest of each: from
+        # 2**52 up, ``+ 0.5`` rounds to even and two levels share a uniform
+        words = [lv << 11 | low for lv in range(max(0, level - 3), min(2**53, level + 4))
+                 for low in (0, 0x7FF)]
+        u = _uniforms_of_words(words)
+        for x0 in u[words.index(level << 11)], u[0], u[-1]:
+            for x in (np.nextafter(x0, 0.0), x0, np.nextafter(x0, 1.0)):
+                w = qrng._word_threshold(float(x))
+                assert [word >= w for word in words] == (u > x).tolist(), (level, x)
+
+    def test_no_word_above_one(self):
+        # 1 - 1e-17 rounds to 1.0: no uniform exceeds it, and the threshold
+        # is 2**64, past every word, not a wrapped small one
+        assert 1.0 - 1e-17 == 1.0
+        assert qrng._word_threshold(1.0 - 1e-17) == 2**64
+        assert _uniforms_of_words([2**64 - 1])[0] <= 1.0 - 1e-17
+        top = qrng._word_threshold(np.nextafter(1.0, 0.0))
+        assert top == (2**53 - 1) << 11
+        assert _uniforms_of_words([top - 1, top]).tolist() == [1.0 - 2**-52, 1.0]
 
 
 @st.composite
@@ -686,21 +733,25 @@ class TestDeviationExperiment:
 
     def test_k1_shares_the_first_block(self, monkeypatch):
         # deviation_experiment at k = 1 and block_event_experiment draw the
-        # same phi(1) block: uniforms are made for it once, plus one per rep
+        # same phi(1) block: its words are made once, plus one uniform (the
+        # next word) per rep
         q, alpha, reps, seed = 0.5, 0.25, 50, 31
         phi = phi_of_k(bernoulli_moments(q), 1, alpha).phi
         simulate._bernoulli_block_sums.cache_clear()
         fresh = block_event_experiment(q, alpha, reps, seed)
         simulate._bernoulli_block_sums.cache_clear()
         drawn = []
-        uniform_matrix = simulate.uniform_matrix
+        word_matrix, uniform_matrix = simulate._word_matrix, simulate.uniform_matrix
 
-        def counted(words, n, start=0):
-            u = uniform_matrix(words, n, start)
-            drawn.append(u.size)
-            return u
+        def counted(make):
+            def make_counted(*args, **kwargs):
+                out = make(*args, **kwargs)
+                drawn.append(out.size)
+                return out
+            return make_counted
 
-        monkeypatch.setattr(simulate, "uniform_matrix", counted)
+        monkeypatch.setattr(simulate, "_word_matrix", counted(word_matrix))
+        monkeypatch.setattr(simulate, "uniform_matrix", counted(uniform_matrix))
         deviation_experiment(q, 1, alpha, reps, seed)
         assert block_event_experiment(q, alpha, reps, seed) == fresh
         assert sum(drawn) == reps * phi + reps
@@ -712,6 +763,151 @@ class TestDeviationExperiment:
             deviation_experiment(0.0, 1, 0.25, 10, 0)
         with pytest.raises(ParameterOutOfRange):
             deviation_experiment(0.5, 1, 0.25, 0, 0)
+
+
+def recount_block_sums(q: float, block_len: int, reps: int, master_seed: int) -> np.ndarray:
+    """Block sums as uniforms above 1 - q, from uniform_matrix on each rep's seed."""
+    u = qrng.uniform_matrix(qrng.stream_words(master_seed, reps), block_len)
+    return np.count_nonzero(u > 1.0 - q, axis=1)
+
+
+class TestBlockSums:
+    """_bernoulli_block_sums: words counted in tiles, on worker threads."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        simulate._bernoulli_block_sums.cache_clear()
+        yield
+        simulate._bernoulli_block_sums.cache_clear()
+
+    @pytest.mark.parametrize("q", [0.1, 1 / 3, 0.5, 0.9, 1e-9, 1 - 1e-12, 2.0**-60])
+    def test_equals_uniform_recount(self, q):
+        # at q = 2**-60, 1 - q rounds to 1.0 and no draw is 1
+        for block_len in (1, 7, 576):
+            simulate._bernoulli_block_sums.cache_clear()
+            got = simulate._bernoulli_block_sums(q, block_len, 40, 99)
+            assert np.array_equal(got, recount_block_sums(q, block_len, 40, 99))
+
+    @pytest.mark.parametrize("block_len", [1, 7, 64, 150, 1000])
+    def test_same_at_one_two_and_three_workers(self, monkeypatch, block_len):
+        # 64-word tiles, two tiles' worth per job: blocks of 150 and 1000
+        # words are split along their columns, and thread switches as often
+        # as the interpreter allows, so jobs finish out of order
+        monkeypatch.setattr(simulate, "_TILE", 64)
+        monkeypatch.setattr(simulate, "_JOB_TILES", 2)
+        want = recount_block_sums(0.3, block_len, 53, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulate, "_worker_count", lambda: workers)
+                simulate._bernoulli_block_sums.cache_clear()
+                got = simulate._bernoulli_block_sums(0.3, block_len, 53, 8)
+                assert np.array_equal(got, want), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("block_len", [3_000, 300_000])
+    def test_memory_does_not_grow_with_the_block(self, monkeypatch, block_len):
+        # 24 blocks of 3k or 300k words on two workers: each running job
+        # holds a few tile-sized arrays (0.5 MB each), whereas uniform
+        # matrices of the longer blocks took 80 MB
+        monkeypatch.setattr(simulate, "_worker_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            sums = simulate._bernoulli_block_sums(0.5, block_len, 24, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(sums.mean() - block_len / 2) < 2 * math.sqrt(block_len)
+        assert peak < 6 * 2**20
+
+
+def _exact_low_high(phi: int, q: float, k: int) -> tuple[int, int]:
+    # the definition, in rationals: the largest S with S - phi*q < -k and
+    # the smallest with S - phi*q > k, found by a step from float guesses
+    mean = phi * Fraction(q)
+    low = math.floor(phi * q - k) + 2
+    while not low - mean < -k:
+        low -= 1
+    high = math.ceil(phi * q + k) - 2
+    while not high - mean > k:
+        high += 1
+    return low, high
+
+
+def _float_integer_phis(q: float) -> list[int]:
+    # phi whose float product phi*q is an integer while phi*Fraction(q) is
+    # not: the exact product lies within one ulp of an integer
+    return [phi for phi in range(1, 5000)
+            if (phi * q).is_integer() and phi * Fraction(q) != int(phi * q)][:5]
+
+
+class TestExactDeviationThresholds:
+    """Deviation events compare sums with exact integer cut-offs: S - phi*q
+    for the double q in rationals, not a rounded float product."""
+
+    QS = [0.1, 0.3, 1 / 3]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_bounds_at_near_integer_products(self, q):
+        phis = _float_integer_phis(q)
+        assert len(phis) == 5
+        for phi in phis:
+            for k in (1, 2, 7):
+                assert simulate._deviation_bounds(phi, q, k) == _exact_low_high(phi, q, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.sampled_from(QS),
+        phi=st.integers(1, 10**13),
+        k=st.integers(1, 10**7),
+    )
+    def test_bounds_match_rational_oracle(self, q, phi, k):
+        assert simulate._deviation_bounds(phi, q, k) == _exact_low_high(phi, q, k)
+
+    def test_deviation_frequencies_at_a_tie(self):
+        # q = 1/3, alpha = 0.25, k = 1: phi = 801 and phi*q is 267 less
+        # 1.5e-14, which float rounds to 267.0; a sum of 268 overshoots by
+        # more than k = 1 (the float difference is exactly 1)
+        q, alpha, k, reps, seed = 1 / 3, 0.25, 1, 2000, 17
+        phi = phi_of_k(bernoulli_moments(q), k, alpha).phi
+        assert phi == 801 and phi * q == 267.0
+        sums = simulate._bernoulli_block_sums(q, phi, reps, seed)
+        assert np.count_nonzero(sums == 268) > 20
+        mean = phi * Fraction(q)
+        want_low = sum(int(s) - mean < -k for s in sums) / reps
+        want_high = sum(int(s) - mean > k for s in sums) / reps
+        assert deviation_experiment(q, k, alpha, reps, seed) == (want_low, want_high)
+
+    def test_first_block_event_at_a_tie(self, monkeypatch):
+        # q = 0.1, alpha = 0.24: phi(1) = 4670 and phi*q is 467 plus
+        # 2.6e-14, which float rounds to 467.0; a sum of 466 undershoots by
+        # more than 1.  With F(t) = 0 every E_1 holds, so C_1 is D_1.
+        q, alpha, reps, seed = 0.1, 0.24, 2000, 23
+        phi_a = phi_of_k(bernoulli_moments(q), 1, alpha).phi
+        assert phi_a == 4670 and phi_a * q == 467.0
+        monkeypatch.setattr(simulate, "_binomial_cdf", lambda t, n, q: 0.0)
+        sums = simulate._bernoulli_block_sums(q, phi_a, reps, seed)
+        assert np.count_nonzero(sums == 466) > 20
+        mean = phi_a * Fraction(q)
+        want = sum(int(s) - mean < -1 for s in sums) / reps
+        assert block_event_experiment(q, alpha, reps, seed) == want
+
+    def test_second_block_cut_off_at_a_tie(self, monkeypatch):
+        # q = 0.3, alpha = 0.1: phi(m_1) * q lies 1.1e-7 below an integer
+        # that float rounds it to; t is the largest S with S - phi*q <= m1
+        q, alpha = 0.3, 0.1
+        params = bernoulli_moments(q)
+        m1 = 1 + phi_of_k(params, 1, alpha).phi
+        phi_b = phi_of_k(params, m1, alpha).phi
+        assert (phi_b * q).is_integer() and phi_b * Fraction(q) < phi_b * q
+        seen = []
+        monkeypatch.setattr(simulate, "_binomial_cdf", lambda t, n, q: seen.append(t) or 0.5)
+        block_event_experiment(q, alpha, 1, 0)
+        mean = phi_b * Fraction(q)
+        (t,) = seen
+        assert t - mean <= m1 < t + 1 - mean
 
 
 def exact_binomial_cdfs(n: int, q: float) -> list[float]:
