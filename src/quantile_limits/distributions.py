@@ -10,7 +10,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,15 +67,6 @@ class SolutionInterval:
         object.__setattr__(self, "unique", self.lo == self.hi)
 
 
-class GuideTable(NamedTuple):
-    """See :attr:`DiscreteDistribution.guide_table`."""
-
-    buckets: int
-    guide: np.ndarray
-    cum: np.ndarray
-    rounds: int
-
-
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Immutable finite distribution: strictly increasing values, positive probs.
@@ -100,23 +91,43 @@ class DiscreteDistribution:
         return np.asarray(self.cum, dtype=np.float64)
 
     @cached_property
-    def guide_table(self) -> GuideTable:
-        """Chen–Asau guide table of ``cum`` for the inverse-CDF draw.
-
-        ``buckets`` is the least power of two K >= 2 * atoms, and
-        ``guide[b]`` the first index j with ``cum[j] >= b / K``.  A level u
-        in [0, 1) lies in bucket floor(u * K), so its left quantile index is
-        in ``[guide[b], guide[b + 1]]``; ``rounds`` is the bit length of the
-        widest such span, at most the bit length of the atom count.  ``cum``
-        is ``cum_array`` padded with ``2**rounds`` entries of 1.0, so a
-        bisection step never reads past the end.
-        """
+    def _guide(self) -> tuple[int, np.ndarray, np.ndarray, int]:
+        # (K, guide, padded cum, rounds) of left_quantile_indices
         cum = self.cum_array
         k = 1 << (2 * len(cum) - 1).bit_length()
         guide = np.searchsorted(cum, np.arange(k + 1) / k, side="left")
         rounds = int(np.diff(guide).max()).bit_length()
         padded = np.concatenate([cum, np.ones(1 << rounds)])
-        return GuideTable(k, guide[:k], padded, rounds)
+        return k, guide, padded, rounds
+
+    def left_quantile_indices(self, u: np.ndarray) -> np.ndarray:
+        """Atom index of the left quantile at each level u in [0, 1].
+
+        The first j with ``cum[j] >= u``, exactly as
+        ``np.searchsorted(cum_array, u, side="left")`` finds it: the vector
+        form of :meth:`left_quantile` (whose value at u = 0 is -inf, where
+        this index is 0).  Levels are not checked; one outside [0, 1] or
+        NaN gives a wrong index or an IndexError.
+
+        It uses a Chen-Asau guide table (Chen & Asau 1974; Devroye 1986,
+        section III.2), built once per distribution: K = 2**k >= 2 * atoms
+        buckets of the unit interval, and ``guide[b]``, for b = 0 .. K, the
+        first j with ``cum[j] >= b / K``.  A level u lies in bucket
+        b = floor(u * K), exact in binary floating point since K is a power
+        of two, so its index lies in ``[guide[b], guide[b + 1]]``; u = 1.0 is
+        bucket K, whose ``guide[K]`` is already the index.  A fixed number of
+        branchless bisection steps, the bit length of the widest bucket span
+        (at most that of the atom count), add the count of the bucket's
+        candidates whose cum lies below u.  ``cum`` is padded with
+        ``2**rounds`` entries of 1.0, so no step reads past its end.  The
+        lookup is a few array passes whatever the support size.
+        """
+        k, guide, cum, rounds = self._guide
+        j = np.take(guide, (u * k).astype(np.intp))
+        for r in range(rounds - 1, -1, -1):
+            s = 1 << r
+            j += s * (np.take(cum[s - 1 :], j) < u)  # cum[j + s - 1] < u
+        return j
 
     def __len__(self) -> int:
         return len(self.values)

@@ -3,10 +3,12 @@ that raise them.
 
 Each ``check_*`` helper holds one range rule on an argument.  Rules are
 written as ``not <in range>``, so NaN fails, and the error's ``param`` names
-the argument (the CLI prints ``n_max`` as ``--n-max``).
+the argument (the CLI prints ``n_max`` as ``--n-max``).  The integer rules
+(``check_at_least``, ``check_at_most``, ``check_seed``) refuse a float too.
 """
 
 import math
+import operator
 
 
 class QuantileLimitsError(ValueError):
@@ -76,12 +78,21 @@ def check_open(param: str, x, lo=0.0, hi=1.0) -> None:
         raise _out_of_range(param, f"in ({lo:g}, {hi:g})", x, ProbabilityOutOfRange)
 
 
+def _check_integer(param: str, x) -> None:
+    try:
+        operator.index(x)
+    except TypeError:
+        raise _out_of_range(param, "an integer", x) from None
+
+
 def check_at_least(param: str, x, lo) -> None:
+    _check_integer(param, x)
     if not x >= lo:
         raise _out_of_range(param, f">= {lo}", x)
 
 
 def check_at_most(param: str, x, hi) -> None:
+    _check_integer(param, x)
     if not x <= hi:
         raise _out_of_range(param, f"<= {hi}", x)
 
@@ -98,5 +109,6 @@ def check_finite(param: str, x) -> None:
 
 def check_seed(param: str, x) -> None:
     """``0 <= x < 2**64``: a seed is never silently reduced mod 2**64."""
+    _check_integer(param, x)
     if not 0 <= x < 1 << 64:
         raise _out_of_range(param, "an unsigned 64-bit integer", x)

@@ -5,13 +5,6 @@ stream in :mod:`.rng` via inverse-CDF sampling, and per-replication seeds are
 a stateless mix of (master_seed, rep_index).  Identical configuration and
 seeds therefore give byte-identical trajectories, reports and files, on any
 platform, regardless of worker scheduling.
-
-The inverse-CDF lookup uses the distribution's Chen-Asau guide table
-(Chen & Asau 1974; Devroye 1986, section III.2): 2**k >= 2 * atoms buckets
-of the unit interval, each holding the first atom index a level in it can
-map to, then a fixed number of branchless bisection steps.  It finds the
-same index as a binary search of the cumulative table, exactly, in a few
-array passes whatever the support size.
 """
 
 import collections
@@ -159,24 +152,9 @@ class BlockSchedule:
 # Sampling
 
 
-def _inverse_cdf(d: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
-    # Index of the left quantile of d at each level u in [0, 1): the first j
-    # with cum[j] >= u, as searchsorted(side="left") finds it.  The guide
-    # table's bucket floor(u * K) gives the first candidate, and its
-    # ``rounds`` branchless bisection steps add the count of the bucket's
-    # candidates whose cum lies below u.  u * K and b / K are exact in
-    # binary floating point (K is a power of two), so the bucket is exact.
-    t = d.guide_table
-    j = np.take(t.guide, (u * t.buckets).astype(np.intp))
-    for r in range(t.rounds - 1, -1, -1):
-        s = 1 << r
-        j += s * (np.take(t.cum[s - 1 :], j) < u)  # cum[j + s - 1] < u
-    return j
-
-
 def _draw_indices(d: DiscreteDistribution, seed: int, n: int, start: int = 0):
     # inverse-CDF sampling: the left quantile of d at a uniform level
-    return _inverse_cdf(d, uniforms(seed, n, start))
+    return d.left_quantile_indices(uniforms(seed, n, start))
 
 
 def sample_stream(d: DiscreteDistribution, seed: int, n: int) -> np.ndarray:
@@ -316,21 +294,23 @@ def gc_path(
     """sup_x |F_n(x) - F(x)| along one sample path, at each checkpoint n.
 
     The path is ``sample_stream(d, seed, n)``; ``checkpoints`` are strictly
-    increasing sample sizes in ``[1, 2**63)``.  Returns the distances and
-    their leftmost witness atoms, one per checkpoint.  Drawing stops at the
-    last checkpoint; past the checkpoint arrays, memory is bounded by the
-    chunk size of ``_cumulative_counts``, however large the checkpoints are.
+    increasing integer sample sizes in ``[1, 2**63)`` (an array of floats is
+    refused, not truncated).  Returns the distances and their leftmost
+    witness atoms, one per checkpoint.  Drawing stops at the last
+    checkpoint; past the checkpoint arrays, memory is bounded by the chunk
+    size of ``_cumulative_counts``, however large the checkpoints are.
     Chunks are drawn and counted on QL_THREADS worker threads (see
     ``run_replicated``); the result does not depend on their number.
     """
     check_seed("seed", seed)
-    try:
-        ns = np.asarray(checkpoints, dtype=np.int64)
-    except OverflowError:  # a size past int64
+    ns = np.asarray(checkpoints)
+    if ns.dtype.kind in "iu" and np.all(ns < 2**63):  # int64 sizes, never cast floats
+        ns = ns.astype(np.int64)
+    else:
         ns = None
     if ns is None or ns.ndim != 1 or len(ns) == 0 or ns[0] < 1 or np.any(ns[1:] <= ns[:-1]):
         raise ParameterOutOfRange(
-            f"checkpoints must be strictly increasing sizes in [1, 2**63), got {checkpoints!r}",
+            f"checkpoints must be strictly increasing integers in [1, 2**63), got {checkpoints!r}",
             param="checkpoints",
         )
     dist = np.empty(len(ns), dtype=np.float64)
@@ -645,7 +625,9 @@ def run_replicated(
     thread per trajectory.  Per-replication results are keyed by index, so
     the report is identical however the work is scheduled.
     ``on_trajectory(rep_index, trajectory)``, when given, is invoked once
-    per replication (used by the CLI to write trajectory CSVs).
+    per replication, on its worker thread (used by the CLI to write
+    trajectory CSVs).  An error in a replication cancels those not yet
+    started and is raised once the threads are joined.
 
     Analyses
     --------
@@ -697,12 +679,8 @@ def run_replicated(
             row["pass"] = ok and row["interior_gap_hits"] == 0
         return row
 
-    workers = min(_worker_count(), cfg.replications)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(cfg.replications)))
-    else:
-        rows = [one(rep) for rep in range(cfg.replications)]
+    reps = [(rep,) for rep in range(cfg.replications)]
+    rows = [row for _, row in _in_order(one, reps, min(_worker_count(), cfg.replications))]
 
     passes = sum(1 for r in rows if r["pass"])
     report = {

@@ -18,7 +18,7 @@ value level (streaming simulation of transformed paths).
 from dataclasses import dataclass
 
 from .distributions import DiscreteDistribution, make_discrete
-from .errors import NoQuantileGap, ValueInGap, check_open
+from .errors import NoQuantileGap, ParameterOutOfRange, ValueInGap, check_open
 
 BINARIZE = "binarize"
 COLLAPSE_SHIFT = "collapse_shift"
@@ -36,14 +36,14 @@ class TransformSpec:
 
     def __post_init__(self):
         if self.kind not in (BINARIZE, COLLAPSE_SHIFT):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
+            raise ParameterOutOfRange(f"unknown transform kind {self.kind!r}", param="kind")
         if not self.lq < self.rq:
             raise NoQuantileGap(
                 f"left and right quantiles coincide or invert at p={self.p!r}: "
                 f"lq={self.lq!r}, rq={self.rq!r}"
             )
         if self.kind == COLLAPSE_SHIFT and self.h != self.rq - self.lq:
-            raise ValueError("collapse_shift requires h == rq - lq")
+            raise ParameterOutOfRange("collapse_shift requires h == rq - lq", param="h")
 
 
 def gap_spec(d: DiscreteDistribution, p: float, kind: str) -> TransformSpec:

@@ -372,6 +372,14 @@ class TestGcCommand:
         for line in lines[1:]:
             assert line.split(",")[1] == "0.0"
 
+    def test_seed_with_level_one_first_draw(self, capsys):
+        # this seed's first word is 2**64 - 1, whose uniform is exactly 1.0
+        code, out, err = run_cli(
+            capsys, "gc", "--family", "coin", "--n", "5", "--seed", "3558559446808474027"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("5,")
+
     def test_checkpoints_and_output_file(self, capsys, tmp_path):
         out_file = tmp_path / "gc.csv"
         code, _, _ = run_cli(

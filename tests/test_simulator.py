@@ -174,22 +174,24 @@ def packed_supports_st(draw):
 
 
 def _levels_at_cum(d) -> np.ndarray:
-    """Each cum entry, its float neighbours, and each guide bucket edge with
-    its neighbours: the levels where a lookup can go off by one."""
-    t = d.guide_table
-    edges = np.concatenate([d.cum_array, np.arange(t.buckets) / t.buckets])
+    """Each cum entry and each guide bucket edge, 0.0 and 1.0 among them,
+    with their float neighbours: the levels in [0, 1] where a lookup can go
+    off by one.  (A cum entry before the last can round above 1.0.)"""
+    k = d._guide[0]
+    edges = np.concatenate([d.cum_array, np.arange(k + 1) / k])
     u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    return u[(u >= 0.0) & (u < 1.0)]
+    return u[(u >= 0.0) & (u <= 1.0)]
 
 
 class TestGuideTableDraw:
-    """The guide-table draw against np.searchsorted(side="left")."""
+    """left_quantile_indices, the guide-table draw, against
+    np.searchsorted(side="left")."""
 
     @staticmethod
     def assert_matches_searchsorted(d, u):
-        got = simulate._inverse_cdf(d, u)
+        got = d.left_quantile_indices(u)
         assert np.array_equal(got, np.searchsorted(d.cum_array, u, side="left"))
-        assert d.guide_table.rounds <= len(d).bit_length()
+        assert d._guide[3] <= len(d).bit_length()
 
     @given(st.one_of(distributions_st(), packed_supports_st()))
     @settings(max_examples=300, deadline=None)
@@ -204,11 +206,34 @@ class TestGuideTableDraw:
         want = np.searchsorted(d.cum_array, qrng.uniforms(seed, 2000, 17), side="left")
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "d",
+        [fair_coin(), gapped_example(), point_mass(2.0),
+         random_distribution(np.random.default_rng(5), 120),
+         make_discrete([(0.0, 1.0 - 1e-6)] + [(float(i), 1e-9) for i in range(1, 1001)])],
+        ids=["coin", "figure", "point", "random", "packed"],
+    )
+    def test_top_words_draw_level_one(self, d):
+        # every word from 2**64 - 2048 up has level 2**53 - 1, whose uniform
+        # rounds to exactly 1.0: it lands on the guide table's last entry,
+        # bucket K, and draws the index searchsorted finds
+        words = [2**64 - 1, 2**64 - 2048, 2**64 - 2049, 2**63, 0]
+        for word in words:
+            seed = seed_for_word(word)
+            u = qrng.uniforms(seed, 3)
+            want = np.searchsorted(d.cum_array, u, side="left")
+            assert np.array_equal(simulate._draw_indices(d, seed, 3), want)
+
+    def test_level_one_seed_samples(self):
+        assert seed_for_word(2**64 - 1) == 3558559446808474027
+        assert qrng.uniforms(3558559446808474027, 1).tolist() == [1.0]
+        assert sample_stream(fair_coin(), 3558559446808474027, 1).tolist() == [1.0]
+
     def test_adversarial_packed_support(self):
         # all 1001 cum entries lie in the top one of 2048 buckets
         d = make_discrete([(0.0, 1.0 - 1e-6)] + [(float(i), 1e-9) for i in range(1, 1001)])
         assert len(d) == 1001
-        assert d.guide_table.rounds == 10
+        assert d._guide[3] == 10
         self.assert_matches_searchsorted(d, _levels_at_cum(d))
         self.assert_matches_searchsorted(d, 1.0 - np.geomspace(1e-6, 1e-16, 5000))
         self.assert_matches_searchsorted(d, qrng.uniforms(3, 50_000))
@@ -216,12 +241,44 @@ class TestGuideTableDraw:
     @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5, 128, 4096])
     def test_table_shape(self, atoms):
         d = make_discrete((float(i), 1.0 / atoms) for i in range(atoms))
-        t = d.guide_table
-        assert t.buckets >= 2 * atoms and t.buckets & (t.buckets - 1) == 0
-        assert t.buckets < 4 * atoms or t.buckets == 2
-        assert len(t.guide) == t.buckets
-        assert np.all(t.cum[atoms:] == 1.0) and len(t.cum) == atoms + 2**t.rounds
+        k, guide, cum, rounds = d._guide
+        assert k >= 2 * atoms and k & (k - 1) == 0
+        assert k < 4 * atoms or k == 2
+        assert len(guide) == k + 1 and guide[k] == atoms - 1  # level 1.0
+        assert np.all(cum[atoms:] == 1.0) and len(cum) == atoms + 2**rounds
         self.assert_matches_searchsorted(d, _levels_at_cum(d))
+
+
+class TestIntegerArguments:
+    """An integer argument given a float is refused with its name, never
+    truncated or run past its bound."""
+
+    @pytest.mark.parametrize(
+        "param, call",
+        [
+            ("record_stride",
+             lambda: SimConfig(fair_coin(), 0.5, 100, 1, record_stride=2.5)),
+            ("n_max", lambda: SimConfig(fair_coin(), 0.5, 10.5, 1)),
+            ("n", lambda: sample_stream(fair_coin(), 1, 2.5)),
+            ("n", lambda: qrng.uniforms(1, 2.5)),
+            ("checkpoints", lambda: simulate.gc_path(fair_coin(), 5, [1.5, 2.7])),
+            ("checkpoints", lambda: simulate.gc_path(fair_coin(), 5, np.array([1.0, 2.0]))),
+            ("master_seed", lambda: SimConfig(fair_coin(), 0.5, 100, 1.5)),
+            ("seed", lambda: sample_stream(fair_coin(), 1.5, 10)),
+        ],
+        ids=["record_stride", "n_max", "sample_stream-n", "uniforms-n",
+             "checkpoints", "checkpoints-integral-floats", "master_seed", "seed"],
+    )
+    def test_float_rejected(self, param, call):
+        with pytest.raises(ParameterOutOfRange) as info:
+            call()
+        assert info.value.param == param
+
+    def test_numpy_integers_accepted(self):
+        got = sample_stream(fair_coin(), np.uint64(5), np.int64(3))
+        assert np.array_equal(got, sample_stream(fair_coin(), 5, 3))
+        dist, _ = simulate.gc_path(fair_coin(), 5, np.array([1, 2], dtype=np.uint64))
+        assert np.array_equal(dist, simulate.gc_path(fair_coin(), 5, [1, 2])[0])
 
 
 class TestDeriveSeed:
@@ -1145,6 +1202,24 @@ class TestRunReplicated:
         cfg = SimConfig(point_mass(1.0), 0.5, 50, 0, replications=3)
         run_replicated(cfg, "convergence", on_trajectory=lambda r, t: seen.append((r, len(t))))
         assert sorted(seen) == [(0, 50), (1, 50), (2, 50)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_on_trajectory_error_propagates(self, monkeypatch, threads):
+        # the error reaches the caller, the replications not yet started are
+        # cancelled (at most workers + 1 run ahead), and the threads are joined
+        monkeypatch.setenv("QL_THREADS", threads)
+        seen = []
+
+        def on_trajectory(rep, traj):
+            if rep == 1:
+                raise RuntimeError("write failed")
+            seen.append(rep)
+
+        cfg = SimConfig(fair_coin(), 0.5, 200, 4, replications=6)
+        with pytest.raises(RuntimeError, match="write failed"):
+            run_replicated(cfg, "convergence", on_trajectory=on_trajectory)
+        assert set(seen) <= {0, 2, 3}
+        assert _pool_threads() == []
 
 
 def _traj(ns, lq, rq) -> Trajectory:

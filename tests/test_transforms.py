@@ -4,7 +4,7 @@ import pytest
 from conftest import random_gapped_case
 from quantile_limits.distributions import fair_coin, gapped_example, make_discrete
 from quantile_limits.empirical import EmpiricalSample
-from quantile_limits.errors import NoQuantileGap, ValueInGap
+from quantile_limits.errors import NoQuantileGap, ParameterOutOfRange, ValueInGap
 from quantile_limits.simulate import sample_stream
 from quantile_limits.transforms import (
     BINARIZE,
@@ -124,8 +124,23 @@ class TestSpecConstruction:
             TransformSpec(kind=BINARIZE, p=0.5, lq=3.0, rq=0.0)
 
     def test_rejects_wrong_shift(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange) as info:
             TransformSpec(kind=COLLAPSE_SHIFT, p=0.5, lq=0.0, rq=3.0, h=1.0)
+        assert info.value.param == "h"
+
+    @pytest.mark.parametrize(
+        "param, call",
+        [
+            ("kind", lambda: gap_spec(gapped_example(), 0.5, "bogus")),
+            ("kind", lambda: TransformSpec(kind="bogus", p=0.5, lq=0.0, rq=3.0)),
+            ("h", lambda: TransformSpec(kind=COLLAPSE_SHIFT, p=0.5, lq=0.0, rq=3.0)),
+        ],
+        ids=["gap_spec-kind", "spec-kind", "missing-h"],
+    )
+    def test_bad_spec_names_param(self, param, call):
+        with pytest.raises(ParameterOutOfRange) as info:
+            call()
+        assert info.value.param == param
 
 
 class TestPathwiseDistributionCommutation:
