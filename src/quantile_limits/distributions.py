@@ -23,6 +23,7 @@ from .errors import (
     QuantileLimitsError,
     check_open,
 )
+from .rng import _word_threshold
 
 
 class QuantileSpecError(QuantileLimitsError):
@@ -72,9 +73,10 @@ class DiscreteDistribution:
     """Immutable finite distribution: strictly increasing values, positive probs.
 
     Construct through :func:`make_discrete` (or the family helpers), which
-    sort, merge duplicates and renormalize.  ``cum`` is the cumulative
-    probability table with the final entry pinned to exactly 1.0, so quantile
-    lookups at p near 1 are never derailed by accumulated rounding.
+    sort, merge duplicates and renormalize.  ``cum`` is the non-decreasing
+    cumulative probability table, with no entry above 1.0 and the final
+    entry pinned to exactly 1.0, so quantile lookups at p near 1 are never
+    derailed by accumulated rounding.
     """
 
     values: tuple[float, ...]
@@ -92,42 +94,53 @@ class DiscreteDistribution:
 
     @cached_property
     def _guide(self) -> tuple[int, np.ndarray, np.ndarray, int]:
-        # (K, guide, padded cum, rounds) of left_quantile_indices
-        cum = self.cum_array
-        k = 1 << (2 * len(cum) - 1).bit_length()
-        guide = np.searchsorted(cum, np.arange(k + 1) / k, side="left")
+        # (shift, guide, padded level thresholds, rounds) of _level_indices
+        t = (_word_threshold(self.cum_array) >> 11).astype(np.int64)
+        k = (2 * len(t) - 1).bit_length()
+        shift = 53 - k
+        guide = np.searchsorted(t, np.arange((1 << k) + 1, dtype=np.int64) << shift, side="right")
         rounds = int(np.diff(guide).max()).bit_length()
-        padded = np.concatenate([cum, np.ones(1 << rounds)])
-        return k, guide, padded, rounds
+        padded = np.concatenate([t, np.full(1 << rounds, 1 << 53, dtype=np.int64)])
+        return shift, guide, padded, rounds
 
-    def left_quantile_indices(self, u: np.ndarray) -> np.ndarray:
-        """Atom index of the left quantile at each level u in [0, 1].
+    def _level_indices(
+        self, levels: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> np.ndarray:
+        """Atom index drawn at each level, written to out.
 
-        The first j with ``cum[j] >= u``, exactly as
-        ``np.searchsorted(cum_array, u, side="left")`` finds it: the vector
-        form of :meth:`left_quantile` (whose value at u = 0 is -inf, where
-        this index is 0).  Levels are not checked; one outside [0, 1] or
-        NaN gives a wrong index or an IndexError.
+        A level is the top 53 bits ``word >> 11`` of a generator word, in
+        an int64 array (see :mod:`.rng`); the index is that of the left
+        quantile at the level's uniform u, the first j with ``cum[j] >= u``.
+        With ``T[j] = _word_threshold(cum[j]) >> 11``, the first level whose
+        uniform exceeds ``cum[j]`` (2**53 when none does), ``u > cum[j]``
+        iff ``level >= T[j]``, so the index is the number of j with
+        ``T[j] <= level``: exactly ``np.searchsorted(cum_array, u, "left")``.
+        It is at most ``len(self) - 1``, since ``T`` of the last entry, 1.0,
+        is 2**53.  ``out`` and ``scratch`` are int64 arrays of the levels'
+        length, and the lookup makes no other array of it.
 
         It uses a Chen-Asau guide table (Chen & Asau 1974; Devroye 1986,
         section III.2), built once per distribution: K = 2**k >= 2 * atoms
-        buckets of the unit interval, and ``guide[b]``, for b = 0 .. K, the
-        first j with ``cum[j] >= b / K``.  A level u lies in bucket
-        b = floor(u * K), exact in binary floating point since K is a power
-        of two, so its index lies in ``[guide[b], guide[b + 1]]``; u = 1.0 is
-        bucket K, whose ``guide[K]`` is already the index.  A fixed number of
-        branchless bisection steps, the bit length of the widest bucket span
-        (at most that of the atom count), add the count of the bucket's
-        candidates whose cum lies below u.  ``cum`` is padded with
-        ``2**rounds`` entries of 1.0, so no step reads past its end.  The
-        lookup is a few array passes whatever the support size.
+        buckets of the levels, and ``guide[b]``, for b = 0 .. K, the number
+        of j with ``T[j] <= b * 2**(53 - k)``.  A level lies in bucket
+        ``level >> (53 - k)``, so its index lies in
+        ``[guide[b], guide[b + 1]]``.  A fixed number of branchless
+        bisection steps, the bit length of the widest bucket span (at most
+        that of the atom count), add the count of the bucket's candidates
+        whose T is at most the level.  ``T`` is padded with ``2**rounds``
+        entries of 2**53, so no step reads past its end, and every index the
+        lookup takes is in range by construction.
         """
-        k, guide, cum, rounds = self._guide
-        j = np.take(guide, (u * k).astype(np.intp))
+        shift, guide, t, rounds = self._guide
+        np.right_shift(levels, shift, out=scratch)
+        np.take(guide, scratch, out=out, mode="wrap")
         for r in range(rounds - 1, -1, -1):
-            s = 1 << r
-            j += s * (np.take(cum[s - 1 :], j) < u)  # cum[j + s - 1] < u
-        return j
+            np.take(t[(1 << r) - 1 :], out, out=scratch, mode="wrap")  # T[j + 2**r - 1]
+            np.less_equal(scratch, levels, out=scratch)
+            if r:
+                scratch <<= r
+            out += scratch
+        return out
 
     def __len__(self) -> int:
         return len(self.values)
@@ -204,7 +217,14 @@ def make_discrete(pairs: Iterable[tuple[float, float]]) -> DiscreteDistribution:
     -------
     DiscreteDistribution
         Atoms sorted by value, probabilities renormalized so that their
-        float sum is exactly 1.0 and the last cumulative entry is 1.0.
+        float sum is exactly 1.0.  The cumulative table is non-decreasing,
+        no entry exceeds 1.0, and the last entry is exactly 1.0.
+
+    Draws see 2**53 levels (see :mod:`.rng`), and an atom is drawn only at
+    the levels whose uniform lies in its step of the CDF.  The uniforms are
+    at least 2**-53 apart, so an atom whose mass is below that spacing
+    holds at most one of them, and usually none: it is drawn with
+    probability at most 2**-52, and usually cannot be drawn at all.
     """
     items = [(float(v), float(q)) for v, q in pairs]
     if not items:
@@ -237,7 +257,7 @@ def make_discrete(pairs: Iterable[tuple[float, float]]) -> DiscreteDistribution:
     cum: list[float] = []
     acc = 0.0
     for q in probs:
-        acc += q
+        acc = min(acc + q, 1.0)  # rounding must not lift a partial sum past 1
         cum.append(acc)
     cum[-1] = 1.0  # total mass is 1 by construction; pin the float table to it
 

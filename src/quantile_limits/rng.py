@@ -9,16 +9,26 @@ and identical on every platform.  Reference outputs for seed 1234567:
 6457827717110365317, 3203168211198807973, 9817491932198370423.
 
 One implementation, over numpy uint64 arrays, makes every word, replication
-seeds included.  Uniform doubles are built from the top 53 bits of a word as
-``(word >> 11 + 0.5) * 2**-53`` in float64.  That lies in (0, 1]: from level
-``word >> 11 = 2**52`` up the ``+ 0.5`` rounds to even, and the top level,
-``2**53 - 1``, rounds up to 1.0.
+seeds included.  The counters come from a table of the steps
+``i * INCREMENT``, built once on first use: a run of words is that table
+plus one offset per stream, mixed in place.
 
-That map is non-decreasing in the word, so a comparison ``u > x`` of a
-uniform with a level is one comparison ``word >= W`` of the raw word with an
-integer threshold (:func:`_word_threshold`): Bernoulli draws are counted on
-the words, with no uniform made.
+The top 53 bits of a word, ``word >> 11``, are its level.  A level stands
+for the uniform double ``(level + 0.5) * 2**-53``, evaluated in float64.
+That lies in (0, 1]: from level ``2**52`` up the ``+ 0.5`` rounds to even,
+and the top level, ``2**53 - 1``, rounds up to 1.0.  :func:`uniforms` makes
+these doubles.
+
+The map from word to uniform is non-decreasing, so a comparison ``u > x`` of
+a uniform with a probability is one comparison ``word >= W`` of the raw word
+with an integer threshold (:func:`_word_threshold`), or equally
+``level >= W >> 11``.  The samplers decide every draw that way and make no
+uniform: Bernoulli draws are counted on the words, and the inverse-CDF draw
+looks each level up in a table of the thresholds of the cumulative
+probabilities (``DiscreteDistribution._level_indices``).
 """
+
+import functools
 
 import numpy as np
 
@@ -32,6 +42,17 @@ _MUL2 = 0x94D049BB133111EB
 _MAX_COUNTER = (1 << 64) - 1
 
 _LEVELS = 1 << 53  # uniform levels: the top 53 bits of a word
+
+
+@functools.cache
+def _steps() -> np.ndarray:
+    # i * INCREMENT for i = 1 .. 2**15, read-only, built on first use: the
+    # counters of words 0 .. 2**15 - 1 of the stream of seed 0; any stream
+    # adds its offset to them
+    steps = np.arange(1, (1 << 15) + 1, dtype=np.uint64)
+    steps *= np.uint64(INCREMENT)
+    steps.flags.writeable = False
+    return steps
 
 
 def derive_seed(master_seed: int, rep_index: int) -> int:
@@ -64,19 +85,23 @@ def _word_matrix(
     seeds: np.ndarray, n: int, start: int, out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    # row r: outputs start .. start+n-1 of the stream of seeds[r]; one
-    # expression, so that no counter array outlives the mixing.  The last
-    # counter, start + n, must fit in 64 bits.  out and scratch, when given,
-    # are (len(seeds), n) uint64 arrays: the words go to out, and the mixing
-    # makes no array of that size.
+    # row r: outputs start .. start+n-1 of the stream of seeds[r], the step
+    # table plus each row's offset, a table's length of columns at a time.
+    # The last counter, start + n, must fit in 64 bits.  out and scratch,
+    # when given, are (len(seeds), n) uint64 arrays: the words go to out,
+    # and the mixing makes no array of that size.
     check_at_least("start", start, 0)
     check_at_most("start", start, _MAX_COUNTER)
     check_at_least("n", n, 0)
     check_at_most("n", n, _MAX_COUNTER - start)
-    return _mix64_array(np.add.outer(
-        seeds, np.arange(start + 1, start + n + 1, dtype=np.uint64) * np.uint64(INCREMENT),
-        out=out,
-    ), scratch)
+    if out is None:
+        out = np.empty((len(seeds), n), dtype=np.uint64)
+    steps = _steps()
+    for c0 in range(0, n, len(steps)):
+        c1 = min(n, c0 + len(steps))
+        offsets = seeds + np.uint64((start + c0) * INCREMENT & _MAX_COUNTER)
+        np.add.outer(offsets, steps[: c1 - c0], out=out[:, c0:c1])
+    return _mix64_array(out, scratch)
 
 
 def stream_words(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -100,23 +125,30 @@ def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     return uniform_matrix(np.array([seed], dtype=np.uint64), n, start)[0]
 
 
-def _word_threshold(x: float) -> int:
+def _word_threshold(x):
     """Smallest word W whose uniform exceeds x: ``u > x`` iff ``word >= W``.
 
     The uniform is ``((word >> 11) + 0.5) * 2**-53`` evaluated in float64,
     as :func:`uniform_matrix` makes it.  At levels ``word >> 11 >= 2**52``
     the ``+ 0.5`` rounds to even, so the level is found by bisection on that
-    float expression, not from real-number algebra.  Returns ``2**64``, a
-    word no uint64 reaches, when no uniform exceeds x (x >= 1.0).
+    float expression, not from real-number algebra.  W is ``2**64``, a word
+    no uint64 reaches, when no uniform exceeds x (x >= 1.0).  W is a
+    multiple of 2**11, so ``u > x`` is also ``word >> 11 >= W >> 11``.
+
+    x is a float, or an array of them bisected together; an array gives an
+    array of Python ints (dtype object), since 2**64 fits no uint64.
     """
-    lo, hi = 0, _LEVELS  # the first level above x lies in [lo, hi]
-    while lo < hi:
+    x = np.asarray(x, dtype=np.float64)
+    lo = np.zeros(x.shape, dtype=np.int64)  # the first level above x lies in [lo, hi]
+    hi = np.full(x.shape, _LEVELS, dtype=np.int64)
+    while np.any(lo < hi):
         mid = (lo + hi) // 2
-        if (float(mid) + 0.5) * 2.0**-53 > x:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo << 11
+        above = (mid + 0.5) * 2.0**-53 > x
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, np.minimum(mid + 1, hi))
+    if x.ndim == 0:
+        return int(lo) << 11
+    return lo.astype(object) << 11
 
 
 def uniform_matrix(seeds: np.ndarray, n: int, start: int = 0) -> np.ndarray:

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,14 +31,7 @@ from .errors import (
     check_positive,
     check_seed,
 )
-from .rng import (
-    _word_matrix,
-    _word_threshold,
-    derive_seed,
-    stream_words,
-    uniform_matrix,
-    uniforms,
-)
+from .rng import _word_matrix, _word_threshold, derive_seed, stream_words
 
 __all__ = [
     "SimConfig",
@@ -63,8 +57,8 @@ __all__ = [
 #: n_max at or below which the default record stride stays 1.
 DENSE_RECORD_LIMIT = 10_000
 
-# run_trajectory working-set bounds: draws per chunk, and cells of the
-# chunk's segment-by-atom count matrix
+# _cumulative_counts working-set bounds: draws per chunk (and the length of
+# a workspace), and cells of the chunk's segment-by-atom count matrix
 _CHUNK = 1 << 15
 _CELLS = 1 << 18
 
@@ -152,20 +146,40 @@ class BlockSchedule:
 # Sampling
 
 
-def _draw_indices(d: DiscreteDistribution, seed: int, n: int, start: int = 0):
-    # inverse-CDF sampling: the left quantile of d at a uniform level
-    return d.left_quantile_indices(uniforms(seed, n, start))
+def _workspace() -> np.ndarray:
+    # the buffers of one running draw: three int64 rows of _CHUNK, for the
+    # words (then their levels, then segment ids), the mixing scratch and
+    # the atom indices
+    return np.empty((3, _CHUNK), dtype=np.int64)
+
+
+def _draw_indices(d: DiscreteDistribution, seed: int, n: int, start: int, ws: np.ndarray):
+    # inverse-CDF sampling of draws start .. start+n-1 (n <= _CHUNK): the
+    # atom index of each word's level, in the workspace ws, which no other
+    # running draw may use.  Returns a view of ws.
+    words, scratch, idx = ws[:, :n]
+    raw = words.view(np.uint64)
+    _word_matrix(np.array([seed], dtype=np.uint64), n, start, raw[None], scratch.view(np.uint64)[None])
+    raw >>= np.uint64(11)  # the levels, below 2**53: the same in the int64 view
+    return d._level_indices(words, idx, scratch)
 
 
 def sample_stream(d: DiscreteDistribution, seed: int, n: int) -> np.ndarray:
     """n i.i.d. draws from d for this seed, as an array of atom values.
 
     Deterministic in (d, seed, n); prefixes agree, so growing n extends the
-    same sequence.
+    same sequence.  Draws are made ``_CHUNK`` at a time in one workspace,
+    so besides the output the call holds only that workspace.
     """
     check_at_least("n", n, 1)
     check_seed("seed", seed)
-    return d.values_array[_draw_indices(d, seed, n)]
+    out = np.empty(n, dtype=np.float64)
+    ws = _workspace()
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        idx = _draw_indices(d, seed, hi - lo, lo, ws)
+        np.take(d.values_array, idx, out=out[lo:hi], mode="wrap")
+    return out
 
 
 def _record_points(n_max: int, stride: int) -> np.ndarray:
@@ -190,19 +204,23 @@ def _chunks(atoms: int, rec_ns: np.ndarray):
         lo, r0 = hi, r1
 
 
-def _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb) -> np.ndarray:
-    # segment-by-atom counts of draws lo .. hi-1: draw k (0-based) first
-    # counts at the first record n >= k + 1, so its segment is the number of
-    # record points in (lo, k], a running sum of boundary marks at offsets
-    # n - lo.  A chunk with no record point inside is one segment.
+def _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb, ws) -> np.ndarray:
+    # segment-by-atom counts of draws lo .. hi-1, made in the workspace ws:
+    # draw k (0-based) first counts at the first record n >= k + 1, so its
+    # segment is the number of record points in (lo, k], a running sum of
+    # boundary marks at offsets n - lo.  A chunk with no record point
+    # inside is one segment.
     atoms = len(d)
-    idx = _draw_indices(d, seed, hi - lo, start=lo)
+    idx = _draw_indices(d, seed, hi - lo, lo, ws)
     if rb == r0:
         return np.bincount(idx, minlength=atoms).reshape(1, atoms)
-    seg = np.zeros(hi - lo, dtype=np.int64)
-    seg[rec_ns[r0:rb] - lo] = 1
+    seg = ws[0, : hi - lo]  # the levels are spent, and so is the scratch
+    seg.fill(0)
+    seg[np.subtract(rec_ns[r0:rb], lo, out=ws[1, : rb - r0])] = 1
     np.cumsum(seg, out=seg)
-    counts = np.bincount(seg * atoms + idx, minlength=(rb - r0 + 1) * atoms)
+    seg *= atoms
+    seg += idx
+    counts = np.bincount(seg, minlength=(rb - r0 + 1) * atoms)
     return counts.reshape(rb - r0 + 1, atoms)
 
 
@@ -251,11 +269,27 @@ def _cumulative_counts(
     make them, at most ``workers + 1`` chunks ahead; the carry of counts
     from chunk to chunk is added in order, so the result does not depend on
     ``workers``.
+
+    The call allocates one workspace per worker, ``3 * _CHUNK`` int64
+    words (768 KiB), held in a queue: a running chunk takes one and puts it
+    back when done, and at most ``workers`` chunks run at once, so no two
+    share one.  Words, levels, atom indices and segment ids are all made in
+    it.  Besides the workspaces, a chunk allocates only its count matrix,
+    which both cumulative sums overwrite in place and which is yielded as
+    ``C``: the working set is ``workers`` workspaces plus the count
+    matrices of at most ``workers + 2`` chunks, whatever ``rec_ns[-1]`` is.
     """
     atoms = len(d)
+    spare = queue.SimpleQueue()
+    for _ in range(max(1, workers)):
+        spare.put(_workspace())
 
     def job(lo, hi, r0, rb, r1):
-        return _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb)
+        ws = spare.get()
+        try:
+            return _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb, ws)
+        finally:
+            spare.put(ws)
 
     carry = np.zeros(atoms, dtype=np.int64)  # per-atom counts of draws before lo
     for (_, _, r0, _, r1), counts in _in_order(job, _chunks(atoms, rec_ns), workers):
@@ -264,7 +298,8 @@ def _cumulative_counts(
         carry = counts[-1].copy()
         # records complete within this chunk: C[r, j] = #draws <= atom j
         if r1 > r0:
-            yield r0, r1, counts[: r1 - r0].cumsum(axis=1)
+            done = counts[: r1 - r0]
+            yield r0, r1, done.cumsum(axis=1, out=done)
 
 
 def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
@@ -560,10 +595,12 @@ def block_event_experiment(
 
     The first block is drawn Bernoulli by Bernoulli.  The second block is
     tens of millions of draws long, so its sum S is the inverse CDF of its
-    exact Binomial(phi(m_1), q) distribution F at the next uniform u of the
-    same per-replication stream.  S exceeds an integer t exactly when
-    u > F(t), so E_1 is decided by comparing u with one tail probability.
-    Both events compare S with integer cut-offs, exact for the double q.
+    exact Binomial(phi(m_1), q) distribution F at the uniform u of the next
+    word of the same per-replication stream.  S exceeds an integer t
+    exactly when u > F(t), that is when the word is at least
+    ``_word_threshold(F(t))``, so E_1 is decided by comparing the word with
+    one threshold.  Both events compare S with integer cut-offs, exact for
+    the double q.
     """
     check_open("q", q)
     check_at_least("reps", reps, 1)
@@ -575,7 +612,7 @@ def block_event_experiment(
     phi_b = phi_of_k(params, m1, alpha).phi
 
     d_sums = _bernoulli_block_sums(q, phi_a, reps, master_seed)
-    u_next = uniform_matrix(stream_words(master_seed, reps), 1, start=phi_a)[:, 0]
+    next_words = _word_matrix(stream_words(master_seed, reps), 1, phi_a)[:, 0]
 
     # D_1 is S - phi_a*q < -1; E_1 is S - phi_b*q > m1, so t is the largest
     # S that fails it
@@ -583,7 +620,9 @@ def block_event_experiment(
     t = _deviation_bounds(phi_b, q, m1)[1] - 1
 
     d_hit = d_sums <= d_low
-    e_hit = u_next > _binomial_cdf(t, phi_b, q)
+    # compared as levels (word >> 11), since the threshold may be 2**64
+    level = _word_threshold(_binomial_cdf(t, phi_b, q)) >> 11
+    e_hit = (next_words >> np.uint64(11)) >= np.uint64(level)
     return float(np.count_nonzero(d_hit & e_hit)) / reps
 
 

@@ -58,7 +58,8 @@ def stream_word(seed: int, index: int) -> int:
 def seed_for_word(word: int, index: int = 0) -> int:
     """The seed whose index-th SplitMix64 output is word: each finalizer step
     undone in reverse (an xorshift by s is undone by iterating it, an odd
-    multiplier by its inverse mod 2**64)."""
+    multiplier by its inverse mod 2**64).  Works elementwise on a uint64
+    array of words too."""
     mask = (1 << 64) - 1
     z = word
     for shift, mul in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, 1)):

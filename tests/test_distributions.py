@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     NEG_INF,
@@ -74,6 +75,29 @@ class TestMakeDiscrete:
         assert all(a < b for a, b in zip(d.values, d.values[1:]))
         assert all(q > 0 for q in d.probs)
         assert math.fsum(d.probs) == 1.0
+        assert d.cum[-1] == 1.0
+
+    def test_cum_stays_monotone_at_the_top(self):
+        # the running sum of the first 23 probs rounds above 1.0; the last
+        # atom's mass, about 4.5e-17, is below the draw's level spacing
+        w = [1000.0] * 22 + [1.0, 1e-12]
+        d = make_discrete((i, x / sum(w)) for i, x in enumerate(w))
+        assert d.cum[-2] == d.cum[-1] == 1.0
+        assert d.cdf(22.0) == 1.0
+        assert d.left_quantile(1.0) == 22.0
+
+    @given(st.lists(
+        st.tuples(st.sampled_from([1.0, 1e-3, 1e-9, 1e-12, 1e-15, 1e-17]),
+                  st.integers(min_value=1, max_value=1000)),
+        min_size=1, max_size=60,
+    ))
+    @settings(max_examples=300)
+    def test_cum_non_decreasing_and_at_most_one(self, weights):
+        w = [scale * k for scale, k in weights]
+        total = math.fsum(w)
+        d = make_discrete((i, x / total) for i, x in enumerate(w))
+        assert all(a <= b for a, b in zip(d.cum, d.cum[1:]))
+        assert max(d.cum) <= 1.0
         assert d.cum[-1] == 1.0
 
 

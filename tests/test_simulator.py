@@ -117,8 +117,7 @@ class TestRng:
 
 def _uniforms_of_words(words) -> np.ndarray:
     # uniform_matrix on seeds whose first word is each given word
-    seeds = np.array([seed_for_word(w) for w in words], dtype=np.uint64)
-    return qrng.uniform_matrix(seeds, 1)[:, 0]
+    return qrng.uniform_matrix(seed_for_word(np.asarray(words, dtype=np.uint64)), 1)[:, 0]
 
 
 class TestWordThreshold:
@@ -150,6 +149,29 @@ class TestWordThreshold:
                 w = qrng._word_threshold(float(x))
                 assert [word >= w for word in words] == (u > x).tolist(), (level, x)
 
+    def test_vector_matches_scalar_definition(self):
+        # one bisection over an array of x, against the definition bisected
+        # one x at a time over Python-int levels
+        def definition(x):
+            lo, hi = 0, 2**53
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if (float(mid) + 0.5) * 2.0**-53 > x:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo << 11
+
+        xs = [0.0, 2.0**-54, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+              1.0 - 2.0**-53, 1.0, np.nextafter(1.0, 2.0), 2.0]
+        got = qrng._word_threshold(np.array(xs))
+        assert got.shape == (len(xs),)
+        assert got.tolist() == [definition(x) for x in xs]
+        assert got.tolist() == [qrng._word_threshold(x) for x in xs]
+        assert got.tolist()[-3:] == [2**64] * 3
+        square = qrng._word_threshold(np.array(xs[:4]).reshape(2, 2))
+        assert square.tolist() == [got.tolist()[:2], got.tolist()[2:4]]
+
     def test_no_word_above_one(self):
         # 1 - 1e-17 rounds to 1.0: no uniform exceeds it, and the threshold
         # is 2**64, past every word, not a wrapped small one
@@ -173,56 +195,97 @@ def packed_supports_st(draw):
     return make_discrete(zip(range(k), (weights / weights.sum()).tolist()))
 
 
-def _levels_at_cum(d) -> np.ndarray:
-    """Each cum entry and each guide bucket edge, 0.0 and 1.0 among them,
-    with their float neighbours: the levels in [0, 1] where a lookup can go
-    off by one.  (A cum entry before the last can round above 1.0.)"""
-    k = d._guide[0]
-    edges = np.concatenate([d.cum_array, np.arange(k + 1) / k])
-    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    return u[(u >= 0.0) & (u <= 1.0)]
+def _uniforms_at_levels(levels) -> np.ndarray:
+    # the library's uniform of each level: its lowest word, made the first
+    # word of a seed's stream
+    return _uniforms_of_words(np.asarray(levels, dtype=np.uint64) << np.uint64(11))
+
+
+def _threshold_levels(d) -> np.ndarray:
+    """T_j, the first level whose uniform exceeds cum[j] (2**53 when none
+    does), from the word threshold of each cum entry."""
+    return (qrng._word_threshold(d.cum_array) >> 11).astype(np.int64)
+
+
+def _edge_levels(d) -> np.ndarray:
+    """The levels where a lookup can go off by one: each T_j, each bucket
+    edge of a table of K = 2**k >= 2 * atoms buckets, and their neighbours,
+    with 0 and the top level 2**53 - 1."""
+    k = (2 * len(d) - 1).bit_length()
+    edges = np.arange(2**k + 1, dtype=np.int64) << (53 - k)
+    lv = np.concatenate([_threshold_levels(d), edges, [0, 2**53 - 1]])
+    lv = np.concatenate([lv - 1, lv, lv + 1])
+    return np.unique(lv[(lv >= 0) & (lv < 2**53)])
+
+
+PACKED = make_discrete([(0.0, 1.0 - 1e-6)] + [(float(i), 1e-9) for i in range(1, 1001)])
+SUPPORTS = {
+    "coin": fair_coin(),
+    "figure": gapped_example(),
+    "point": point_mass(2.0),
+    "random": random_distribution(np.random.default_rng(5), 120),
+    # all 1001 cum entries lie in the top one of 2048 buckets: 10 rounds
+    "packed": PACKED,
+    "uniform4096": make_discrete((float(i), 1.0 / 4096) for i in range(4096)),
+}
+
+
+def _lookup(d, levels) -> np.ndarray:
+    out, scratch = np.empty((2, len(levels)), dtype=np.int64)
+    return d._level_indices(levels, out, scratch)
 
 
 class TestGuideTableDraw:
-    """left_quantile_indices, the guide-table draw, against
-    np.searchsorted(side="left")."""
+    """The level lookup and the draw, against np.searchsorted(side="left")
+    of cum at the library's uniforms."""
 
     @staticmethod
-    def assert_matches_searchsorted(d, u):
-        got = d.left_quantile_indices(u)
-        assert np.array_equal(got, np.searchsorted(d.cum_array, u, side="left"))
-        assert d._guide[3] <= len(d).bit_length()
+    def assert_matches_searchsorted(d, levels):
+        levels = np.asarray(levels, dtype=np.int64)
+        got = _lookup(d, levels)
+        want = np.searchsorted(d.cum_array, _uniforms_at_levels(levels), side="left")
+        assert np.array_equal(got, want)
+        assert got.max(initial=0) < len(d)
 
     @given(st.one_of(distributions_st(), packed_supports_st()))
     @settings(max_examples=300, deadline=None)
     def test_matches_searchsorted_at_cum_entries(self, d):
-        self.assert_matches_searchsorted(d, _levels_at_cum(d))
+        self.assert_matches_searchsorted(d, _edge_levels(d))
 
     @given(st.one_of(distributions_st(), packed_supports_st()),
            st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=100, deadline=None)
     def test_draws_match_searchsorted(self, d, seed):
-        got = simulate._draw_indices(d, seed, 2000, start=17)
+        got = simulate._draw_indices(d, seed, 2000, 17, simulate._workspace())
         want = np.searchsorted(d.cum_array, qrng.uniforms(seed, 2000, 17), side="left")
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize(
-        "d",
-        [fair_coin(), gapped_example(), point_mass(2.0),
-         random_distribution(np.random.default_rng(5), 120),
-         make_discrete([(0.0, 1.0 - 1e-6)] + [(float(i), 1e-9) for i in range(1, 1001)])],
-        ids=["coin", "figure", "point", "random", "packed"],
-    )
-    def test_top_words_draw_level_one(self, d):
+    @staticmethod
+    def assert_words_draw_like_uniforms(d, words):
+        # each word made the first word of a seed's stream, and drawn
+        ws = simulate._workspace()
+        seeds = seed_for_word(np.array(words, dtype=np.uint64))
+        got = [int(simulate._draw_indices(d, seed, 1, 0, ws)[0]) for seed in seeds]
+        u = qrng.uniform_matrix(seeds, 1)[:, 0]
+        assert got == np.searchsorted(d.cum_array, u, side="left").tolist()
+
+    @pytest.mark.parametrize("support", ["coin", "figure", "point", "random", "packed"])
+    def test_top_words_draw_level_one(self, support):
         # every word from 2**64 - 2048 up has level 2**53 - 1, whose uniform
-        # rounds to exactly 1.0: it lands on the guide table's last entry,
-        # bucket K, and draws the index searchsorted finds
+        # rounds to exactly 1.0: it draws the index searchsorted finds
         words = [2**64 - 1, 2**64 - 2048, 2**64 - 2049, 2**63, 0]
-        for word in words:
-            seed = seed_for_word(word)
-            u = qrng.uniforms(seed, 3)
-            want = np.searchsorted(d.cum_array, u, side="left")
-            assert np.array_equal(simulate._draw_indices(d, seed, 3), want)
+        self.assert_words_draw_like_uniforms(SUPPORTS[support], words)
+
+    @pytest.mark.parametrize("support", ["coin", "figure", "random", "packed", "uniform4096"])
+    def test_threshold_words(self, support):
+        # the lowest word T_j << 11 whose uniform exceeds cum[j], the word
+        # below it, and the extreme words
+        d = SUPPORTS[support]
+        t = _threshold_levels(d)
+        words = {0, 2**64 - 1}
+        for w in (int(lv) << 11 for lv in t[t < 2**53]):
+            words |= {w, w - 1} - {-1}
+        self.assert_words_draw_like_uniforms(d, sorted(words))
 
     def test_level_one_seed_samples(self):
         assert seed_for_word(2**64 - 1) == 3558559446808474027
@@ -230,23 +293,33 @@ class TestGuideTableDraw:
         assert sample_stream(fair_coin(), 3558559446808474027, 1).tolist() == [1.0]
 
     def test_adversarial_packed_support(self):
-        # all 1001 cum entries lie in the top one of 2048 buckets
-        d = make_discrete([(0.0, 1.0 - 1e-6)] + [(float(i), 1e-9) for i in range(1, 1001)])
+        d = PACKED
         assert len(d) == 1001
-        assert d._guide[3] == 10
-        self.assert_matches_searchsorted(d, _levels_at_cum(d))
-        self.assert_matches_searchsorted(d, 1.0 - np.geomspace(1e-6, 1e-16, 5000))
-        self.assert_matches_searchsorted(d, qrng.uniforms(3, 50_000))
+        self.assert_matches_searchsorted(d, _edge_levels(d))
+        # levels within 1e-6 of the top, where every cum entry but the first
+        # lies, spaced geometrically down to the top level
+        top = 2**53 - np.unique(np.geomspace(1, 2**53 * 1e-6, 5000).astype(np.int64))
+        self.assert_matches_searchsorted(d, top)
+        levels = (qrng.stream_words(3, 50_000) >> np.uint64(11)).astype(np.int64)
+        got = _lookup(d, levels)
+        assert np.array_equal(got, np.searchsorted(d.cum_array, qrng.uniforms(3, 50_000)))
 
     @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5, 128, 4096])
     def test_table_shape(self, atoms):
+        # equal masses: cum entries on and off the bucket edges of every
+        # table size from 2 to 8192 buckets
         d = make_discrete((float(i), 1.0 / atoms) for i in range(atoms))
-        k, guide, cum, rounds = d._guide
-        assert k >= 2 * atoms and k & (k - 1) == 0
-        assert k < 4 * atoms or k == 2
-        assert len(guide) == k + 1 and guide[k] == atoms - 1  # level 1.0
-        assert np.all(cum[atoms:] == 1.0) and len(cum) == atoms + 2**rounds
-        self.assert_matches_searchsorted(d, _levels_at_cum(d))
+        self.assert_matches_searchsorted(d, _edge_levels(d))
+
+    def test_workspace_buffers_only(self):
+        # the lookup writes its indices to out and works in scratch
+        d = SUPPORTS["random"]
+        levels = (qrng.stream_words(8, 1000) >> np.uint64(11)).astype(np.int64)
+        out, scratch = np.empty((2, 1000), dtype=np.int64)
+        kept = levels.copy()
+        assert d._level_indices(levels, out, scratch) is out
+        assert np.array_equal(levels, kept)
+        assert np.array_equal(out, np.searchsorted(d.cum_array, qrng.uniforms(8, 1000)))
 
 
 class TestIntegerArguments:
@@ -352,6 +425,19 @@ class TestSampleStream:
         u = qrng.uniforms(21, 300)
         expected = np.array([d.left_quantile(float(x)) for x in u])
         assert np.array_equal(sample_stream(d, 21, 300), expected)
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_memory_is_output_and_one_workspace(self, n):
+        d = SUPPORTS["uniform4096"]
+        sample_stream(d, 3, 1)  # builds the distribution's lookup table
+        tracemalloc.start()
+        try:
+            draws = sample_stream(d, 3, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == n
+        assert peak <= draws.nbytes + simulate._workspace().nbytes + 2**15
 
     def test_coin_mean_concentrates(self):
         # P(|mean| <= 0.005 at n=1e6) ~ erf(3.54) per seed; >= 95/100 seeds
@@ -568,15 +654,45 @@ class TestChunkWorkers:
         assert np.array_equal(out["2"][0], dist)
         assert np.array_equal(out["2"][1], d.values_array[j])
 
+    def test_workspaces_never_shared(self, monkeypatch):
+        # 97-draw chunks on three CPUs, thread switches as often as the
+        # interpreter allows: were a workspace shared by two running jobs,
+        # one would count the other's draws
+        monkeypatch.setattr(simulate, "_CHUNK", 97)
+        _use_cpus(monkeypatch, 3)
+        d = SUPPORTS["random"]
+        ns = np.unique(np.geomspace(1, 30_000, 60).astype(np.int64))
+        cfg = SimConfig(d, 0.5, 3000, 12, record_stride=7, replications=6)
+        want = [run_trajectory(cfg, rep) for rep in range(cfg.replications)]
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("QL_THREADS", threads)
+                trajs = {}
+                run_replicated(cfg, "convergence", on_trajectory=trajs.__setitem__)
+                got[threads] = simulate.gc_path(d, 77, ns), trajs
+        finally:
+            sys.setswitchinterval(interval)
+        idx = np.searchsorted(d.values_array, sample_stream(d, 77, int(ns[-1])))
+        cum = np.array([np.cumsum(np.bincount(idx[:n], minlength=len(d))) for n in ns])
+        dist, j = sup_distances(cum, ns, d.cum_array)
+        for (gc_dist, gc_witness), trajs in got.values():
+            assert np.array_equal(gc_dist, dist)
+            assert np.array_equal(gc_witness, d.values_array[j])
+            for rep, traj in enumerate(want):
+                assert_same_records(trajs[rep], traj)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunk_error_propagates(self, monkeypatch, workers):
         monkeypatch.setattr(simulate, "_CHUNK", 100)
         draw = simulate._draw_indices
 
-        def failing(d, seed, n, start=0):
+        def failing(d, seed, n, start, ws):
             if start >= 2000:
                 raise RuntimeError("draw failed")
-            return draw(d, seed, n, start)
+            return draw(d, seed, n, start, ws)
 
         monkeypatch.setattr(simulate, "_draw_indices", failing)
         seen = []
@@ -625,6 +741,21 @@ class TestGcPath:
         with pytest.raises(ParameterOutOfRange) as info:
             simulate.gc_path(fair_coin(), 1, checkpoints)
         assert info.value.param == "checkpoints"
+
+    @pytest.mark.parametrize("n", [10**5, 10**7])
+    def test_memory_is_two_workspaces(self, monkeypatch, n):
+        # two workers: their two workspaces, and little besides, whatever n
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setenv("QL_THREADS", "2")
+        checkpoints = [10**k for k in range(1, len(str(n)))]
+        tracemalloc.start()
+        try:
+            dist, _ = simulate.gc_path(gapped_example(), 1, checkpoints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dist) == len(checkpoints)
+        assert peak < 2 * simulate._workspace().nbytes + 2**17
 
 
 class TestSwitchStats:
@@ -790,25 +921,22 @@ class TestDeviationExperiment:
 
     def test_k1_shares_the_first_block(self, monkeypatch):
         # deviation_experiment at k = 1 and block_event_experiment draw the
-        # same phi(1) block: its words are made once, plus one uniform (the
-        # next word) per rep
+        # same phi(1) block: its words are made once, plus the next word
+        # per rep
         q, alpha, reps, seed = 0.5, 0.25, 50, 31
         phi = phi_of_k(bernoulli_moments(q), 1, alpha).phi
         simulate._bernoulli_block_sums.cache_clear()
         fresh = block_event_experiment(q, alpha, reps, seed)
         simulate._bernoulli_block_sums.cache_clear()
         drawn = []
-        word_matrix, uniform_matrix = simulate._word_matrix, simulate.uniform_matrix
+        word_matrix = simulate._word_matrix
 
-        def counted(make):
-            def make_counted(*args, **kwargs):
-                out = make(*args, **kwargs)
-                drawn.append(out.size)
-                return out
-            return make_counted
+        def counted(*args, **kwargs):
+            out = word_matrix(*args, **kwargs)
+            drawn.append(out.size)
+            return out
 
-        monkeypatch.setattr(simulate, "_word_matrix", counted(word_matrix))
-        monkeypatch.setattr(simulate, "uniform_matrix", counted(uniform_matrix))
+        monkeypatch.setattr(simulate, "_word_matrix", counted)
         deviation_experiment(q, 1, alpha, reps, seed)
         assert block_event_experiment(q, alpha, reps, seed) == fresh
         assert sum(drawn) == reps * phi + reps
