@@ -18,7 +18,8 @@ from .errors import EmptySample, ValueOutsideSupport, check_open
 class GCDistance:
     """Sup distance between an empirical CDF and its generating CDF.
 
-    ``witness`` is the leftmost real x attaining ``value = sup |F_n - F|``.
+    ``value`` is sup |F_n - F| as :func:`sup_distances` rounds it, and
+    ``witness`` the leftmost atom attaining that value.
     """
 
     value: float
@@ -93,7 +94,8 @@ class EmpiricalSample:
     def _quantile_indices(self, p: float) -> tuple[int, int]:
         self._require_data()
         check_open("p", p)
-        left, right = quantile_indices(np.cumsum(self.counts), self.n, p)
+        (left_rank,), (right_rank,) = quantile_ranks([self.n], p)
+        left, right = quantile_indices(np.cumsum(self.counts), left_rank, right_rank)
         return int(left), int(right)
 
     def to_distribution(self) -> DiscreteDistribution:
@@ -112,29 +114,78 @@ class EmpiricalSample:
         return f"EmpiricalSample(n={self.n}, support={self.values})"
 
 
-def quantile_indices(cum_counts, n, p: float):
-    """Atom indices of the sample left and right quantiles at level p.
+def quantile_ranks(ns, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Order-statistic ranks of the sample left and right quantiles at level p.
 
-    ``cum_counts[..., j]`` is the number of observations <= atom j among
-    ``n`` (a scalar, or one count per row), so its last entry is ``n``.
-    The left quantile is the first atom with ``cum_counts / n >= p``, the
-    right quantile the first with ``cum_counts / n > p``; for 0 < p < 1 the
-    last atom always qualifies.  This is the one place the sample-quantile
+    For each sample size n of the 1-d ``ns`` (positive, below 2**63) the
+    left quantile inf{x : F_n(x) >= p} is the order statistic of rank
+    ``L = ceil(n*p)`` and the right quantile inf{x : F_n(x) > p} that of
+    rank ``R = floor(n*p) + 1`` (Hyndman & Fan 1996), with ``n*p`` the exact
+    product for the double p, 0 < p < 1, not a rounded float one.  Returns
+    ``(L, R)`` as int64 arrays.  This is the one place the sample-quantile
     rank rule lives.
+
+    p is ``num / 2**s`` exactly.  Where every ``n*num`` fits in an int64 the
+    ranks are shifts of it.  Else, for n below 2**53, the float product
+    rounds ``n*p`` once.  Where it is not an integer, its truncation k is
+    floor(n*p) and n*p is no integer.  Where it is an integer k, n*p lies
+    within 1/2 of k, so the residual ``n*num - k*2**s`` is below 2**54 in
+    size, wrapping uint64 arithmetic gives it exactly, and its sign places
+    n*p at, above or below k.  Larger n take Python integers.
     """
-    ecdf = np.asarray(cum_counts) / np.asarray(n)[..., None]
-    return (ecdf >= p).argmax(axis=-1), (ecdf > p).argmax(axis=-1)
+    ns = np.asarray(ns, dtype=np.int64)
+    num, den = p.as_integer_ratio()
+    s = den.bit_length() - 1
+    top = int(ns.max())
+    if top <= (2**63 - 1) // num:
+        prod = ns * num
+        t = min(s, 63)  # prod < 2**63, so the shift by 63 stands in for larger s
+        return -(-prod >> t), (prod >> t) + 1
+    if top < 2**53:
+        prod = ns * p
+        k = prod.astype(np.int64)
+        near = prod == k
+        res = ns.view(np.uint64) * np.uint64(num)
+        if s < 64:  # else k * 2**s wraps to 0
+            res -= k.view(np.uint64) << np.uint64(s)
+        res = res.view(np.int64)
+        return k + 1 - (near & (res <= 0)), k + 1 - (near & (res < 0))
+    ints = ns.tolist()
+    return (
+        np.array([-(-n * num // den) for n in ints], dtype=np.int64),
+        np.array([n * num // den + 1 for n in ints], dtype=np.int64),
+    )
+
+
+def quantile_indices(cum_counts, left_rank, right_rank):
+    """Atom indices of the sample left and right quantiles, from their ranks.
+
+    ``cum_counts[j, ...]`` is the number of observations <= atom j, atoms on
+    the first axis, and the ranks are those of :func:`quantile_ranks`, one
+    per entry of the remaining axes (or scalars).  The quantile of rank r is
+    the first atom whose cumulative count reaches r, so its index is the
+    number of atoms whose count is below r: ``#{j : cum_counts[j] < r}``.
+    Over a window of atoms that starts at atom a, with every atom below a
+    counted and none above, the index is a plus the window's count.  The
+    comparisons are between integers, so they are exact.
+    """
+    cum = np.asarray(cum_counts)
+    return (cum < left_rank).sum(axis=0), (cum < right_rank).sum(axis=0)
 
 
 def sup_distances(cum_counts, n, cdf):
-    """sup_x |F_n(x) - F(x)| and the atom index of its leftmost witness.
+    """Largest float |F_n - F| over the atoms, and its leftmost atom index.
 
     ``cum_counts[..., j]`` is the number of observations <= atom j among
     ``n`` (a scalar, or one count per row), and ``cdf[j]`` is F at atom j.
     Both functions are constant between consecutive atoms and zero below
-    the first one, so the supremum over the reals equals the maximum over
-    the per-atom levels; evaluating at the atoms covers every left limit
-    too.  This is the one place the sup distance is computed.
+    the first one, so sup_x |F_n(x) - F(x)| is attained at an atom.  What
+    is returned is the float ``|C_j / n - F_j|``, a rounded quotient minus a
+    rounded CDF, maximised over j, and the leftmost j attaining that
+    maximum: it need not be the correctly rounded supremum, and where two
+    atoms' exact distances differ by less than the rounding, the witness
+    may differ from the exact one.  This is the one place the sup distance
+    is computed.
     """
     diffs = np.abs(np.asarray(cum_counts) / np.asarray(n)[..., None] - cdf)
     j = diffs.argmax(axis=-1)
@@ -142,8 +193,8 @@ def sup_distances(cum_counts, n, cdf):
 
 
 def gc_distance(sample: EmpiricalSample, d: DiscreteDistribution) -> GCDistance:
-    """Exact sup_x |F_n(x) - F(x)| for a sample bound to d's support, with
-    its leftmost witness atom (see :func:`sup_distances`)."""
+    """sup_x |F_n(x) - F(x)| for a sample bound to d's support, as the float
+    maximum of :func:`sup_distances`, with its leftmost witness atom."""
     sample._require_data()
     if sample.values != d.values:
         raise ValueOutsideSupport("sample is not bound to this distribution's support")

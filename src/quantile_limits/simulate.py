@@ -21,7 +21,7 @@ import numpy as np
 
 from .berry_esseen import BEParams, bernoulli_moments, phi_of_k
 from .distributions import DiscreteDistribution
-from .empirical import quantile_indices, sup_distances
+from .empirical import quantile_indices, quantile_ranks, sup_distances
 from .errors import (
     EmptyWindow,
     ParameterOutOfRange,
@@ -57,8 +57,8 @@ __all__ = [
 #: n_max at or below which the default record stride stays 1.
 DENSE_RECORD_LIMIT = 10_000
 
-# _cumulative_counts working-set bounds: draws per chunk (and the length of
-# a workspace), and cells of the chunk's segment-by-atom count matrix
+# counting working-set bounds: draws per chunk (and the length of a
+# workspace), and cells of the chunk's atom-by-segment count matrix
 _CHUNK = 1 << 15
 _CELLS = 1 << 18
 
@@ -90,6 +90,7 @@ class SimConfig:
     def __post_init__(self):
         check_open("p", self.p)
         check_at_least("n_max", self.n_max, 1)
+        check_at_most("n_max", self.n_max, 2**63 - 1)  # a sample size is an int64
         check_at_least("replications", self.replications, 1)
         check_seed("master_seed", self.master_seed)
         if self.record_stride is None:
@@ -97,6 +98,7 @@ class SimConfig:
             object.__setattr__(self, "record_stride", stride)
         else:
             check_at_least("record_stride", self.record_stride, 1)
+            check_at_most("record_stride", self.record_stride, 2**63 - 1)
 
 
 class Trajectory:
@@ -148,8 +150,8 @@ class BlockSchedule:
 
 def _workspace() -> np.ndarray:
     # the buffers of one running draw: three int64 rows of _CHUNK, for the
-    # words (then their levels, then segment ids), the mixing scratch and
-    # the atom indices
+    # words (then their levels, then segment ids), the mixing scratch (then
+    # record offsets) and the atom indices (then their count columns)
     return np.empty((3, _CHUNK), dtype=np.int64)
 
 
@@ -204,24 +206,30 @@ def _chunks(atoms: int, rec_ns: np.ndarray):
         lo, r0 = hi, r1
 
 
-def _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb, ws) -> np.ndarray:
-    # segment-by-atom counts of draws lo .. hi-1, made in the workspace ws:
+def _segment_counts(cols, ids, rec_ns, lo, r0, rb, ws) -> np.ndarray:
+    # column-by-segment counts of the chunk of draws lo .. lo + len(ids) - 1,
+    # whose column ids (each below cols) are ids, made in the workspace ws:
     # draw k (0-based) first counts at the first record n >= k + 1, so its
     # segment is the number of record points in (lo, k], a running sum of
-    # boundary marks at offsets n - lo.  A chunk with no record point
-    # inside is one segment.
-    atoms = len(d)
-    idx = _draw_indices(d, seed, hi - lo, lo, ws)
-    if rb == r0:
-        return np.bincount(idx, minlength=atoms).reshape(1, atoms)
-    seg = ws[0, : hi - lo]  # the levels are spent, and so is the scratch
+    # boundary marks at offsets n - lo.  A chunk with no record point inside
+    # is one segment.  ids may be overwritten; the segment ids go in ws[0]
+    # and the marks' offsets in ws[1], so ids must not be those rows.
+    segs = rb - r0 + 1
+    if segs == 1:
+        return np.bincount(ids, minlength=cols).reshape(cols, 1)
+    seg = ws[0, : len(ids)]
     seg.fill(0)
     seg[np.subtract(rec_ns[r0:rb], lo, out=ws[1, : rb - r0])] = 1
     np.cumsum(seg, out=seg)
-    seg *= atoms
-    seg += idx
-    counts = np.bincount(seg, minlength=(rb - r0 + 1) * atoms)
-    return counts.reshape(rb - r0 + 1, atoms)
+    ids *= segs
+    seg += ids
+    return np.bincount(seg, minlength=cols * segs).reshape(cols, segs)
+
+
+def _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb, ws) -> np.ndarray:
+    # atom-by-segment counts of draws lo .. hi-1, made in the workspace ws
+    idx = _draw_indices(d, seed, hi - lo, lo, ws)
+    return _segment_counts(len(d), idx, rec_ns, lo, r0, rb, ws)
 
 
 def _in_order(fn, jobs, workers: int):
@@ -259,11 +267,11 @@ def _cumulative_counts(
     atom j among the first ``rec_ns[r]`` draws; the ranges are consecutive
     and cover every record.  Drawing stops at ``rec_ns[-1]``.
 
-    Draws are binned by record segment (the draws after one record point up
-    to and including the next) and atom, so the counts at every record point
+    Draws are binned by atom and record segment (the draws after one record
+    point up to and including the next), so the counts at every record point
     come from one cumulative sum over segments: total work is
     O(rec_ns[-1] + records * atoms).  Each chunk holds at most ``_CHUNK``
-    draws and ``_CELLS`` segment-by-atom counts (a single segment when the
+    draws and ``_CELLS`` atom-by-segment counts (a single segment when the
     support alone is larger), however the records are spaced.  A chunk's
     counts are a pure function of its bounds, so up to ``workers`` threads
     make them, at most ``workers + 1`` chunks ahead; the carry of counts
@@ -274,10 +282,11 @@ def _cumulative_counts(
     words (768 KiB), held in a queue: a running chunk takes one and puts it
     back when done, and at most ``workers`` chunks run at once, so no two
     share one.  Words, levels, atom indices and segment ids are all made in
-    it.  Besides the workspaces, a chunk allocates only its count matrix,
-    which both cumulative sums overwrite in place and which is yielded as
-    ``C``: the working set is ``workers`` workspaces plus the count
-    matrices of at most ``workers + 2`` chunks, whatever ``rec_ns[-1]`` is.
+    it.  Besides the workspaces, a chunk allocates only its atom-by-segment
+    count matrix, which both cumulative sums overwrite in place and whose
+    transpose is yielded as ``C``: the working set is ``workers``
+    workspaces plus the count matrices of at most ``workers + 2`` chunks,
+    whatever ``rec_ns[-1]`` is.
     """
     atoms = len(d)
     spare = queue.SimpleQueue()
@@ -293,33 +302,86 @@ def _cumulative_counts(
 
     carry = np.zeros(atoms, dtype=np.int64)  # per-atom counts of draws before lo
     for (_, _, r0, _, r1), counts in _in_order(job, _chunks(atoms, rec_ns), workers):
-        counts[0] += carry
-        counts.cumsum(axis=0, out=counts)
-        carry = counts[-1].copy()
+        counts[:, 0] += carry
+        counts.cumsum(axis=1, out=counts)
+        carry = counts[:, -1].copy()
         # records complete within this chunk: C[r, j] = #draws <= atom j
         if r1 > r0:
-            done = counts[: r1 - r0]
-            yield r0, r1, done.cumsum(axis=1, out=done)
+            done = counts[:, : r1 - r0]
+            yield r0, r1, done.cumsum(axis=0, out=done).T
 
 
 def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
     """Stream cfg.n_max draws and record both sample quantiles along the way.
 
-    Records are taken every ``record_stride`` draws and at n_max, from the
-    per-atom cumulative counts of ``_cumulative_counts``: total work is
-    O(n_max + records * atoms) and the working set is bounded by the chunk
-    size, whatever the stride.  It all runs on the calling thread:
+    Records are taken every ``record_stride`` draws and at n_max.  At a
+    record n the left quantile is the order statistic of rank
+    ``L = ceil(n*p)`` and the right one that of rank ``R = floor(n*p) + 1``,
+    exactly for the double p (``empirical.quantile_ranks``); the order
+    statistic of rank r is the first atom whose cumulative count reaches r.
+
+    Draws are made and counted a chunk at a time (``_chunks``), and the
+    ranks are computed for the records the chunk completes only.  Only a
+    window of atoms can hold those records' quantiles: an atom whose
+    cumulative count at the chunk's end is still below the first L lies
+    below all of them, and one whose count at the chunk's start already
+    reaches the last R lies at or above all of them.  So the chunk's draws
+    are binned by record segment into the window's atoms only (those below
+    it counted with its first atom, those above it in one spare column), and
+    a quantile's index is the window's first atom plus the number of window
+    atoms whose cumulative count is below its rank.  Total work is
+    O(n_max + records * window), plus O(atoms) per chunk to place the
+    window, and the working set is one workspace and one chunk's counts and
+    ranks, whatever the stride.  It all runs on the calling thread:
     ``run_replicated`` spreads the replications over the worker threads.
     """
+    d = cfg.distribution
     seed = derive_seed(cfg.master_seed, rep_index)
     rec_ns = _record_points(cfg.n_max, cfg.record_stride)
-    values = cfg.distribution.values_array
+    values = d.values_array
     lq_out = np.empty(len(rec_ns), dtype=np.float64)
     rq_out = np.empty(len(rec_ns), dtype=np.float64)
-    for r0, r1, cum in _cumulative_counts(cfg.distribution, seed, rec_ns):
-        left, right = quantile_indices(cum, rec_ns[r0:r1], cfg.p)
-        lq_out[r0:r1] = values[left]
-        rq_out[r0:r1] = values[right]
+    ws = _workspace()
+    atoms = len(d)
+    below = np.zeros(atoms, dtype=np.int64)  # draws before lo at or below each atom
+    for lo, hi, r0, rb, r1 in _chunks(atoms, rec_ns):
+        idx = _draw_indices(d, seed, hi - lo, lo, ws)
+        end = np.cumsum(np.bincount(idx, minlength=atoms))
+        end += below  # draws before hi at or below each atom
+        if r1 > r0:
+            left_rank, right_rank = quantile_ranks(rec_ns[r0:r1], cfg.p)
+            # the window: atoms a .. b-1
+            a = int(np.searchsorted(end, left_rank[0]))
+            b = int(np.searchsorted(below, right_rank[-1]))
+            if a == b:
+                lq_out[r0:r1] = rq_out[r0:r1] = values[a]
+            else:
+                # column j holds atom a + j, column 0 the draws below atom
+                # a too, and column b - a the draws above the window
+                idx -= a
+                np.maximum(idx, 0, out=idx)
+                np.minimum(idx, b - a, out=idx)
+                counts = _segment_counts(b - a + 1, idx, rec_ns, lo, r0, rb, ws)
+                cum = counts[: b - a]
+                # down the atoms, in whichever makes fewer, longer inner
+                # loops: one add per row, or numpy's one pass per column
+                if len(cum) <= cum.shape[1]:
+                    for j in range(1, len(cum)):
+                        cum[j] += cum[j - 1]
+                else:
+                    cum.cumsum(axis=0, out=cum)
+                cum[:, 0] += below[a:b]
+                cum.cumsum(axis=1, out=cum)  # along the segments
+                left, right = quantile_indices(cum[:, : r1 - r0], left_rank, right_rank)
+                left += a
+                right += a
+                values.take(left, out=lq_out[r0:r1], mode="wrap")
+                values.take(right, out=rq_out[r0:r1], mode="wrap")
+                # freed here, not when the next block rebinds the names, so
+                # no two blocks' arrays are ever held at once
+                del counts, cum, left, right
+            del left_rank, right_rank
+        below = end
     return Trajectory(ns=rec_ns, lq=lq_out, rq=rq_out, seed=seed)
 
 

@@ -7,6 +7,7 @@ so closed-form results are checked against the raw definitions.
 
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,18 +117,32 @@ def bf_solution_interval(d: DiscreteDistribution, p: float):
     return min(sols), max(sols)
 
 
+def exact_ecdf(sample, x: float) -> Fraction:
+    """F_n(x) as the exact fraction (#observations <= x) / n."""
+    return Fraction(sum(int(c) for v, c in zip(sample.values, sample.counts) if v <= x), sample.n)
+
+
 def bf_sample_left_quantile(sample, p: float) -> float:
+    """inf{x : F_n(x) >= p}, scanning the grid with exact fractions: the
+    double p against the count ratio, neither rounded."""
     for x in candidate_grid(sample.values):
-        if sample.ecdf(x) >= p:
+        if exact_ecdf(sample, x) >= Fraction(p):
             return x
     return POS_INF
 
 
 def bf_sample_right_quantile(sample, p: float) -> float:
+    """inf{x : F_n(x) > p}, with exact fractions as above."""
     for x in candidate_grid(sample.values):
-        if sample.ecdf(x) > p:
+        if exact_ecdf(sample, x) > Fraction(p):
             return x
     return POS_INF
+
+
+def exact_ranks(n: int, p: float) -> tuple[int, int]:
+    """(ceil(n*p), floor(n*p) + 1) for the double p, in exact fractions."""
+    x = n * Fraction(p)
+    return math.ceil(x), math.floor(x) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -502,6 +502,10 @@ BAD_FLAGS = [
     (SIM + ("--master-seed", "-1"), "--master-seed"),
     (SIM + ("--master-seed", SEED_2_64), "--master-seed"),
     (SIM + ("--record-stride", "0"), "--record-stride"),
+    # sample sizes are int64: past 2**63 - 1 they are refused, not overflowed
+    (("simulate", "--family", "coin", "--p", "0.5", "--n-max", str(2**63),
+      "--record-stride", str(2**62)), "--n-max"),
+    (SIM + ("--record-stride", str(2**63)), "--record-stride"),
     (SIM + ("--burn-in", "-1"), "--burn-in"),
     (SIM + ("--min-switches", "-1"), "--min-switches"),
     (SIM + ("--analysis", "sandwich_check"), "--epsilon"),

@@ -1,3 +1,6 @@
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +9,18 @@ from hypothesis import strategies as st
 from conftest import (
     bf_sample_left_quantile,
     bf_sample_right_quantile,
+    dist_and_level_st,
     distributions_st,
+    exact_ranks,
     random_distribution,
 )
-from quantile_limits.distributions import fair_coin, gapped_example, point_mass
-from quantile_limits.empirical import EmpiricalSample, gc_distance
+from quantile_limits.distributions import fair_coin, gapped_example, make_discrete, point_mass
+from quantile_limits.empirical import (
+    EmpiricalSample,
+    gc_distance,
+    quantile_indices,
+    quantile_ranks,
+)
 from quantile_limits.errors import (
     EmptySample,
     ProbabilityOutOfRange,
@@ -27,8 +37,6 @@ def sample_of(d, observations):
 
 
 def four_atom():
-    from quantile_limits.distributions import make_discrete
-
     return make_discrete([(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)])
 
 
@@ -144,14 +152,15 @@ class TestSampleQuantiles:
         assert lq == bf_sample_left_quantile(s, p)
         assert rq == bf_sample_right_quantile(s, p)
         assert lq <= rq
-        # order statistics x_(ceil(np)) and x_(floor(np)+1), ranks resolved
-        # with the same count/n semantics the ecdf uses
+        # order statistics x_(ceil(np)) and x_(floor(np)+1): the first ranks
+        # r with r/n >= p and r/n > p, compared as exact fractions
         xs = np.sort(draws)
-        r = min(r for r in range(1, n + 1) if r / n >= p)
+        r = min(r for r in range(1, n + 1) if Fraction(r, n) >= Fraction(p))
         assert lq == xs[r - 1]
-        t = min(r for r in range(1, n + 1) if r / n > p)
+        t = min(r for r in range(1, n + 1) if Fraction(r, n) > Fraction(p))
         assert rq == xs[t - 1]
-        if (n * p) != int(n * p):
+        assert (r, t) == exact_ranks(n, p)
+        if (n * Fraction(p)).denominator != 1:
             assert lq == rq
 
     @given(
@@ -162,11 +171,93 @@ class TestSampleQuantiles:
     )
     @settings(max_examples=100, deadline=None)
     def test_consistent_with_distribution_quantiles(self, d, n, seed, p):
+        # the quantiles of the empirical distribution, found as
+        # DiscreteDistribution finds them (bisect on its CDF at the atoms),
+        # with that CDF the exact fractions count/n rather than float sums
         s = EmpiricalSample.from_distribution(d)
         s.extend(sample_stream(d, seed, n))
-        emp = s.to_distribution()
-        assert s.left_quantile(p) == emp.left_quantile(p)
-        assert s.right_quantile(p) == emp.right_quantile(p)
+        cdf = [Fraction(int(c), n) for c in np.cumsum(s.counts)]
+        assert s.left_quantile(p) == s.values[bisect_left(cdf, Fraction(p))]
+        assert s.right_quantile(p) == s.values[bisect_right(cdf, Fraction(p))]
+
+
+# levels with long binary expansions (the double 1/3 has 53 significant
+# bits), where a rounded n*p or count/n can land on the wrong side of a rank
+LEVELS = [0.1, 0.3, 0.37, 0.8, 1 / 3]
+
+
+class TestExactRanks:
+    @given(
+        st.integers(min_value=1, max_value=2**63 - 1),
+        st.sampled_from(LEVELS + [0.5, 0.25, 1e-4, 2.0**-70, 3 * 2.0**-60, 1 - 2.0**-53]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_ranks_are_exact(self, n, p):
+        left, right = quantile_ranks(np.array([n]), p)
+        assert (int(left[0]), int(right[0])) == exact_ranks(n, p)
+
+    @pytest.mark.parametrize("p", LEVELS + [1e-4])
+    def test_every_path_over_arrays(self, p):
+        # products that fit in an int64; float products corrected by their
+        # residual, among them every n whose n*p lies next to an integer
+        # (1e-4 is num / 2**66, so k * 2**s wraps to 0); and Python
+        # integers from 2**53 on
+        num = p.as_integer_ratio()[0]
+        fits = (2**63 - 1) // num
+        rng = np.random.default_rng(7)
+        near = np.unique(np.rint(np.arange(1, 3000) / p).astype(np.int64))
+        for ns in (
+            np.arange(1, fits + 1),
+            np.concatenate([np.arange(fits - 100, fits + 100), near]),
+            rng.integers(1, 2**53, size=2000),
+            rng.integers(2**53, 2**63 - 1, size=300, endpoint=True),
+        ):
+            left, right = quantile_ranks(ns, p)
+            want = [exact_ranks(n, p) for n in ns.tolist()]
+            assert list(zip(left.tolist(), right.tolist())) == want
+
+    @pytest.mark.parametrize("p", LEVELS)
+    def test_sample_quantiles_at_the_largest_size(self, p):
+        # n = 2**63 - 1, and the first atom's count one below, at and one
+        # above each rank: no float ratio count/n can tell these apart
+        n = 2**63 - 1
+        ranks = exact_ranks(n, p)
+        s = EmpiricalSample((0.0, 1.0, 2.0))
+        for rank in ranks:
+            for c0 in (rank - 1, rank, rank + 1):
+                s.counts[:] = [c0, 1, n - c0 - 1]
+                s.n = n
+                cum = np.cumsum(s.counts).tolist()
+                want = [s.values[min(j for j in range(3) if cum[j] >= r)] for r in ranks]
+                assert [s.left_quantile(p), s.right_quantile(p)] == want
+
+    @given(
+        dist_and_level_st(max_atoms=8),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_order_statistics_at_and_next_to_cdf_levels(self, dp, n, seed):
+        # p is uniform, a CDF value cum[j], or math.nextafter of one
+        d, p = dp
+        draws = sample_stream(d, seed, n)
+        s = EmpiricalSample.from_distribution(d)
+        s.extend(draws)
+        xs = np.sort(draws)
+        left, right = exact_ranks(n, p)
+        assert s.left_quantile(p) == xs[left - 1]
+        assert s.right_quantile(p) == xs[right - 1]
+
+    def test_indices_count_atoms_below_the_rank(self):
+        # atoms on the first axis, one rank per record on the rest; a window
+        # of atoms a .. b-1 plus a gives the same index when the atoms below
+        # a are below every rank and those from b on reach every rank
+        cum = np.array([[1, 2, 5], [3, 4, 6], [3, 7, 9], [9, 9, 9]])
+        left, right = quantile_indices(cum, np.array([1, 4, 6]), np.array([2, 5, 7]))
+        assert left.tolist() == [0, 1, 1] and right.tolist() == [1, 2, 2]
+        # records 1 and 2 on the window of atoms 1 and 2
+        part = quantile_indices(cum[1:3, 1:], np.array([4, 6]), np.array([5, 7]))
+        assert [(1 + i).tolist() for i in part] == [[1, 1], [2, 2]]
 
 
 class TestGCDistance:

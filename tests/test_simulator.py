@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_same_records,
     distributions_st,
+    exact_ranks,
     random_distribution,
     run_trajectory_streaming,
     seed_for_word,
@@ -471,6 +472,16 @@ class TestSimConfig:
         with pytest.raises(ParameterOutOfRange):
             SimConfig(fair_coin(), 0.5, 10, 0, replications=0)
 
+    @pytest.mark.parametrize("field", ["n_max", "record_stride"])
+    def test_sizes_are_int64(self, field):
+        # 2**63 - 1 is accepted as a value; 2**63 is refused by name
+        sizes = {"n_max": 2**63 - 1, "record_stride": 2**62}
+        cfg = SimConfig(fair_coin(), 0.5, master_seed=0, **sizes)
+        assert (cfg.n_max, cfg.record_stride) == (2**63 - 1, 2**62)
+        with pytest.raises(ParameterOutOfRange) as info:
+            SimConfig(fair_coin(), 0.5, master_seed=0, **{**sizes, field: 2**63})
+        assert info.value.param == field
+
 
 class TestRunTrajectory:
     def test_point_mass_constant(self):
@@ -601,6 +612,89 @@ class TestRunTrajectory:
         assert set(traj.rq.tolist()) <= atoms
         assert np.all(traj.lq <= traj.rq)
         assert gap_interior_hits(traj, d, 0.5) == 0
+
+
+def _uniform(atoms: int):
+    return make_discrete([(float(j), 1.0 / atoms) for j in range(atoms)])
+
+
+def _window_case(name: str):
+    # (distribution, p, n_max, stride, _CHUNK): each stresses one edge of
+    # the per-chunk window of atoms
+    if name == "4096-atoms":  # 64 records a chunk, 47 chunks, wide windows early
+        return _uniform(4096), 0.3, 3000, 1, simulate._CHUNK
+    if name == "flat-level":  # p = F(0.0), not dyadic: lq and rq split at the gap
+        d = make_discrete([(0.0, 0.3), (2.0, 0.2), (7.0, 0.5)])
+        return d, d.cum[0], 40_000, 7, simulate._CHUNK
+    if name == "chunk-ends":  # 1000-draw chunks, a record at every chunk end
+        return gapped_example(), 0.8, 10_000, 250, 1000
+    # "integral": every n is a multiple of 8, so n*p is an integer and
+    # R = L + 1 at every record
+    return random_distribution(np.random.default_rng(13), max_atoms=13), 0.375, 40_000, 8, simulate._CHUNK
+
+
+class TestQuantileWindow:
+    """run_trajectory evaluates the rank rule only on a window of atoms per
+    chunk; every record equals the streaming oracle's and the order
+    statistics of the exact ranks."""
+
+    @pytest.mark.parametrize("case", ["4096-atoms", "flat-level", "chunk-ends", "integral"])
+    def test_matches_oracles(self, monkeypatch, case):
+        d, p, n_max, stride, chunk = _window_case(case)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        cfg = SimConfig(d, p, n_max, 21, record_stride=stride)
+        traj = run_trajectory(cfg, 1)
+        assert_same_records(traj, run_trajectory_streaming(cfg, 1))
+        ranks = [exact_ranks(int(n), p) for n in traj.ns]
+        if case == "integral":
+            assert all(right == left + 1 for left, right in ranks)
+        if case == "chunk-ends":
+            assert set(range(chunk, n_max + 1, chunk)) <= set(traj.ns.tolist())
+        draws = sample_stream(d, traj.seed, n_max)
+        for i in np.unique(np.linspace(0, len(traj) - 1, 16).astype(int)):
+            xs = np.sort(draws[: traj.ns[i]])
+            left, right = ranks[i]
+            assert (traj.lq[i], traj.rq[i]) == (xs[left - 1], xs[right - 1])
+
+    @pytest.mark.parametrize("n_max", [10**5, 10**6])
+    def test_extraction_memory_is_one_chunk(self, n_max):
+        # the coin at stride 1, p = 0.3: a record per draw, and ranks on the
+        # float-product path.  Past the trajectory's own arrays, the peak is
+        # the same few chunk-sized buffers at both lengths.
+        cfg = SimConfig(fair_coin(), 0.3, n_max, 4, record_stride=1)
+        tracemalloc.start()
+        try:
+            traj = run_trajectory(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == n_max
+        # twenty chunk-length int64 rows: 5 MiB, where one more record-length
+        # array would take 7.6 MiB at 10**6
+        assert peak - (traj.ns.nbytes + traj.lq.nbytes + traj.rq.nbytes) < 20 * simulate._CHUNK * 8
+
+
+class TestExactLaw:
+    def test_left_quantile_law_at_one_tenth(self):
+        # P(lq_n <= x_j) = P(Bin(n, F(x_j)) >= L) with L = ceil(n*p) for the
+        # double p (David & Nagaraja, Order Statistics, 2003, section 2.1).
+        # The double 0.1 is a little above 1/10, so L = 2 at n = 10 and 11
+        # at n = 100; comparing the rounded ratio count/n with p takes 1 and 10,
+        # which puts P(lq_10 <= x_0) at 0.65 against 0.26.
+        d, p, reps = _uniform(10), 0.1, 3000
+        cfg = SimConfig(d, p, 100, 2024, record_stride=10)
+        lq = np.array([run_trajectory(cfg, rep).lq for rep in range(reps)])
+        zs = []
+        for n in (10, 100):
+            left = exact_ranks(n, p)[0]
+            for j in range(len(d) - 1):
+                prob = 1.0 - simulate._binomial_cdf(left - 1, n, d.cum[j])
+                if min(prob, 1.0 - prob) * reps < 5:  # no normal approximation
+                    continue
+                freq = np.count_nonzero(lq[:, n // 10 - 1] <= d.values[j]) / reps
+                zs.append((freq - prob) / math.sqrt(prob * (1.0 - prob) / reps))
+        assert len(zs) >= 8
+        assert max(map(abs, zs)) < 4.0, zs
 
 
 def _use_cpus(monkeypatch, cpus: int) -> None:
