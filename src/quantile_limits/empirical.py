@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, make_discrete
-from .errors import EmptySample, ValueOutsideSupport, check_open
+from .distributions import DiscreteDistribution
+from .errors import EmptySample, ParameterOutOfRange, ValueOutsideSupport, check_open
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,8 @@ class GCDistance:
 
 
 class EmpiricalSample:
-    """Streaming multiset of observations bound to a fixed finite support.
+    """Streaming multiset of observations bound to a fixed finite support,
+    a nonempty, strictly increasing sequence of finite values.
 
     Counts only ever grow; call :meth:`reset` to start over.  A sample is a
     single-owner accumulator: mutate it from one thread at a time (read-only
@@ -38,6 +39,14 @@ class EmpiricalSample:
 
     def __init__(self, support: tuple[float, ...]):
         self.values = tuple(float(v) for v in support)
+        # the quantile scan and extend's binary search need the atoms in
+        # order, and insert's lookup needs them distinct
+        values = np.asarray(self.values, dtype=np.float64)
+        if not (len(values) and np.all(np.isfinite(values)) and np.all(values[1:] > values[:-1])):
+            raise ParameterOutOfRange(
+                f"support must be nonempty, finite and strictly increasing, got {support!r}",
+                param="support",
+            )
         self._index = {v: i for i, v in enumerate(self.values)}
         self.counts = np.zeros(len(self.values), dtype=np.int64)
         self.n = 0
@@ -97,14 +106,6 @@ class EmpiricalSample:
         (left_rank,), (right_rank,) = quantile_ranks([self.n], p)
         left, right = quantile_indices(np.cumsum(self.counts), left_rank, right_rank)
         return int(left), int(right)
-
-    def to_distribution(self) -> DiscreteDistribution:
-        """The empirical distribution: observed atoms weighted counts/n."""
-        self._require_data()
-        pairs = [
-            (v, int(c) / self.n) for v, c in zip(self.values, self.counts) if c > 0
-        ]
-        return make_discrete(pairs)
 
     def _require_data(self) -> None:
         if self.n == 0:

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -211,12 +210,11 @@ def _segment_counts(cols, ids, rec_ns, lo, r0, rb, ws) -> np.ndarray:
     # whose column ids (each below cols) are ids, made in the workspace ws:
     # draw k (0-based) first counts at the first record n >= k + 1, so its
     # segment is the number of record points in (lo, k], a running sum of
-    # boundary marks at offsets n - lo.  A chunk with no record point inside
-    # is one segment.  ids may be overwritten; the segment ids go in ws[0]
-    # and the marks' offsets in ws[1], so ids must not be those rows.
+    # boundary marks at offsets n - lo.  Records r0 .. rb-1 fall strictly
+    # inside the chunk, and rb > r0.  ids may be overwritten; the segment ids
+    # go in ws[0] and the marks' offsets in ws[1], so ids must not be those
+    # rows.
     segs = rb - r0 + 1
-    if segs == 1:
-        return np.bincount(ids, minlength=cols).reshape(cols, 1)
     seg = ws[0, : len(ids)]
     seg.fill(0)
     seg[np.subtract(rec_ns[r0:rb], lo, out=ws[1, : rb - r0])] = 1
@@ -224,12 +222,6 @@ def _segment_counts(cols, ids, rec_ns, lo, r0, rb, ws) -> np.ndarray:
     ids *= segs
     seg += ids
     return np.bincount(seg, minlength=cols * segs).reshape(cols, segs)
-
-
-def _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb, ws) -> np.ndarray:
-    # atom-by-segment counts of draws lo .. hi-1, made in the workspace ws
-    idx = _draw_indices(d, seed, hi - lo, lo, ws)
-    return _segment_counts(len(d), idx, rec_ns, lo, r0, rb, ws)
 
 
 def _in_order(fn, jobs, workers: int):
@@ -256,105 +248,43 @@ def _in_order(fn, jobs, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _cumulative_counts(
-    d: DiscreteDistribution, seed: int, rec_ns: np.ndarray, workers: int = 1
-):
-    """Per-atom cumulative counts of one sample path at each record point.
+def _record_counts(d: DiscreteDistribution, seed: int, rec_ns: np.ndarray, window):
+    """Per-atom cumulative counts of one sample path at each record point,
+    on a window of atoms per chunk.
 
     ``rec_ns`` is a strictly increasing int64 array of positive sample
-    sizes.  For the records each chunk of draws completes, yields
-    ``(r0, r1, C)`` where ``C[r - r0, j]`` is the number of draws at or below
-    atom j among the first ``rec_ns[r]`` draws; the ranges are consecutive
-    and cover every record.  Drawing stops at ``rec_ns[-1]``.
+    sizes.  Draws are made and counted a chunk at a time (``_chunks``).
+    For a chunk that completes records ``r0 .. r1-1``, ``window(r0, r1,
+    below, end)`` is asked for the atoms to count, ``(a, b)``, where
+    ``below[j]`` and ``end[j]`` are the numbers of draws at or below atom j
+    before and at the chunk's end; then ``(r0, r1, a, C)`` is yielded, where
+    ``C[j, r - r0]`` is the number of draws at or below atom ``a + j`` among
+    the first ``rec_ns[r]``.  C has ``b - a`` rows.  The ranges are
+    consecutive and cover every record, and drawing stops at ``rec_ns[-1]``.
 
     Draws are binned by atom and record segment (the draws after one record
-    point up to and including the next), so the counts at every record point
-    come from one cumulative sum over segments: total work is
-    O(rec_ns[-1] + records * atoms).  Each chunk holds at most ``_CHUNK``
-    draws and ``_CELLS`` atom-by-segment counts (a single segment when the
-    support alone is larger), however the records are spaced.  A chunk's
-    counts are a pure function of its bounds, so up to ``workers`` threads
-    make them, at most ``workers + 1`` chunks ahead; the carry of counts
-    from chunk to chunk is added in order, so the result does not depend on
-    ``workers``.
-
-    The call allocates one workspace per worker, ``3 * _CHUNK`` int64
-    words (768 KiB), held in a queue: a running chunk takes one and puts it
-    back when done, and at most ``workers`` chunks run at once, so no two
-    share one.  Words, levels, atom indices and segment ids are all made in
-    it.  Besides the workspaces, a chunk allocates only its atom-by-segment
-    count matrix, which both cumulative sums overwrite in place and whose
-    transpose is yielded as ``C``: the working set is ``workers``
-    workspaces plus the count matrices of at most ``workers + 2`` chunks,
-    whatever ``rec_ns[-1]`` is.
+    point up to and including the next), atoms below the window counted
+    with its first atom and those above it in one spare column, so the
+    counts at every record come from one cumulative sum over segments.  A
+    chunk whose only record is its last draw needs no binning: C is
+    ``end[a:b]``.  Total work is O(rec_ns[-1] + records * window), plus
+    O(atoms) per chunk.  The working set is one workspace, ``3 * _CHUNK``
+    int64 words (768 KiB) in which words, levels, atom indices and segment
+    ids are all made, and one chunk's counts, at most ``_CELLS`` of them,
+    whatever ``rec_ns[-1]`` is, so long as the consumer drops C before it
+    asks for the next chunk.
     """
     atoms = len(d)
-    spare = queue.SimpleQueue()
-    for _ in range(max(1, workers)):
-        spare.put(_workspace())
-
-    def job(lo, hi, r0, rb, r1):
-        ws = spare.get()
-        try:
-            return _chunk_counts(d, seed, rec_ns, lo, hi, r0, rb, ws)
-        finally:
-            spare.put(ws)
-
-    carry = np.zeros(atoms, dtype=np.int64)  # per-atom counts of draws before lo
-    for (_, _, r0, _, r1), counts in _in_order(job, _chunks(atoms, rec_ns), workers):
-        counts[:, 0] += carry
-        counts.cumsum(axis=1, out=counts)
-        carry = counts[:, -1].copy()
-        # records complete within this chunk: C[r, j] = #draws <= atom j
-        if r1 > r0:
-            done = counts[:, : r1 - r0]
-            yield r0, r1, done.cumsum(axis=0, out=done).T
-
-
-def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
-    """Stream cfg.n_max draws and record both sample quantiles along the way.
-
-    Records are taken every ``record_stride`` draws and at n_max.  At a
-    record n the left quantile is the order statistic of rank
-    ``L = ceil(n*p)`` and the right one that of rank ``R = floor(n*p) + 1``,
-    exactly for the double p (``empirical.quantile_ranks``); the order
-    statistic of rank r is the first atom whose cumulative count reaches r.
-
-    Draws are made and counted a chunk at a time (``_chunks``), and the
-    ranks are computed for the records the chunk completes only.  Only a
-    window of atoms can hold those records' quantiles: an atom whose
-    cumulative count at the chunk's end is still below the first L lies
-    below all of them, and one whose count at the chunk's start already
-    reaches the last R lies at or above all of them.  So the chunk's draws
-    are binned by record segment into the window's atoms only (those below
-    it counted with its first atom, those above it in one spare column), and
-    a quantile's index is the window's first atom plus the number of window
-    atoms whose cumulative count is below its rank.  Total work is
-    O(n_max + records * window), plus O(atoms) per chunk to place the
-    window, and the working set is one workspace and one chunk's counts and
-    ranks, whatever the stride.  It all runs on the calling thread:
-    ``run_replicated`` spreads the replications over the worker threads.
-    """
-    d = cfg.distribution
-    seed = derive_seed(cfg.master_seed, rep_index)
-    rec_ns = _record_points(cfg.n_max, cfg.record_stride)
-    values = d.values_array
-    lq_out = np.empty(len(rec_ns), dtype=np.float64)
-    rq_out = np.empty(len(rec_ns), dtype=np.float64)
     ws = _workspace()
-    atoms = len(d)
     below = np.zeros(atoms, dtype=np.int64)  # draws before lo at or below each atom
     for lo, hi, r0, rb, r1 in _chunks(atoms, rec_ns):
         idx = _draw_indices(d, seed, hi - lo, lo, ws)
         end = np.cumsum(np.bincount(idx, minlength=atoms))
         end += below  # draws before hi at or below each atom
         if r1 > r0:
-            left_rank, right_rank = quantile_ranks(rec_ns[r0:r1], cfg.p)
-            # the window: atoms a .. b-1
-            a = int(np.searchsorted(end, left_rank[0]))
-            b = int(np.searchsorted(below, right_rank[-1]))
-            if a == b:
-                lq_out[r0:r1] = rq_out[r0:r1] = values[a]
+            a, b = window(r0, r1, below, end)
+            if rb == r0 or a == b:
+                yield r0, r1, a, end[a:b, None]
             else:
                 # column j holds atom a + j, column 0 the draws below atom
                 # a too, and column b - a the draws above the window
@@ -372,16 +302,60 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
                     cum.cumsum(axis=0, out=cum)
                 cum[:, 0] += below[a:b]
                 cum.cumsum(axis=1, out=cum)  # along the segments
-                left, right = quantile_indices(cum[:, : r1 - r0], left_rank, right_rank)
-                left += a
-                right += a
-                values.take(left, out=lq_out[r0:r1], mode="wrap")
-                values.take(right, out=rq_out[r0:r1], mode="wrap")
-                # freed here, not when the next block rebinds the names, so
-                # no two blocks' arrays are ever held at once
-                del counts, cum, left, right
-            del left_rank, right_rank
+                yield r0, r1, a, cum[:, : r1 - r0]
+                # freed here, not when the next chunk rebinds the names, so
+                # no two chunks' counts are ever held at once
+                del counts, cum
         below = end
+
+
+def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
+    """Stream cfg.n_max draws and record both sample quantiles along the way.
+
+    Records are taken every ``record_stride`` draws and at n_max.  At a
+    record n the left quantile is the order statistic of rank
+    ``L = ceil(n*p)`` and the right one that of rank ``R = floor(n*p) + 1``,
+    exactly for the double p (``empirical.quantile_ranks``); the order
+    statistic of rank r is the first atom whose cumulative count reaches r.
+
+    The counts come from ``_record_counts``, and the ranks are computed for
+    the records each chunk completes only.  Only a window of atoms can hold
+    those records' quantiles: an atom whose cumulative count at the chunk's
+    end is still below the first L lies below all of them, and one whose
+    count at the chunk's start already reaches the last R lies at or above
+    all of them.  So only the window's atoms are counted, and a quantile's
+    index is the window's first atom plus the number of window atoms whose
+    cumulative count is below its rank.  Total work is
+    O(n_max + records * window), plus O(atoms) per chunk to place the
+    window, and the working set is one workspace and one chunk's counts and
+    ranks, whatever the stride.  It all runs on the calling thread:
+    ``run_replicated`` spreads the replications over the worker threads.
+    """
+    d = cfg.distribution
+    seed = derive_seed(cfg.master_seed, rep_index)
+    rec_ns = _record_points(cfg.n_max, cfg.record_stride)
+    values = d.values_array
+    lq_out = np.empty(len(rec_ns), dtype=np.float64)
+    rq_out = np.empty(len(rec_ns), dtype=np.float64)
+    left_rank = right_rank = None
+
+    def window(r0, r1, below, end):
+        nonlocal left_rank, right_rank
+        left_rank, right_rank = quantile_ranks(rec_ns[r0:r1], cfg.p)
+        return int(np.searchsorted(end, left_rank[0])), int(np.searchsorted(below, right_rank[-1]))
+
+    for r0, r1, a, cum in _record_counts(d, seed, rec_ns, window):
+        if len(cum) == 0:
+            lq_out[r0:r1] = rq_out[r0:r1] = values[a]
+        else:
+            left, right = quantile_indices(cum, left_rank, right_rank)
+            left += a
+            right += a
+            values.take(left, out=lq_out[r0:r1], mode="wrap")
+            values.take(right, out=rq_out[r0:r1], mode="wrap")
+            del left, right
+        # let go of this chunk's counts and ranks before the next is made
+        del cum, left_rank, right_rank
     return Trajectory(ns=rec_ns, lq=lq_out, rq=rq_out, seed=seed)
 
 
@@ -393,11 +367,10 @@ def gc_path(
     The path is ``sample_stream(d, seed, n)``; ``checkpoints`` are strictly
     increasing integer sample sizes in ``[1, 2**63)`` (an array of floats is
     refused, not truncated).  Returns the distances and their leftmost
-    witness atoms, one per checkpoint.  Drawing stops at the last
-    checkpoint; past the checkpoint arrays, memory is bounded by the chunk
-    size of ``_cumulative_counts``, however large the checkpoints are.
-    Chunks are drawn and counted on QL_THREADS worker threads (see
-    ``run_replicated``); the result does not depend on their number.
+    witness atoms, one per checkpoint.  The counts over the whole support
+    come from ``_record_counts`` on the calling thread, and drawing stops
+    at the last checkpoint; past the checkpoint arrays, memory is bounded
+    by its one workspace, however large the checkpoints are.
     """
     check_seed("seed", seed)
     ns = np.asarray(checkpoints)
@@ -412,9 +385,11 @@ def gc_path(
         )
     dist = np.empty(len(ns), dtype=np.float64)
     witness = np.empty(len(ns), dtype=np.float64)
-    for r0, r1, cum in _cumulative_counts(d, seed, ns, _worker_count()):
-        dist[r0:r1], j = sup_distances(cum, ns[r0:r1], d.cum_array)
+    support = (0, len(d))
+    for r0, r1, _, cum in _record_counts(d, seed, ns, lambda *chunk: support):
+        dist[r0:r1], j = sup_distances(cum.T, ns[r0:r1], d.cum_array)
         witness[r0:r1] = d.values_array[j]
+        del cum
     return dist, witness
 
 

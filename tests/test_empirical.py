@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from quantile_limits.empirical import (
 )
 from quantile_limits.errors import (
     EmptySample,
+    ParameterOutOfRange,
     ProbabilityOutOfRange,
     ValueOutsideSupport,
 )
@@ -91,6 +93,36 @@ class TestSampleBasics:
         s = sample_of(fair_coin(), [1.0])
         s.reset()
         assert s.n == 0 and list(s.counts) == [0, 0]
+
+    @staticmethod
+    def assert_support_refused(support):
+        with pytest.raises(ParameterOutOfRange) as info:
+            EmpiricalSample(support)
+        assert info.value.param == "support"
+
+    def test_decreasing_support_refused(self):
+        # on (1.0, 0.0) the rank scan took 1.0 for the rank-10 order
+        # statistic of ten of each, and extend refused the atom 1.0
+        self.assert_support_refused((1.0, 0.0))
+        s = EmpiricalSample((0.0, 1.0))
+        s.extend(np.array([1.0]))
+        s.extend(np.array([1.0] * 9 + [0.0] * 10))
+        assert list(s.counts) == [10, 10]
+        assert (s.left_quantile(0.5), s.right_quantile(0.5)) == (0.0, 1.0)
+
+    def test_repeated_support_refused(self):
+        # on (0.0, 0.0, 1.0) insert counted 0.0 in slot 1 and extend in slot 0
+        self.assert_support_refused((0.0, 0.0, 1.0))
+        self.assert_support_refused((-0.0, 0.0))
+        a, b = EmpiricalSample((0.0, 1.0)), EmpiricalSample((0.0, 1.0))
+        a.insert(0.0)
+        b.extend(np.array([0.0]))
+        assert list(a.counts) == list(b.counts) == [1, 0]
+
+    @pytest.mark.parametrize("support", [(), (0.0, math.nan), (-math.inf, 0.0)],
+                             ids=["empty", "nan", "inf"])
+    def test_empty_or_non_finite_support_refused(self, support):
+        self.assert_support_refused(support)
 
 
 class TestEcdf:

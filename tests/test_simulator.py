@@ -552,15 +552,31 @@ class TestRunTrajectory:
             counts += np.bincount(idx[done:n], minlength=atoms)
             done = n
             want[r] = np.cumsum(counts)
-        got = np.empty_like(want)
-        covered = 0
-        for r0, r1, cum in simulate._cumulative_counts(d, seed, rec_ns):
-            assert r0 == covered < r1
-            assert (r1 - r0) * atoms <= max(simulate._CELLS, atoms)
-            got[r0:r1] = cum
-            covered = r1
-        assert covered == len(rec_ns)
-        assert np.array_equal(got, want)
+
+        def prefix(n):
+            return np.cumsum(np.bincount(idx[:n], minlength=atoms))
+
+        def full(r0, r1, below, end):
+            return 0, atoms
+
+        def narrow(r0, r1, below, end):
+            # the counts before and at the chunk's end, and a window of up
+            # to two atoms that moves from chunk to chunk
+            assert np.array_equal(below, prefix(int(below[-1])))
+            assert np.array_equal(end, prefix(int(end[-1])))
+            assert rec_ns[r1 - 1] <= end[-1] and (r1 == len(rec_ns) or end[-1] < rec_ns[r1])
+            a = 7 * r0 % atoms
+            return a, min(a + 2, atoms)
+
+        for window in (full, narrow):
+            covered = 0
+            for r0, r1, a, cum in simulate._record_counts(d, seed, rec_ns, window):
+                assert r0 == covered < r1
+                assert (r1 - r0) * atoms <= max(simulate._CELLS, atoms)
+                assert len(cum) == (atoms if window is full else min(2, atoms - a))
+                assert np.array_equal(cum.T, want[r0:r1, a : a + len(cum)])
+                covered = r1
+            assert covered == len(rec_ns)
 
     @pytest.mark.parametrize("n_max, stride", [(10**5, 1000), (3000, 1)])
     def test_working_set_is_bounded(self, n_max, stride):
@@ -675,26 +691,79 @@ class TestQuantileWindow:
 
 
 class TestExactLaw:
-    def test_left_quantile_law_at_one_tenth(self):
-        # P(lq_n <= x_j) = P(Bin(n, F(x_j)) >= L) with L = ceil(n*p) for the
-        # double p (David & Nagaraja, Order Statistics, 2003, section 2.1).
-        # The double 0.1 is a little above 1/10, so L = 2 at n = 10 and 11
-        # at n = 100; comparing the rounded ratio count/n with p takes 1 and 10,
-        # which puts P(lq_10 <= x_0) at 0.65 against 0.26.
-        d, p, reps = _uniform(10), 0.1, 3000
-        cfg = SimConfig(d, p, 100, 2024, record_stride=10)
-        lq = np.array([run_trajectory(cfg, rep).lq for rep in range(reps)])
-        zs = []
-        for n in (10, 100):
-            left = exact_ranks(n, p)[0]
+    """Across-replication frequencies of the recorded sample quantiles
+    against their exact finite-n law: q_n <= x_j iff at least rank draws of
+    n are <= x_j, so P(q_n <= x_j) = P(Bin(n, F(x_j)) >= rank), with the
+    left rank ceil(n*p) and the right one floor(n*p) + 1 for the double p
+    (David & Nagaraja, Order Statistics, 2003, section 2.1)."""
+
+    REPS = 3000
+
+    @classmethod
+    def records(cls, d, p, ns, seed):
+        # lq and rq of each replication at the record points ns, all
+        # multiples of ten
+        cfg = SimConfig(d, p, max(ns), seed, record_stride=10)
+        trajs = [run_trajectory(cfg, rep) for rep in range(cls.REPS)]
+        at = [n // 10 - 1 for n in ns]
+        return np.array([t.lq[at] for t in trajs]), np.array([t.rq[at] for t in trajs])
+
+    @staticmethod
+    def prob(n, p, side, level):
+        # P(q_n <= x) for an atom x with F(x) = level; side 0 takes the left
+        # rank, 1 the right one
+        return 1.0 - simulate._binomial_cdf(exact_ranks(n, p)[side] - 1, n, level)
+
+    @classmethod
+    def zs(cls, d, p, ns, quantiles, side):
+        # {(n, j): z} of the frequency of {q_n <= x_j}, for every atom but
+        # the last where the normal approximation holds
+        zs = {}
+        for i, n in enumerate(ns):
             for j in range(len(d) - 1):
-                prob = 1.0 - simulate._binomial_cdf(left - 1, n, d.cum[j])
-                if min(prob, 1.0 - prob) * reps < 5:  # no normal approximation
+                prob = cls.prob(n, p, side, d.cum[j])
+                if min(prob, 1.0 - prob) * cls.REPS < 5:  # no normal approximation
                     continue
-                freq = np.count_nonzero(lq[:, n // 10 - 1] <= d.values[j]) / reps
-                zs.append((freq - prob) / math.sqrt(prob * (1.0 - prob) / reps))
+                freq = np.count_nonzero(quantiles[:, i] <= d.values[j]) / cls.REPS
+                zs[n, j] = (freq - prob) / math.sqrt(prob * (1.0 - prob) / cls.REPS)
+        return zs
+
+    def test_left_quantile_law_at_one_tenth(self):
+        # The double 0.1 is a little above 1/10, so L = 2 at n = 10 and 11
+        # at n = 100; comparing the rounded ratio count/n with p takes 1 and
+        # 10, which puts P(lq_10 <= x_0) at 0.65 against 0.26.
+        d, p, ns = _uniform(10), 0.1, (10, 100)
+        lq, _ = self.records(d, p, ns, 2024)
+        zs = self.zs(d, p, ns, lq, 0)
         assert len(zs) >= 8
-        assert max(map(abs, zs)) < 4.0, zs
+        assert max(map(abs, zs.values())) < 4.0, zs
+
+    def test_both_quantiles_at_the_gap(self):
+        # gapped_example at p = 1/2: F(0) = p, so lq_n sits on the gap's
+        # left edge with probability P(Bin(n, 1/2) >= ceil(n/2)) and rq_n
+        # with P(Bin(n, 1/2) >= n/2 + 1); both tend to 1/2, and neither
+        # sample quantile converges
+        d, p, ns = gapped_example(), 0.5, (10, 100, 1000)
+        lq, rq = self.records(d, p, ns, 2025)
+        left, right = self.zs(d, p, ns, lq, 0), self.zs(d, p, ns, rq, 1)
+        assert [round(self.prob(n, p, 0, 0.5), 3) for n in ns] == [0.623, 0.540, 0.513]
+        assert [round(self.prob(n, p, 1, 0.5), 3) for n in ns] == [0.377, 0.460, 0.487]
+        assert {(n, 0) for n in ns} <= set(left) & set(right)
+        assert max(map(abs, [*left.values(), *right.values()])) < 4.0, (left, right)
+
+    def test_left_quantile_at_a_non_dyadic_flat_level(self):
+        # gapped_example at p = 0.8 = F(3): the double 0.8 is a little
+        # above 4/5, so n*p is never an integer, L = R = ceil(n*p) (9 at
+        # n = 10), and P(lq_n <= 3) = P(Bin(n, F(3)) >= L) tends to 1/2
+        d, p, ns = gapped_example(), 0.8, (10, 100, 1000)
+        assert d.cum[1] == p
+        lq, rq = self.records(d, p, ns, 2026)
+        assert np.array_equal(lq, rq)
+        zs = self.zs(d, p, ns, lq, 0)
+        assert [exact_ranks(n, p)[0] for n in ns] == [9, 81, 801]
+        assert [round(self.prob(n, p, 0, p), 3) for n in ns] == [0.376, 0.460, 0.487]
+        assert {(n, 1) for n in ns} <= set(zs)
+        assert max(map(abs, zs.values())) < 4.0, zs
 
 
 def _use_cpus(monkeypatch, cpus: int) -> None:
@@ -707,30 +776,34 @@ def _pool_threads() -> list:
 
 
 class TestChunkWorkers:
-    """_cumulative_counts on worker threads: the same counts, bounded, and
-    no thread outlives the generator."""
-
-    D = make_discrete([(0.0, 0.25), (1.0, 0.25), (2.5, 0.375), (4.0, 0.125)])
+    """_in_order, which runs the replications of run_replicated and the
+    block tiles on worker threads: results in job order whatever the
+    workers, a bounded look-ahead, and no thread outlives the generator.
+    gc_path counts on the calling thread."""
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_counts_do_not_depend_on_workers(self, monkeypatch, workers):
-        # small chunks, and thread switches as often as the interpreter
-        # allows, so chunks finish out of order
-        monkeypatch.setattr(simulate, "_CHUNK", 64)
+    def test_counts_do_not_depend_on_workers(self, workers):
+        # block tiles of varied sizes, and thread switches as often as the
+        # interpreter allows, so jobs finish out of order
+        threshold = qrng._word_threshold(0.5)
         rng = np.random.default_rng(workers)
-        rec_ns = np.cumsum(rng.integers(1, 200, size=400))
-        one = list(simulate._cumulative_counts(self.D, 8, rec_ns))
+        r0s = np.concatenate([[0], np.cumsum(rng.integers(1, 40, size=60))])
+        jobs = [(8, int(a), int(b), int(n), threshold)
+                for a, b, n in zip(r0s, r0s[1:], rng.integers(1, 5000, size=60))]
+        one = list(simulate._in_order(simulate._block_counts, jobs, 1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = list(simulate._cumulative_counts(self.D, 8, rec_ns, workers))
+            many = list(simulate._in_order(simulate._block_counts, jobs, workers))
         finally:
             sys.setswitchinterval(interval)
-        assert [r[:2] for r in one] == [r[:2] for r in many]
-        assert all(np.array_equal(a[2], b[2]) for a, b in zip(one, many))
+        assert [job for job, _ in many] == jobs
+        assert all(np.array_equal(a[1], b[1]) for a, b in zip(one, many))
 
     def test_gc_path_same_at_one_and_two_threads(self, monkeypatch):
+        # QL_THREADS does not reach gc_path, which starts no thread
         monkeypatch.setattr(simulate, "_CHUNK", 97)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", None)
         _use_cpus(monkeypatch, 2)
         d = gapped_example()
         ns = np.unique(np.concatenate([np.geomspace(1, 50_000, 40).astype(np.int64),
@@ -750,8 +823,8 @@ class TestChunkWorkers:
 
     def test_workspaces_never_shared(self, monkeypatch):
         # 97-draw chunks on three CPUs, thread switches as often as the
-        # interpreter allows: were a workspace shared by two running jobs,
-        # one would count the other's draws
+        # interpreter allows: were a workspace shared by two running
+        # trajectories, one would count the other's draws
         monkeypatch.setattr(simulate, "_CHUNK", 97)
         _use_cpus(monkeypatch, 3)
         d = SUPPORTS["random"]
@@ -779,47 +852,38 @@ class TestChunkWorkers:
                 assert_same_records(trajs[rep], traj)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_chunk_error_propagates(self, monkeypatch, workers):
-        monkeypatch.setattr(simulate, "_CHUNK", 100)
-        draw = simulate._draw_indices
+    def test_chunk_error_propagates(self, workers):
+        def job(k):
+            if k == 20:
+                raise RuntimeError("job failed")
+            return k * k
 
-        def failing(d, seed, n, start, ws):
-            if start >= 2000:
-                raise RuntimeError("draw failed")
-            return draw(d, seed, n, start, ws)
-
-        monkeypatch.setattr(simulate, "_draw_indices", failing)
         seen = []
-        rec_ns = np.arange(50, 5000, 50)
-        with pytest.raises(RuntimeError, match="draw failed"):
-            for _, r1, _ in simulate._cumulative_counts(self.D, 1, rec_ns, workers):
-                seen.append(r1)
-        assert seen[-1] == 2000 // 50  # every chunk before the failing one
+        with pytest.raises(RuntimeError, match="job failed"):
+            for (k,), result in simulate._in_order(job, [(k,) for k in range(50)], workers):
+                assert result == k * k
+                seen.append(k)
+        assert seen == list(range(20))  # every job before the failing one
         assert _pool_threads() == []
 
-    def test_early_close_joins_workers(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_CHUNK", 100)
-        gen = simulate._cumulative_counts(self.D, 1, np.arange(10, 10**6, 10), 2)
-        next(gen)
+    def test_early_close_joins_workers(self):
+        gen = simulate._in_order(lambda k: k, zip(range(10**6)), 2)
+        assert next(gen) == ((0,), 0)
         assert _pool_threads()
         gen.close()
         assert _pool_threads() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_chunks_ahead_are_bounded(self, monkeypatch, workers):
-        # records every 10 draws: each 100-draw chunk completes records, so
-        # the consumer sees every chunk
-        monkeypatch.setattr(simulate, "_CHUNK", 100)
-        count, lock, started = simulate._chunk_counts, threading.Lock(), [0]
+    def test_chunks_ahead_are_bounded(self, workers):
+        lock, started = threading.Lock(), [0]
 
-        def counting(*args):
+        def job(k):
             with lock:
                 started[0] += 1
-            return count(*args)
+            return k
 
-        monkeypatch.setattr(simulate, "_chunk_counts", counting)
         consumed = 0
-        for _ in simulate._cumulative_counts(self.D, 1, np.arange(10, 20_001, 10), workers):
+        for _ in simulate._in_order(job, [(k,) for k in range(200)], workers):
             consumed += 1
             assert started[0] <= consumed + (workers if workers > 1 else 0)
         assert consumed == started[0] == 200
@@ -837,8 +901,9 @@ class TestGcPath:
         assert info.value.param == "checkpoints"
 
     @pytest.mark.parametrize("n", [10**5, 10**7])
-    def test_memory_is_two_workspaces(self, monkeypatch, n):
-        # two workers: their two workspaces, and little besides, whatever n
+    def test_memory_is_one_workspace(self, monkeypatch, n):
+        # one workspace, one chunk-length row and little besides, whatever
+        # n, and at two threads as at one
         _use_cpus(monkeypatch, 2)
         monkeypatch.setenv("QL_THREADS", "2")
         checkpoints = [10**k for k in range(1, len(str(n)))]
@@ -849,7 +914,7 @@ class TestGcPath:
         finally:
             tracemalloc.stop()
         assert len(dist) == len(checkpoints)
-        assert peak < 2 * simulate._workspace().nbytes + 2**17
+        assert peak < simulate._workspace().nbytes + simulate._CHUNK * 8 + 2**17
 
 
 class TestSwitchStats:
