@@ -8,11 +8,14 @@ Every flag error is a ``QuantileLimitsError`` whose ``param`` names the flag
 (``n_max`` is reported as ``--n-max``).  Value ranges are checked by the
 library's ``errors.check_*`` rules only (``qlim gc --n``, which no library
 call takes, is checked with them here), whose argument names match the flags.
+``simulate`` stages a run in ``.qlim-partial/`` inside ``--output-dir``, which it
+owns and removes after every run, and moves the files out, ``report.json`` last.
 """
 
 import argparse
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -41,7 +44,7 @@ def _resolve_distribution(args) -> dist_mod.DiscreteDistribution:
             spec = json.loads(args.dist_file.read_text())
         except OSError as exc:
             raise QuantileLimitsError(f"cannot read {args.dist_file}: {exc}", param="dist_file")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to parse
             raise QuantileLimitsError(f"invalid JSON: {exc}", param="dist_file")
         try:
             return dist_mod.from_spec(spec)
@@ -95,23 +98,19 @@ def _cmd_simulate(args) -> int:
     )
 
     out_dir: Path = args.output_dir
-    targets = [out_dir / f"traj_{rep}.csv" for rep in range(cfg.replications)]
-    targets.append(out_dir / "report.json")
+    names = [f"traj_{rep}.csv" for rep in range(cfg.replications)] + ["report.json"]
     if not args.force:
-        clashes = [t.name for t in targets if t.exists()]
+        clashes = [name for name in names if (out_dir / name).exists()]
         if clashes:
             raise QuantileLimitsError(
                 f"{', '.join(clashes)} already exist(s); use --force", param="output_dir"
             )
 
-    tmp_paths: list[tuple[Path, Path]] = []
+    stage = out_dir / ".qlim-partial"
 
     def writer(rep: int, traj: sim.Trajectory) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        final = out_dir / f"traj_{rep}.csv"
-        tmp = out_dir / f"traj_{rep}.csv.tmp"
-        tmp_paths.append((tmp, final))  # before the write: a failed one is cleaned up
-        sim.write_trajectory_csv(traj, tmp)
+        stage.mkdir(parents=True, exist_ok=True)
+        sim.write_trajectory_csv(traj, stage / f"traj_{rep}.csv")
 
     try:  # run_replicated validates first: a flag error creates no out_dir
         report = sim.run_replicated(
@@ -122,25 +121,19 @@ def _cmd_simulate(args) -> int:
             min_switches=args.min_switches,
             on_trajectory=writer,
         )
+        (stage / "report.json").write_bytes(sim.report_to_json_bytes(report))
         # report.json marks a complete run: the old one goes before the first
-        # rename, the new one is renamed into place last
-        report_tmp, report_path = out_dir / "report.json.tmp", out_dir / "report.json"
-        tmp_paths.append((report_tmp, report_path))
-        report_tmp.write_bytes(sim.report_to_json_bytes(report))
-        report_path.unlink(missing_ok=True)
+        # move, the new one is moved into place last
+        (out_dir / "report.json").unlink(missing_ok=True)
         if args.force:  # an earlier run's surplus files would look like part of this one
-            ours = {path.name for pair in tmp_paths for path in pair}
-            for path in out_dir.glob("traj_*.csv*"):
-                if path.name not in ours and re.fullmatch(
-                    r"traj_\d+\.csv|traj_.*\.csv\.tmp", path.name
-                ):
+            ours = set(names)
+            for path in out_dir.glob("traj_*.csv"):
+                if path.name not in ours and re.fullmatch(r"traj_\d+\.csv", path.name):
                     path.unlink()
-        for tmp, final in tmp_paths:
-            tmp.replace(final)
-    except BaseException:
-        for tmp, _ in tmp_paths:
-            tmp.unlink(missing_ok=True)
-        raise
+        for name in names:
+            (stage / name).replace(out_dir / name)
+    finally:  # also clears what a failed or killed earlier run left there
+        shutil.rmtree(stage, ignore_errors=True)
     agg = report["aggregate"]
     print(
         f"wrote {cfg.replications} trajectory files and report.json to {out_dir} "

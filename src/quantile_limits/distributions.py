@@ -350,5 +350,5 @@ def from_spec(spec: Mapping) -> DiscreteDistribution:
 def _spec_number(x) -> float:
     try:
         return float(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise QuantileSpecError(f"expected a number, got {x!r}") from exc

@@ -437,9 +437,17 @@ def sandwich_check(
     pair = d.quantile_pair(p)
     mask = _window(traj, burn_in)
 
+    # v > lq - epsilon iff v >= lo and v < rq + epsilon iff v <= hi, exactly:
+    # a rounded bound is the wanted double or a step short, and fsum's sign is exact
+    lo, hi = pair.left - epsilon, pair.right + epsilon
+    if math.fsum((lo, -pair.left, epsilon)) <= 0:
+        lo = math.nextafter(lo, math.inf)
+    if math.fsum((hi, -pair.right, -epsilon)) >= 0:
+        hi = math.nextafter(hi, -math.inf)
+
     def inside(vals: np.ndarray) -> bool:
-        low = (vals > pair.left - epsilon) & (vals <= pair.left)
-        high = (vals >= pair.right) & (vals < pair.right + epsilon)
+        low = (vals >= lo) & (vals <= pair.left)
+        high = (vals >= pair.right) & (vals <= hi)
         return bool(np.all(low | high))
 
     return inside(traj.lq[mask]) and inside(traj.rq[mask])
@@ -556,10 +564,8 @@ def _deviation_bounds(phi: int, q: float, k: int) -> tuple[int, int]:
     ``S - phi*q > k`` iff ``S >= high``, with phi*q the exact rational
     product, not a rounded float one.
     """
-    num, den = q.as_integer_ratio()  # the double q, exactly
-    low = -((k * den - phi * num) // den) - 1  # ceil(phi*q - k) - 1
-    high = (phi * num + k * den) // den + 1  # floor(phi*q + k) + 1
-    return low, high
+    left, right = quantile_ranks([phi], q)  # ceil(phi*q) and floor(phi*q) + 1
+    return int(left[0]) - k - 1, int(right[0]) + k
 
 
 def deviation_experiment(

@@ -58,9 +58,19 @@ class TestQuantileCommand:
         assert code == 2
         assert "--q" in err
 
-    def test_bad_dist_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json",
+            b'{"family": "bernoulli", "q": 0.5}\xff',
+            b'{"family": "bernoulli", "q": 1' + b"0" * 4300 + b"}",
+            b'{"family": "bernoulli", "q": 1' + b"0" * 400 + b"}",
+        ],
+        ids=["not-json", "not-utf8", "over-4300-digits", "over-double-range"],
+    )
+    def test_bad_dist_file(self, capsys, tmp_path, content):
         f = tmp_path / "bad.json"
-        f.write_text("{not json")
+        f.write_bytes(content)
         code, _, err = run_cli(capsys, "quantile", "--dist-file", str(f), "--p", "0.5")
         assert code == 2
         assert "--dist-file" in err
@@ -120,11 +130,24 @@ class TestSimulateCommand:
             "--master-seed", "3", "--output-dir", str(out_dir),
         )
         assert run_cli(capsys, *args, "--replications", "5")[0] == 0
-        (out_dir / "traj_9.csv.tmp").write_bytes(b"left by a killed run")
+        (out_dir / ".qlim-partial").mkdir()
+        (out_dir / ".qlim-partial" / "traj_9.csv").write_bytes(b"left by a killed run")
         assert run_cli(capsys, *args, "--replications", "2", "--force")[0] == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["report.json", "traj_0.csv", "traj_1.csv"]
         assert json.loads((out_dir / "report.json").read_text())["aggregate"]["total"] == 2
+
+    def test_rerun_clears_a_killed_runs_stage(self, capsys, tmp_path):
+        out_dir = tmp_path / "runs"
+        (out_dir / ".qlim-partial").mkdir(parents=True)
+        (out_dir / ".qlim-partial" / "traj_7.csv").write_bytes(b"left by a killed run")
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--family", "coin", "--p", "0.5", "--n-max", "50",
+            "--output-dir", str(out_dir),
+        )
+        assert code == 0, err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.json", "traj_0.csv"]
 
     def test_failed_force_rerun_keeps_earlier_files(self, capsys, tmp_path, monkeypatch):
         out_dir = tmp_path / "runs"
@@ -169,6 +192,7 @@ class TestSimulateCommand:
         assert len(calls) == 2
         assert not (out_dir / "report.json").exists()
         assert not list(out_dir.glob("*.tmp"))
+        assert not (out_dir / ".qlim-partial").exists()
 
     def test_sandwich_report_schema(self, capsys, tmp_path):
         out_dir = tmp_path / "runs"

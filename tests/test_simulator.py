@@ -990,6 +990,27 @@ class TestSandwichCheck:
         )
         assert not sandwich_check(traj, d, 0.5, 0.1, 0)
 
+    @pytest.mark.parametrize(
+        "atoms, epsilon, lq, rq",
+        [
+            # exactly, 1.0 - 0.1 lies below the double 0.9: both records are inside
+            ([(0.9, 0.25), (1.0, 0.25), (3.0, 0.5)], 0.1, [0.9, 1.0], [3.0, 3.0]),
+            # exactly, 3.0 + 0.3 lies above the double 3.3
+            ([(0.0, 0.5), (3.0, 0.3), (3.3, 0.2)], 0.3, [0.0], [3.3]),
+        ],
+    )
+    def test_bounds_are_exact_not_rounded(self, atoms, epsilon, lq, rq):
+        traj = Trajectory(
+            ns=np.arange(1, len(lq) + 1), lq=np.array(lq), rq=np.array(rq), seed=0
+        )
+        assert sandwich_check(traj, make_discrete(atoms), 0.5, epsilon, 0)
+
+    @pytest.mark.parametrize("lq, rq", [(-0.5, 3.0), (0.0, 3.5)])
+    def test_open_ends_are_outside(self, lq, rq):
+        # lq - epsilon and rq + epsilon are doubles here: the records sit on them
+        traj = Trajectory(ns=np.array([1]), lq=np.array([lq]), rq=np.array([rq]), seed=0)
+        assert not sandwich_check(traj, gapped_example(), 0.5, 0.5, 0)
+
     def test_epsilon_validated(self):
         cfg = SimConfig(point_mass(7.0), 0.4, 10, 5)
         traj = run_trajectory(cfg, 0)
