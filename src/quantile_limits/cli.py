@@ -14,10 +14,16 @@ owns and removes after every run, and moves the files out, ``report.json`` last.
 
 import argparse
 import json
+import os
 import re
 import shutil
 import sys
 from pathlib import Path
+
+# OpenBLAS reads this once, when numpy loads it, and otherwise starts a
+# spinning thread per extra core; no qlim command makes a BLAS call.  A value
+# the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import distributions as dist_mod
 from . import simulate as sim

@@ -5,6 +5,8 @@ lookup paths: they scan candidate grids against the public CDF evaluators,
 so closed-form results are checked against the raw definitions.
 """
 
+import bisect
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -220,18 +222,23 @@ def dist_and_level_st(draw, max_atoms: int = 20):
 
 
 def run_trajectory_streaming(cfg: SimConfig, rep_index: int) -> Trajectory:
-    """Reference for ``run_trajectory``: one EmpiricalSample, one draw at a
-    time, both sample quantiles queried at every record point (every
-    ``record_stride``-th draw and the last)."""
+    """Reference for ``run_trajectory``: plain per-atom counts updated one
+    draw at a time, and at every record point (every ``record_stride``-th
+    draw and the last) the first atoms whose cumulative count reaches the
+    ranks of ``exact_ranks``."""
     seed = derive_seed(cfg.master_seed, rep_index)
-    sample = EmpiricalSample.from_distribution(cfg.distribution)
+    values = list(cfg.distribution.values)
+    index = {x: j for j, x in enumerate(values)}
+    counts = [0] * len(values)
     ns, lq, rq = [], [], []
-    for i, x in enumerate(sample_stream(cfg.distribution, seed, cfg.n_max), start=1):
-        sample.insert(float(x))
+    for i, x in enumerate(sample_stream(cfg.distribution, seed, cfg.n_max).tolist(), start=1):
+        counts[index[x]] += 1
         if i % cfg.record_stride == 0 or i == cfg.n_max:
+            cum = list(itertools.accumulate(counts))
+            left, right = exact_ranks(i, cfg.p)
             ns.append(i)
-            lq.append(sample.left_quantile(cfg.p))
-            rq.append(sample.right_quantile(cfg.p))
+            lq.append(values[bisect.bisect_left(cum, left)])
+            rq.append(values[bisect.bisect_left(cum, right)])
     return Trajectory(
         ns=np.array(ns, dtype=np.int64),
         lq=np.array(lq, dtype=np.float64),

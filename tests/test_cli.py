@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quantile_limits
 from conftest import gc_table_materialised
 from quantile_limits import simulate as sim
 from quantile_limits.cli import main
@@ -19,6 +21,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(code: str, **env_vars: str) -> str:
+    """Run ``code`` in a new interpreter on this checkout's sources, with
+    OPENBLAS_NUM_THREADS unset unless passed in ``env_vars``; return its
+    stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestQuantileCommand:
@@ -309,15 +327,7 @@ class TestBlocksCommand:
             "assert rc == 0, rc\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["config"]["reps"] == 20
+        assert json.loads(run_fresh(code))["config"]["reps"] == 20
 
 
 class TestBeBoundCommand:
@@ -500,6 +510,92 @@ class TestParserBehavior:
             capsys, "quantile", "--family", "coin", "--dist-file", str(f), "--p", "0.5"
         )
         assert code == 2
+
+
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc/self/task"
+)
+THREADS = "len(os.listdir('/proc/self/task'))"
+
+# the public names of the package, by the submodule that defines each
+PUBLIC_NAMES = {
+    "berry_esseen": "BEParams PhiOfK be_bound bernoulli_moments interval_prob_bounds "
+    "phi_of_k std_normal_cdf",
+    "distributions": "DiscreteDistribution QuantilePair SolutionInterval bernoulli fair_coin "
+    "from_spec gapped_example make_discrete point_mass",
+    "empirical": "EmpiricalSample GCDistance gc_distance",
+    "errors": "EmptyDistribution EmptySample EmptyWindow InvalidInterval NegativeProbability "
+    "NoQuantileGap NonFiniteAtom ParameterOutOfRange ProbabilityOutOfRange "
+    "ProbabilitySumOutOfTolerance QuantileLimitsError ValueInGap ValueOutsideSupport",
+    "simulate": "BlockSchedule SimConfig SwitchStats Trajectory block_event_experiment "
+    "block_schedule derive_seed deviation_experiment gap_interior_hits gc_path "
+    "report_to_json_bytes run_replicated run_trajectory sample_stream sandwich_check "
+    "switch_stats write_trajectory_csv",
+    "transforms": "TransformSpec binarize binarize_value collapse_shift collapse_shift_value "
+    "gap_spec",
+}
+
+
+class TestStartup:
+    """What a process pays before any work: qlim starts no BLAS thread, and
+    the package namespace loads its submodules on first use."""
+
+    @needs_proc_tasks
+    def test_cli_import_starts_no_thread(self):
+        out = run_fresh(
+            f"import os\nimport quantile_limits.cli\n"
+            f"print({THREADS}, os.environ['OPENBLAS_NUM_THREADS'])"
+        )
+        assert out.split() == ["1", "1"]
+
+    def test_caller_blas_threads_are_kept(self):
+        out = run_fresh(
+            "import os\nimport quantile_limits.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+            OPENBLAS_NUM_THREADS="3",
+        )
+        assert out.split() == ["3"]
+
+    def test_package_import_loads_nothing(self):
+        run_fresh(
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import quantile_limits\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert not [m for m in sys.modules if m.startswith('quantile_limits.')]\n"
+            "assert dict(os.environ) == before\n"
+        )
+
+    @needs_proc_tasks
+    def test_simulate_runs_within_its_thread_budget(self, tmp_path):
+        # the calling thread and QL_THREADS workers, counted at every write
+        code = (
+            "import os\n"
+            "from quantile_limits import cli, simulate\n"
+            "seen, write = [], simulate.write_trajectory_csv\n"
+            "def counted(*args):\n"
+            f"    seen.append({THREADS})\n"
+            "    write(*args)\n"
+            "simulate.write_trajectory_csv = counted\n"
+            "rc = cli.main(['simulate', '--family', 'coin', '--p', '0.5', '--n-max', '20000',\n"
+            f"             '--replications', '8', '--output-dir', {str(tmp_path)!r}])\n"
+            "assert rc == 0 and len(seen) == 8, (rc, seen)\n"
+            "print(max(seen))\n"
+        )
+        assert int(run_fresh(code, QL_THREADS="2").split()[-1]) <= 3
+
+    def test_namespace_lists_the_public_names(self):
+        expected = {name: mod for mod, names in PUBLIC_NAMES.items() for name in names.split()}
+        assert len(expected) == 55
+        assert sorted(quantile_limits.__all__) == sorted(expected)
+        assert set(expected) <= set(dir(quantile_limits))
+        for name, mod in expected.items():
+            defining = importlib.import_module(f"quantile_limits.{mod}")
+            assert getattr(quantile_limits, name) is getattr(defining, name), name
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            quantile_limits.no_such_name
+        assert not hasattr(quantile_limits, "uniforms")
 
 
 SEED_2_64 = str(2**64)

@@ -765,6 +765,20 @@ class TestExactLaw:
         assert {(n, 1) for n in ns} <= set(zs)
         assert max(map(abs, zs.values())) < 4.0, zs
 
+    def test_right_quantile_where_the_float_product_rounds_up(self):
+        # The double 0.3 is a little below 3/10, yet the float product n*0.3
+        # rounds up to the integer 3n/10 at n = 10, 100 and 1000.  So n*p is
+        # no integer there and R = L = 3n/10, while floor of the rounded
+        # product gives R = 3n/10 + 1 (4 at n = 10)
+        d, p, ns = _uniform(20), 0.3, (10, 100, 1000)
+        assert [n * p for n in ns] == [3.0, 30.0, 300.0]
+        assert [exact_ranks(n, p) for n in ns] == [(3, 3), (30, 30), (300, 300)]
+        lq, rq = self.records(d, p, ns, 2027)
+        assert np.array_equal(lq, rq)
+        zs = self.zs(d, p, ns, rq, 1)
+        assert {(n, 5) for n in ns} <= set(zs) and len(zs) >= 15
+        assert max(map(abs, zs.values())) < 4.0, zs
+
 
 def _use_cpus(monkeypatch, cpus: int) -> None:
     affinity = set(range(cpus))
@@ -917,7 +931,45 @@ class TestGcPath:
         assert peak < simulate._workspace().nbytes + simulate._CHUNK * 8 + 2**17
 
 
+def exact_mean_switch_count(p: float, n_max: int) -> float:
+    """E[switch_count] of a stride-1 trajectory to n_max, for two atoms at
+    the gap p = F(lower atom).  The lower atom's count Z_n is Bin(n, p),
+    and lq_n is the lower atom iff Z_n >= L_n = ceil(n*p).
+    Z_n = Z_{n-1} + b, so the record at n switches iff Z_{n-1} lies between
+    L_{n-1} and L_n - b: one pmf value or none for each b."""
+
+    def pmf(m: int, z: int) -> float:
+        return math.exp(
+            math.lgamma(m + 1) - math.lgamma(z + 1) - math.lgamma(m - z + 1)
+            + z * math.log(p) + (m - z) * math.log1p(-p)
+        )
+
+    total = 0.0
+    for n in range(2, n_max + 1):
+        prev, cur = exact_ranks(n - 1, p)[0], exact_ranks(n, p)[0]
+        for b, weight in ((0, 1.0 - p), (1, p)):
+            lo, hi = sorted((prev, cur - b))
+            total += weight * sum(pmf(n - 1, z) for z in range(lo, hi))
+    return total
+
+
 class TestSwitchStats:
+    @pytest.mark.parametrize(
+        "d, exact",
+        [(fair_coin(), 24.238), (make_discrete([(0.0, 0.3), (1.0, 0.7)]), 22.209)],
+        ids=["coin", "0.3-0.7"],
+    )
+    def test_mean_switch_count_matches_exact_law(self, d, exact):
+        # the oscillation of lq_n at a gap, as a rate: 3000 replications of
+        # the switch count to n = 1000 against its exact mean
+        p, n_max, reps = d.cum[0], 1000, 3000
+        mean = exact_mean_switch_count(p, n_max)
+        assert round(mean, 3) == exact
+        cfg = SimConfig(d, p, n_max, 31, record_stride=1)
+        counts = [switch_stats(run_trajectory(cfg, rep), 0).switch_count for rep in range(reps)]
+        z = (np.mean(counts) - mean) / (np.std(counts, ddof=1) / math.sqrt(reps))
+        assert abs(z) < 4.0, z
+
     def test_constant(self):
         traj = Trajectory(
             ns=np.array([1, 2, 3]), lq=np.full(3, 4.0), rq=np.full(3, 4.0), seed=0
