@@ -10,6 +10,7 @@ library's ``errors.check_*`` rules only (``qlim gc --n``, which no library
 call takes, is checked with them here), whose argument names match the flags.
 ``simulate`` stages a run in ``.qlim-partial/`` inside ``--output-dir``, which it
 owns and removes after every run, and moves the files out, ``report.json`` last.
+An ``--output-dir`` that is no directory, or where the stage cannot be written, is a flag error.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from . import distributions as dist_mod
 from . import simulate as sim
 from .berry_esseen import BEParams, be_bound, bernoulli_moments, phi_of_k
 from .errors import QuantileLimitsError, check_at_least, check_at_most
-from .transforms import BINARIZE, COLLAPSE_SHIFT, binarize, collapse_shift
+from .transforms import binarize, collapse_shift
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:
@@ -104,6 +105,8 @@ def _cmd_simulate(args) -> int:
     )
 
     out_dir: Path = args.output_dir
+    if out_dir.exists() and not out_dir.is_dir():
+        raise QuantileLimitsError(f"{out_dir} is not a directory", param="output_dir")
     names = [f"traj_{rep}.csv" for rep in range(cfg.replications)] + ["report.json"]
     if not args.force:
         clashes = [name for name in names if (out_dir / name).exists()]
@@ -119,15 +122,18 @@ def _cmd_simulate(args) -> int:
         sim.write_trajectory_csv(traj, stage / f"traj_{rep}.csv")
 
     try:  # run_replicated validates first: a flag error creates no out_dir
-        report = sim.run_replicated(
-            cfg,
-            args.analysis,
-            burn_in=args.burn_in,
-            epsilon=args.epsilon,
-            min_switches=args.min_switches,
-            on_trajectory=writer,
-        )
-        (stage / "report.json").write_bytes(sim.report_to_json_bytes(report))
+        try:
+            report = sim.run_replicated(
+                cfg,
+                args.analysis,
+                burn_in=args.burn_in,
+                epsilon=args.epsilon,
+                min_switches=args.min_switches,
+                on_trajectory=writer,
+            )
+            (stage / "report.json").write_bytes(sim.report_to_json_bytes(report))
+        except OSError as exc:
+            raise QuantileLimitsError(f"cannot write {stage}: {exc}", param="output_dir")
         # report.json marks a complete run: the old one goes before the first
         # move, the new one is moved into place last
         (out_dir / "report.json").unlink(missing_ok=True)
@@ -223,8 +229,7 @@ def _cmd_phi_of_k(args) -> int:
 
 def _cmd_transform(args) -> int:
     d = _resolve_distribution(args)
-    kind = BINARIZE if args.kind == "binarize" else COLLAPSE_SHIFT
-    out = binarize(d, args.p) if kind == BINARIZE else collapse_shift(d, args.p)
+    out = (binarize if args.kind == "binarize" else collapse_shift)(d, args.p)
     pair_in = d.quantile_pair(args.p)
     pair_out = out.quantile_pair(args.p)
     if args.format == "csv":
@@ -236,7 +241,7 @@ def _cmd_transform(args) -> int:
         print(f"quantiles_in,{_fmt(pair_in.left)},{_fmt(pair_in.right)}")
         print(f"quantiles_out,{_fmt(pair_out.left)},{_fmt(pair_out.right)}")
     else:
-        print(f"transform: {kind}  p: {_fmt(args.p)}")
+        print(f"transform: {args.kind}  p: {_fmt(args.p)}")
         print("input atoms:")
         for v, q in d.as_pairs():
             print(f"  {_fmt(v)}  {_fmt(q)}")

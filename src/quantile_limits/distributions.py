@@ -23,7 +23,7 @@ from .errors import (
     QuantileLimitsError,
     check_open,
 )
-from .rng import _word_threshold
+from .rng import _LEVELS, _level_threshold
 
 
 class QuantileSpecError(QuantileLimitsError):
@@ -95,12 +95,12 @@ class DiscreteDistribution:
     @cached_property
     def _guide(self) -> tuple[int, np.ndarray, np.ndarray, int]:
         # (shift, guide, padded level thresholds, rounds) of _level_indices
-        t = (_word_threshold(self.cum_array) >> 11).astype(np.int64)
+        t = _level_threshold(self.cum_array)
         k = (2 * len(t) - 1).bit_length()
         shift = 53 - k
         guide = np.searchsorted(t, np.arange((1 << k) + 1, dtype=np.int64) << shift, side="right")
         rounds = int(np.diff(guide).max()).bit_length()
-        padded = np.concatenate([t, np.full(1 << rounds, 1 << 53, dtype=np.int64)])
+        padded = np.concatenate([t, np.full(1 << rounds, _LEVELS, dtype=np.int64)])
         return shift, guide, padded, rounds
 
     def _level_indices(
@@ -111,7 +111,7 @@ class DiscreteDistribution:
         A level is the top 53 bits ``word >> 11`` of a generator word, in
         an int64 array (see :mod:`.rng`); the index is that of the left
         quantile at the level's uniform u, the first j with ``cum[j] >= u``.
-        With ``T[j] = _word_threshold(cum[j]) >> 11``, the first level whose
+        With ``T[j] = _level_threshold(cum[j])``, the first level whose
         uniform exceeds ``cum[j]`` (2**53 when none does), ``u > cum[j]``
         iff ``level >= T[j]``, so the index is the number of j with
         ``T[j] <= level``: exactly ``np.searchsorted(cum_array, u, "left")``.

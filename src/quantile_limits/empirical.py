@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import EmptySample, ParameterOutOfRange, ValueOutsideSupport, check_open
+from .errors import (
+    EmptySample, ParameterOutOfRange, ValueOutsideSupport, check_binary, check_open,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,7 @@ class EmpiricalSample:
     def _quantile_indices(self, p: float) -> tuple[int, int]:
         self._require_data()
         check_open("p", p)
+        check_binary("p", p)
         (left_rank,), (right_rank,) = quantile_ranks([self.n], p)
         left, right = quantile_indices(np.cumsum(self.counts), left_rank, right_rank)
         return int(left), int(right)
@@ -126,13 +129,14 @@ def quantile_ranks(ns, p: float) -> tuple[np.ndarray, np.ndarray]:
     ``(L, R)`` as int64 arrays.  This is the one place the sample-quantile
     rank rule lives.
 
-    p is ``num / 2**s`` exactly.  Where every ``n*num`` fits in an int64 the
-    ranks are shifts of it.  Else, for n below 2**53, the float product
-    rounds ``n*p`` once.  Where it is not an integer, its truncation k is
-    floor(n*p) and n*p is no integer.  Where it is an integer k, n*p lies
-    within 1/2 of k, so the residual ``n*num - k*2**s`` is below 2**54 in
-    size, wrapping uint64 arithmetic gives it exactly, and its sign places
-    n*p at, above or below k.  Larger n take Python integers.
+    p is ``num / 2**s`` exactly: callers refuse any other with check_binary.
+    Where every ``n*num`` fits in an int64 the ranks are shifts of it.  Else,
+    for n below 2**53, the float product rounds ``n*p`` once.  Where it is
+    not an integer, its truncation k is floor(n*p) and n*p is no integer.
+    Where it is an integer k, n*p lies within 1/2 of k, so the residual
+    ``n*num - k*2**s`` is below 2**54 in size, wrapping uint64 arithmetic
+    gives it exactly, and its sign places n*p at, above or below k.  Larger
+    n take Python integers.
     """
     ns = np.asarray(ns, dtype=np.int64)
     num, den = p.as_integer_ratio()

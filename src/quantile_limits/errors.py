@@ -78,6 +78,13 @@ def check_open(param: str, x, lo=0.0, hi=1.0) -> None:
         raise _out_of_range(param, f"in ({lo:g}, {hi:g})", x, ProbabilityOutOfRange)
 
 
+def check_binary(param: str, x) -> None:
+    """x is ``num / 2**s`` exactly, as every float is: how the rank rule reads a level."""
+    den = x.as_integer_ratio()[1]
+    if den & (den - 1):
+        raise _out_of_range(param, "a binary fraction, such as a float", x)
+
+
 def _check_integer(param: str, x) -> None:
     try:
         operator.index(x)

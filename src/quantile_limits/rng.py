@@ -14,18 +14,20 @@ seeds included.  The counters come from a table of the steps
 plus one offset per stream, mixed in place.
 
 The top 53 bits of a word, ``word >> 11``, are its level.  A level stands
-for the uniform double ``(level + 0.5) * 2**-53``, evaluated in float64.
-That lies in (0, 1]: from level ``2**52`` up the ``+ 0.5`` rounds to even,
-and the top level, ``2**53 - 1``, rounds up to 1.0.  :func:`uniforms` makes
-these doubles.
+for the uniform double ``(level + 0.5) * 2**-53``, evaluated in float64
+(:func:`_uniform`, the one place that formula is written).  That lies in
+(0, 1]: from level ``2**52`` up the ``+ 0.5`` rounds to even, and the top
+level, ``2**53 - 1``, rounds up to 1.0.  :func:`uniforms` makes these
+doubles.
 
-The map from word to uniform is non-decreasing, so a comparison ``u > x`` of
-a uniform with a probability is one comparison ``word >= W`` of the raw word
-with an integer threshold (:func:`_word_threshold`), or equally
-``level >= W >> 11``.  The samplers decide every draw that way and make no
-uniform: Bernoulli draws are counted on the words, and the inverse-CDF draw
-looks each level up in a table of the thresholds of the cumulative
-probabilities (``DiscreteDistribution._level_indices``).
+The map from level to uniform is non-decreasing, so a comparison ``u > x`` of
+a uniform with a probability is one comparison ``level >= T`` of integers,
+with T the first level whose uniform exceeds x (:func:`_level_threshold`),
+and T = ``2**53``, past every level, when none does.  The samplers decide
+every draw that way and make no uniform: Bernoulli draws are counted on the
+words, as ``word >= T << 11``, and the inverse-CDF draw looks each level up
+in a table of the thresholds of the cumulative probabilities
+(``DiscreteDistribution._level_indices``).
 """
 
 import functools
@@ -41,7 +43,7 @@ _MUL2 = 0x94D049BB133111EB
 
 _MAX_COUNTER = (1 << 64) - 1
 
-_LEVELS = 1 << 53  # uniform levels: the top 53 bits of a word
+_LEVELS = 1 << 53  # levels, the top 53 bits of a word; the threshold none reaches
 
 
 @functools.cache
@@ -125,37 +127,33 @@ def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     return uniform_matrix(np.array([seed], dtype=np.uint64), n, start)[0]
 
 
-def _word_threshold(x):
-    """Smallest word W whose uniform exceeds x: ``u > x`` iff ``word >= W``.
+def _uniform(levels):
+    # the uniform of a level or an array of them: the module's definition
+    return (levels + 0.5) * 2.0**-53
 
-    The uniform is ``((word >> 11) + 0.5) * 2**-53`` evaluated in float64,
-    as :func:`uniform_matrix` makes it.  At levels ``word >> 11 >= 2**52``
-    the ``+ 0.5`` rounds to even, so the level is found by bisection on that
-    float expression, not from real-number algebra.  W is ``2**64``, a word
-    no uint64 reaches, when no uniform exceeds x (x >= 1.0).  W is a
-    multiple of 2**11, so ``u > x`` is also ``word >> 11 >= W >> 11``.
 
-    x is a float, or an array of them bisected together; an array gives an
-    array of Python ints (dtype object), since 2**64 fits no uint64.
+def _level_threshold(x):
+    """First level T whose uniform exceeds x: ``u > x`` iff ``level >= T``.
+
+    At levels from 2**52 up the ``+ 0.5`` of :func:`_uniform` rounds to
+    even, so T is found by bisection on that float expression, not from
+    real-number algebra.  T is ``_LEVELS`` (2**53), a level no word has,
+    when no uniform exceeds x (x >= 1.0).  x is a float, giving an int, or
+    an array of them bisected together, giving an int64 array.
     """
     x = np.asarray(x, dtype=np.float64)
-    lo = np.zeros(x.shape, dtype=np.int64)  # the first level above x lies in [lo, hi]
+    lo = np.zeros(x.shape, dtype=np.int64)  # T lies in [lo, hi]
     hi = np.full(x.shape, _LEVELS, dtype=np.int64)
     while np.any(lo < hi):
         mid = (lo + hi) // 2
-        above = (mid + 0.5) * 2.0**-53 > x
+        above = _uniform(mid) > x
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, np.minimum(mid + 1, hi))
-    if x.ndim == 0:
-        return int(lo) << 11
-    return lo.astype(object) << 11
+    return int(lo) if x.ndim == 0 else lo
 
 
 def uniform_matrix(seeds: np.ndarray, n: int, start: int = 0) -> np.ndarray:
     """Row r holds ``uniforms(seeds[r], n, start)``; one stream per seed."""
     words = _word_matrix(np.asarray(seeds, dtype=np.uint64), n, start)
     words >>= np.uint64(11)
-    u = words.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return u
+    return _uniform(words)

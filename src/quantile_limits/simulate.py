@@ -26,11 +26,12 @@ from .errors import (
     ParameterOutOfRange,
     check_at_least,
     check_at_most,
+    check_binary,
     check_open,
     check_positive,
     check_seed,
 )
-from .rng import _word_matrix, _word_threshold, derive_seed, stream_words
+from .rng import _LEVELS, _level_threshold, _word_matrix, derive_seed, stream_words
 
 __all__ = [
     "SimConfig",
@@ -88,6 +89,7 @@ class SimConfig:
 
     def __post_init__(self):
         check_open("p", self.p)
+        check_binary("p", self.p)
         check_at_least("n_max", self.n_max, 1)
         check_at_most("n_max", self.n_max, 2**63 - 1)  # a sample size is an int64
         check_at_least("replications", self.replications, 1)
@@ -530,24 +532,25 @@ def _bernoulli_block_sums(
     """Sum of each replication's Bernoulli(q) block, one derived seed per rep.
 
     A draw is 1 iff its uniform exceeds 1 - q (the inverse CDF), that is iff
-    its raw word is at least ``_word_threshold(1 - q)``: the sums count
-    words, and no uniform is made.  Words are made and counted in tiles of
-    at most ``_TILE``, a row group of ``_JOB_TILES`` tiles' worth of words
-    (at least one row) is one pure job, and the jobs run on
-    ``_worker_count()`` threads and are stored in order.  A row longer than
-    a tile is counted a tile of columns at a time, so memory does not grow
-    with the block length, and the sums do not depend on the worker count.
+    its level is at least ``T = _level_threshold(1 - q)``: the sums count
+    words at or above ``T << 11``, and no uniform is made.  Words are made
+    and counted in tiles of at most ``_TILE``, a row group of ``_JOB_TILES``
+    tiles' worth of words (at least one row) is one pure job, and the jobs
+    run on ``_worker_count()`` threads and are stored in order.  A row
+    longer than a tile is counted a tile of columns at a time, so memory
+    does not grow with the block length, and the sums do not depend on the
+    worker count.
 
     Read-only and cached for the last arguments: with k = 1 the deviation
     block and the first paired block are the same draws, so ``qlim blocks``
     makes them once.
     """
-    threshold = _word_threshold(1.0 - q)
+    level = _level_threshold(1.0 - q)
     sums = np.zeros(reps, dtype=np.int64)
-    if threshold < 1 << 64:  # else 1 - q rounds to 1.0 and no draw is 1
+    if level < _LEVELS:  # else 1 - q rounds to 1.0 and no draw is 1
         rows = max(1, _JOB_TILES * _TILE // block_len)
         jobs = [
-            (master_seed, r0, min(r0 + rows, reps), block_len, threshold)
+            (master_seed, r0, min(r0 + rows, reps), block_len, level << 11)
             for r0 in range(0, reps, rows)
         ]
         workers = min(_worker_count(), len(jobs))
@@ -584,6 +587,7 @@ def deviation_experiment(
         Empirical frequencies over ``reps`` replications.
     """
     check_open("q", q)
+    check_binary("q", q)
     check_at_least("reps", reps, 1)
     check_seed("master_seed", master_seed)
     phi = phi_of_k(bernoulli_moments(q), k, alpha).phi
@@ -640,12 +644,13 @@ def block_event_experiment(
     tens of millions of draws long, so its sum S is the inverse CDF of its
     exact Binomial(phi(m_1), q) distribution F at the uniform u of the next
     word of the same per-replication stream.  S exceeds an integer t
-    exactly when u > F(t), that is when the word is at least
-    ``_word_threshold(F(t))``, so E_1 is decided by comparing the word with
+    exactly when u > F(t), that is when the word's level is at least
+    ``_level_threshold(F(t))``, so E_1 is one comparison of the level with
     one threshold.  Both events compare S with integer cut-offs, exact for
     the double q.
     """
     check_open("q", q)
+    check_binary("q", q)
     check_at_least("reps", reps, 1)
     check_seed("master_seed", master_seed)
 
@@ -663,8 +668,7 @@ def block_event_experiment(
     t = _deviation_bounds(phi_b, q, m1)[1] - 1
 
     d_hit = d_sums <= d_low
-    # compared as levels (word >> 11), since the threshold may be 2**64
-    level = _word_threshold(_binomial_cdf(t, phi_b, q)) >> 11
+    level = _level_threshold(_binomial_cdf(t, phi_b, q))
     e_hit = (next_words >> np.uint64(11)) >= np.uint64(level)
     return float(np.count_nonzero(d_hit & e_hit)) / reps
 

@@ -18,40 +18,36 @@ value level (streaming simulation of transformed paths).
 from dataclasses import dataclass
 
 from .distributions import DiscreteDistribution, make_discrete
-from .errors import NoQuantileGap, ParameterOutOfRange, ValueInGap, check_open
-
-BINARIZE = "binarize"
-COLLAPSE_SHIFT = "collapse_shift"
+from .errors import NoQuantileGap, ValueInGap, check_open
 
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Frozen parameters of one transform: kind, level, gap edges, shift."""
+    """Frozen parameters of one transform: level and gap edges."""
 
-    kind: str
     p: float
     lq: float
     rq: float
-    h: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (BINARIZE, COLLAPSE_SHIFT):
-            raise ParameterOutOfRange(f"unknown transform kind {self.kind!r}", param="kind")
         if not self.lq < self.rq:
             raise NoQuantileGap(
                 f"left and right quantiles coincide or invert at p={self.p!r}: "
-                f"lq={self.lq!r}, rq={self.rq!r}"
+                f"lq={self.lq!r}, rq={self.rq!r}",
+                param="p",
             )
-        if self.kind == COLLAPSE_SHIFT and self.h != self.rq - self.lq:
-            raise ParameterOutOfRange("collapse_shift requires h == rq - lq", param="h")
+
+    @property
+    def h(self) -> float:
+        """The gap width ``rq - lq``, the shift of ``collapse_shift``."""
+        return self.rq - self.lq
 
 
-def gap_spec(d: DiscreteDistribution, p: float, kind: str) -> TransformSpec:
+def gap_spec(d: DiscreteDistribution, p: float) -> TransformSpec:
     """Build the transform spec for d at level p; requires a quantile gap."""
     check_open("p", p)
     pair = d.quantile_pair(p)
-    h = pair.right - pair.left if kind == COLLAPSE_SHIFT else None
-    return TransformSpec(kind=kind, p=p, lq=pair.left, rq=pair.right, h=h)
+    return TransformSpec(p=p, lq=pair.left, rq=pair.right)
 
 
 def binarize_value(spec: TransformSpec, x: float) -> float:
@@ -90,7 +86,7 @@ def binarize(d: DiscreteDistribution, p: float) -> DiscreteDistribution:
     P(0) equals the CDF height on the flat stretch, which is p itself: the
     left quantile forces F(lq) >= p and the right quantile forces F(lq) <= p.
     """
-    return _push_through(d, gap_spec(d, p, BINARIZE), binarize_value)
+    return _push_through(d, gap_spec(d, p), binarize_value)
 
 
 def collapse_shift(d: DiscreteDistribution, p: float) -> DiscreteDistribution:
@@ -99,4 +95,4 @@ def collapse_shift(d: DiscreteDistribution, p: float) -> DiscreteDistribution:
     Output contract: left_quantile(out, p) == right_quantile(out, p)
     == left_quantile(d, p), exactly.
     """
-    return _push_through(d, gap_spec(d, p, COLLAPSE_SHIFT), collapse_shift_value)
+    return _push_through(d, gap_spec(d, p), collapse_shift_value)

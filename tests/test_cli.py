@@ -250,6 +250,23 @@ class TestSimulateCommand:
         assert "--p" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("where", ["runs", "runs/sub"])
+    def test_output_dir_under_a_regular_file(self, capsys, tmp_path, monkeypatch, where):
+        # a regular file is refused before any draw; a directory below one
+        # fails when the first trajectory is staged.  Both are flag errors
+        # and leave the file as it was
+        (tmp_path / "runs").write_text("keep")
+        if where == "runs":
+            monkeypatch.setattr(sim, "run_replicated", None)  # calling it fails with exit 1
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--family", "coin", "--p", "0.5", "--n-max", "100",
+            "--replications", "2", "--output-dir", str(tmp_path / where),
+        )
+        assert code == 2, err
+        assert err.startswith("error: --output-dir: ")
+        assert (tmp_path / "runs").read_text() == "keep"
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("fault", ["encode", "write"])
     def test_failed_write_leaves_no_tmp_file(self, capsys, tmp_path, monkeypatch, threads, fault):
@@ -664,6 +681,7 @@ BAD_FLAGS = [
     (("transform", "--family", "figure", "--p", "1", "--kind", "binarize"), "--p"),
     (("transform", "--family", "figure", "--p", "nan", "--kind",
       "collapse_shift"), "--p"),
+    (("transform", "--family", "coin", "--p", "0.3", "--kind", "binarize"), "--p"),  # no gap
     (("gc", "--family", "coin", "--n", "0"), "--n"),
     (("gc", "--family", "coin", "--n", str(2**63)), "--n"),
     (GC + ("--seed", "-1"), "--seed"),

@@ -280,6 +280,16 @@ class TestExactRanks:
         assert s.left_quantile(p) == xs[left - 1]
         assert s.right_quantile(p) == xs[right - 1]
 
+    def test_non_binary_level_refused(self):
+        # read as num / 2**s, Fraction(1, 3) gave the ranks of 1/2: left
+        # quantile 1.0 of (-1, 1, 1), not -1.0
+        s = sample_of(fair_coin(), [-1.0, 1.0, 1.0])
+        for quantile in (s.left_quantile, s.right_quantile):
+            with pytest.raises(ParameterOutOfRange) as info:
+                quantile(Fraction(1, 3))
+            assert info.value.param == "p"
+        assert s.left_quantile(np.float32(0.25)) == -1.0
+
     def test_indices_count_atoms_below_the_rank(self):
         # atoms on the first axis, one rank per record on the rest; a window
         # of atoms a .. b-1 plus a gives the same index when the atoms below

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -122,17 +123,18 @@ def _uniforms_of_words(words) -> np.ndarray:
 
 
 class TestWordThreshold:
-    """rng._word_threshold(x): a word's uniform exceeds x iff word >= W."""
+    """rng._level_threshold(x), the threshold every draw is decided by: a
+    word's uniform exceeds x iff its level, word >> 11, is at least T."""
 
     def test_agrees_with_uniform_matrix_on_a_stream(self):
         seeds = qrng.stream_words(2024, 3)
-        words = qrng._word_matrix(seeds, 3000, 0)
+        levels = qrng._word_matrix(seeds, 3000, 0) >> np.uint64(11)
         u = qrng.uniform_matrix(seeds, 3000)
         assert u.min() < 0.5 <= u.max()  # levels below and above 2**52
         for x0 in [u.min(), u.max(), *u[0, :30], *u[2, -30:]]:
             for x in (np.nextafter(x0, 0.0), x0, np.nextafter(x0, 1.0)):
-                w = qrng._word_threshold(float(x))
-                assert np.array_equal(words >= np.uint64(w), u > x), x
+                t = qrng._level_threshold(float(x))
+                assert np.array_equal(levels >= np.uint64(t), u > x), x
 
     @pytest.mark.parametrize(
         "level",
@@ -147,8 +149,8 @@ class TestWordThreshold:
         u = _uniforms_of_words(words)
         for x0 in u[words.index(level << 11)], u[0], u[-1]:
             for x in (np.nextafter(x0, 0.0), x0, np.nextafter(x0, 1.0)):
-                w = qrng._word_threshold(float(x))
-                assert [word >= w for word in words] == (u > x).tolist(), (level, x)
+                t = qrng._level_threshold(float(x))
+                assert [word >> 11 >= t for word in words] == (u > x).tolist(), (level, x)
 
     def test_vector_matches_scalar_definition(self):
         # one bisection over an array of x, against the definition bisected
@@ -161,27 +163,27 @@ class TestWordThreshold:
                     hi = mid
                 else:
                     lo = mid + 1
-            return lo << 11
+            return lo
 
         xs = [0.0, 2.0**-54, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
               1.0 - 2.0**-53, 1.0, np.nextafter(1.0, 2.0), 2.0]
-        got = qrng._word_threshold(np.array(xs))
-        assert got.shape == (len(xs),)
+        got = qrng._level_threshold(np.array(xs))
+        assert got.shape == (len(xs),) and got.dtype == np.int64
         assert got.tolist() == [definition(x) for x in xs]
-        assert got.tolist() == [qrng._word_threshold(x) for x in xs]
-        assert got.tolist()[-3:] == [2**64] * 3
-        square = qrng._word_threshold(np.array(xs[:4]).reshape(2, 2))
+        assert got.tolist() == [qrng._level_threshold(x) for x in xs]
+        assert got.tolist()[-3:] == [2**53] * 3
+        square = qrng._level_threshold(np.array(xs[:4]).reshape(2, 2))
         assert square.tolist() == [got.tolist()[:2], got.tolist()[2:4]]
 
     def test_no_word_above_one(self):
         # 1 - 1e-17 rounds to 1.0: no uniform exceeds it, and the threshold
-        # is 2**64, past every word, not a wrapped small one
+        # is 2**53, past every level
         assert 1.0 - 1e-17 == 1.0
-        assert qrng._word_threshold(1.0 - 1e-17) == 2**64
+        assert qrng._level_threshold(1.0 - 1e-17) == 2**53
         assert _uniforms_of_words([2**64 - 1])[0] <= 1.0 - 1e-17
-        top = qrng._word_threshold(np.nextafter(1.0, 0.0))
-        assert top == (2**53 - 1) << 11
-        assert _uniforms_of_words([top - 1, top]).tolist() == [1.0 - 2**-52, 1.0]
+        top = qrng._level_threshold(np.nextafter(1.0, 0.0))
+        assert top == 2**53 - 1
+        assert _uniforms_of_words([(top << 11) - 1, top << 11]).tolist() == [1.0 - 2**-52, 1.0]
 
 
 @st.composite
@@ -204,8 +206,8 @@ def _uniforms_at_levels(levels) -> np.ndarray:
 
 def _threshold_levels(d) -> np.ndarray:
     """T_j, the first level whose uniform exceeds cum[j] (2**53 when none
-    does), from the word threshold of each cum entry."""
-    return (qrng._word_threshold(d.cum_array) >> 11).astype(np.int64)
+    does)."""
+    return qrng._level_threshold(d.cum_array)
 
 
 def _edge_levels(d) -> np.ndarray:
@@ -353,6 +355,33 @@ class TestIntegerArguments:
         assert np.array_equal(got, sample_stream(fair_coin(), 5, 3))
         dist, _ = simulate.gc_path(fair_coin(), 5, np.array([1, 2], dtype=np.uint64))
         assert np.array_equal(dist, simulate.gc_path(fair_coin(), 5, [1, 2])[0])
+
+
+class TestBinaryLevels:
+    """A level p or a q enters the rank rule as num / 2**s; one that is not a
+    binary fraction is refused by name before any draw, not read as another
+    level (the rule took Fraction(1, 3) for 1/2)."""
+
+    @pytest.mark.parametrize(
+        "param, call",
+        [
+            ("p", lambda: SimConfig(fair_coin(), Fraction(1, 3), 100, 1)),
+            ("q", lambda: deviation_experiment(Fraction(1, 3), 1, 0.25, 10, 1)),
+            ("q", lambda: block_event_experiment(Fraction(1, 3), 0.25, 10, 1)),
+        ],
+        ids=["SimConfig", "deviation_experiment", "block_event_experiment"],
+    )
+    def test_fraction_refused(self, monkeypatch, param, call):
+        monkeypatch.setattr(simulate, "_word_matrix", None)  # a draw would fail otherwise
+        with pytest.raises(ParameterOutOfRange) as info:
+            call()
+        assert info.value.param == param
+
+    def test_float32_accepted(self):
+        p = np.float32(0.3)
+        cfg = SimConfig(fair_coin(), p, 100, 1)
+        traj = run_trajectory(cfg, 1)
+        assert_same_records(traj, run_trajectory(SimConfig(fair_coin(), float(p), 100, 1), 1))
 
 
 class TestDeriveSeed:
@@ -799,7 +828,7 @@ class TestChunkWorkers:
     def test_counts_do_not_depend_on_workers(self, workers):
         # block tiles of varied sizes, and thread switches as often as the
         # interpreter allows, so jobs finish out of order
-        threshold = qrng._word_threshold(0.5)
+        threshold = qrng._level_threshold(0.5) << 11
         rng = np.random.default_rng(workers)
         r0s = np.concatenate([[0], np.cumsum(rng.integers(1, 40, size=60))])
         jobs = [(8, int(a), int(b), int(n), threshold)
@@ -953,22 +982,77 @@ def exact_mean_switch_count(p: float, n_max: int) -> float:
     return total
 
 
+def exact_switch_count_cdf(p: float, n_max: int, ks) -> list[float]:
+    """P(switch_count <= k) for each k of ks, in the setting of
+    :func:`exact_mean_switch_count`, by a dynamic program over the joint
+    law of (Z_n, switches so far).  Counts above max(ks) share one column."""
+    top = max(ks) + 1
+    law = np.zeros((2, top + 1))  # law[z, s] = P(Z_n = z, s switches)
+    law[:, 0] = 1.0 - p, p
+    for n in range(2, n_max + 1):
+        prev, cur = exact_ranks(n - 1, p)[0], exact_ranks(n, p)[0]
+        z = np.arange(n)
+        nxt = np.zeros((n + 1, top + 1))
+        for b, weight in ((0, 1.0 - p), (1, p)):
+            stay = weight * law
+            moved = np.zeros_like(stay)
+            moved[:, 1:] = stay[:, :-1]
+            moved[:, -1] += stay[:, -1]
+            switch = (z >= prev) != (z + b >= cur)
+            nxt[b:b + n] += np.where(switch[:, None], moved, stay)
+        law = nxt
+    by_count = law.sum(axis=0)
+    return [float(by_count[: k + 1].sum()) for k in ks]
+
+
+@functools.cache
+def simulated_switch_counts(name: str) -> tuple[float, list[int]]:
+    """(p, switch counts) of 3000 stride-1 trajectories to n = 1000, at the
+    gap p = F(lower atom) of a two-atom support."""
+    d = {"coin": fair_coin(), "0.3-0.7": make_discrete([(0.0, 0.3), (1.0, 0.7)])}[name]
+    p = d.cum[0]
+    cfg = SimConfig(d, p, 1000, 31, record_stride=1)
+    return p, [switch_stats(run_trajectory(cfg, rep), 0).switch_count for rep in range(3000)]
+
+
 class TestSwitchStats:
     @pytest.mark.parametrize(
-        "d, exact",
-        [(fair_coin(), 24.238), (make_discrete([(0.0, 0.3), (1.0, 0.7)]), 22.209)],
-        ids=["coin", "0.3-0.7"],
+        "name, exact", [("coin", 24.238), ("0.3-0.7", 22.209)], ids=["coin", "0.3-0.7"]
     )
-    def test_mean_switch_count_matches_exact_law(self, d, exact):
+    def test_mean_switch_count_matches_exact_law(self, name, exact):
         # the oscillation of lq_n at a gap, as a rate: 3000 replications of
         # the switch count to n = 1000 against its exact mean
-        p, n_max, reps = d.cum[0], 1000, 3000
-        mean = exact_mean_switch_count(p, n_max)
+        p, counts = simulated_switch_counts(name)
+        mean = exact_mean_switch_count(p, 1000)
         assert round(mean, 3) == exact
-        cfg = SimConfig(d, p, n_max, 31, record_stride=1)
-        counts = [switch_stats(run_trajectory(cfg, rep), 0).switch_count for rep in range(reps)]
-        z = (np.mean(counts) - mean) / (np.std(counts, ddof=1) / math.sqrt(reps))
+        z = (np.mean(counts) - mean) / (np.std(counts, ddof=1) / math.sqrt(len(counts)))
         assert abs(z) < 4.0, z
+
+    @pytest.mark.parametrize("name", ["coin", "0.3-0.7"])
+    def test_switch_count_law_matches_exact_law(self, name):
+        # "returns to 0 infinitely often" at n = 1000, as a distribution: the
+        # same replications against P(switch_count <= k) at a few k
+        p, counts = simulated_switch_counts(name)
+        ks = (0, 5, 10, 20)
+        for k, exact in zip(ks, exact_switch_count_cdf(p, 1000, ks)):
+            freq = np.mean(np.array(counts) <= k)
+            z = (freq - exact) / math.sqrt(exact * (1.0 - exact) / len(counts))
+            assert abs(z) < 4.0, (k, exact, freq)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_exact_switch_law_against_enumeration(self, p):
+        # every path of 12 draws, weighed, against the dynamic program
+        n_max, ks = 12, range(12)
+        law = np.zeros(n_max)
+        for path in itertools.product((0, 1), repeat=n_max):
+            z = np.cumsum(path)
+            lower = [z[n - 1] >= exact_ranks(n, p)[0] for n in range(1, n_max + 1)]
+            switches = sum(a != b for a, b in zip(lower, lower[1:]))
+            law[switches] += p ** z[-1] * (1.0 - p) ** (n_max - z[-1])
+        assert np.allclose(exact_switch_count_cdf(p, n_max, ks), np.cumsum(law))
+        assert math.isclose(
+            exact_mean_switch_count(p, n_max), float(np.dot(np.arange(n_max), law))
+        )
 
     def test_constant(self):
         traj = Trajectory(

@@ -4,11 +4,9 @@ import pytest
 from conftest import random_gapped_case
 from quantile_limits.distributions import fair_coin, gapped_example, make_discrete
 from quantile_limits.empirical import EmpiricalSample
-from quantile_limits.errors import NoQuantileGap, ParameterOutOfRange, ValueInGap
+from quantile_limits.errors import NoQuantileGap, ValueInGap
 from quantile_limits.simulate import sample_stream
 from quantile_limits.transforms import (
-    BINARIZE,
-    COLLAPSE_SHIFT,
     TransformSpec,
     binarize,
     binarize_value,
@@ -17,7 +15,7 @@ from quantile_limits.transforms import (
     gap_spec,
 )
 
-FIGURE_SPEC = TransformSpec(kind=BINARIZE, p=0.5, lq=0.0, rq=3.0)
+FIGURE_SPEC = TransformSpec(p=0.5, lq=0.0, rq=3.0)
 
 
 class TestBinarize:
@@ -94,7 +92,7 @@ class TestCollapseShift:
 
 class TestCollapseShiftValue:
     def setup_method(self):
-        self.spec = gap_spec(gapped_example(), 0.5, COLLAPSE_SHIFT)
+        self.spec = gap_spec(gapped_example(), 0.5)
 
     def test_shifted(self):
         assert collapse_shift_value(self.spec, 5.0) == 2.0
@@ -112,35 +110,17 @@ class TestCollapseShiftValue:
 
 class TestSpecConstruction:
     def test_gap_spec_fields(self):
-        spec = gap_spec(gapped_example(), 0.5, COLLAPSE_SHIFT)
+        spec = gap_spec(gapped_example(), 0.5)
         assert (spec.lq, spec.rq, spec.h) == (0.0, 3.0, 3.0)
 
     def test_rejects_coincident(self):
-        with pytest.raises(NoQuantileGap):
-            gap_spec(gapped_example(), 0.9, BINARIZE)
+        with pytest.raises(NoQuantileGap) as info:
+            gap_spec(gapped_example(), 0.9)
+        assert info.value.param == "p"
 
     def test_rejects_inverted_edges(self):
         with pytest.raises(NoQuantileGap):
-            TransformSpec(kind=BINARIZE, p=0.5, lq=3.0, rq=0.0)
-
-    def test_rejects_wrong_shift(self):
-        with pytest.raises(ParameterOutOfRange) as info:
-            TransformSpec(kind=COLLAPSE_SHIFT, p=0.5, lq=0.0, rq=3.0, h=1.0)
-        assert info.value.param == "h"
-
-    @pytest.mark.parametrize(
-        "param, call",
-        [
-            ("kind", lambda: gap_spec(gapped_example(), 0.5, "bogus")),
-            ("kind", lambda: TransformSpec(kind="bogus", p=0.5, lq=0.0, rq=3.0)),
-            ("h", lambda: TransformSpec(kind=COLLAPSE_SHIFT, p=0.5, lq=0.0, rq=3.0)),
-        ],
-        ids=["gap_spec-kind", "spec-kind", "missing-h"],
-    )
-    def test_bad_spec_names_param(self, param, call):
-        with pytest.raises(ParameterOutOfRange) as info:
-            call()
-        assert info.value.param == param
+            TransformSpec(p=0.5, lq=3.0, rq=0.0)
 
 
 class TestPathwiseDistributionCommutation:
@@ -154,14 +134,14 @@ class TestPathwiseDistributionCommutation:
         rng = np.random.default_rng(13)
         for _ in range(100):
             d, p = random_gapped_case(rng)
-            spec = gap_spec(d, p, BINARIZE)
+            spec = gap_spec(d, p)
             assert self.push_through(d, spec, binarize_value) == binarize(d, p)
 
     def test_collapse_commutes(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             d, p = random_gapped_case(rng)
-            spec = gap_spec(d, p, COLLAPSE_SHIFT)
+            spec = gap_spec(d, p)
             assert self.push_through(d, spec, collapse_shift_value) == collapse_shift(
                 d, p
             )
@@ -174,7 +154,7 @@ class TestDivergenceTransfer:
         # move somewhere in between (here: stride 1, so at the same step)
         d = gapped_example()
         p = 0.5
-        spec = gap_spec(d, p, BINARIZE)
+        spec = gap_spec(d, p)
         two_point = binarize(d, p)
         for seed in range(10):
             draws = sample_stream(d, seed, 4000)
