@@ -11,6 +11,15 @@ call takes, is checked with them here), whose argument names match the flags.
 ``simulate`` stages a run in ``.qlim-partial/`` inside ``--output-dir``, which it
 owns and removes after every run, and moves the files out, ``report.json`` last.
 An ``--output-dir`` that is no directory, or where the stage cannot be written, is a flag error.
+
+Loading this module configures the process, and only this module does:
+numpy's OpenBLAS starts no thread pool, and under glibc the allocator keeps
+the memory it frees (its mmap threshold is fixed at 32 MiB and its trim
+threshold at 64 MiB, glibc's own ceiling and twice it), so the arrays every
+trajectory frees are not faulted in again by the next one.  Either threshold
+alone leaves one way for freed arrays back to the kernel.  A setting the
+caller made, an ``OPENBLAS_NUM_THREADS`` value or any ``MALLOC_*`` variable or
+``glibc.malloc`` tunable, is kept.
 """
 
 import argparse
@@ -25,6 +34,36 @@ from pathlib import Path
 # spinning thread per extra core; no qlim command makes a BLAS call.  A value
 # the caller set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed memory for reuse, unless the caller configured it."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    if any(k.startswith("MALLOC_") for k in os.environ) or (
+        "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
+    ):
+        return
+    import ctypes  # numpy imports it anyway
+
+    # Every trajectory allocates and frees arrays of 256-800 KiB.  glibc
+    # starts at a 128 KiB mmap threshold and a trim threshold twice that and
+    # raises them only as it frees large blocks, so until then each such
+    # array gets a fresh mmap or goes back to the kernel in a heap trim, and
+    # its next use faults it in page by page.  Either threshold alone leaves
+    # the other way open.  32 MiB is glibc's own ceiling for its dynamic mmap
+    # threshold on 64-bit systems and 64 MiB keeps its 2x trim ratio: the
+    # process starts where glibc would settle after freeing one 32 MiB block.
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 from . import distributions as dist_mod
 from . import simulate as sim

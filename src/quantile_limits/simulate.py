@@ -94,6 +94,7 @@ class SimConfig:
         check_at_most("n_max", self.n_max, 2**63 - 1)  # a sample size is an int64
         check_at_least("replications", self.replications, 1)
         check_seed("master_seed", self.master_seed)
+        object.__setattr__(self, "p", float(self.p))  # a numpy scalar would stay one
         if self.record_stride is None:
             stride = 1 if self.n_max <= DENSE_RECORD_LIMIT else 10
             object.__setattr__(self, "record_stride", stride)
@@ -590,6 +591,7 @@ def deviation_experiment(
     check_binary("q", q)
     check_at_least("reps", reps, 1)
     check_seed("master_seed", master_seed)
+    q = float(q)  # a numpy scalar would carry its own precision into the arithmetic
     phi = phi_of_k(bernoulli_moments(q), k, alpha).phi
     sums = _bernoulli_block_sums(q, phi, reps, master_seed)
     low, high = _deviation_bounds(phi, q, k)
@@ -653,6 +655,7 @@ def block_event_experiment(
     check_binary("q", q)
     check_at_least("reps", reps, 1)
     check_seed("master_seed", master_seed)
+    q = float(q)  # a numpy scalar would carry its own precision into the arithmetic
 
     params = bernoulli_moments(q)
     phi_a = phi_of_k(params, 1, alpha).phi

@@ -25,9 +25,12 @@ def run_cli(capsys, *argv):
 
 def run_fresh(code: str, **env_vars: str) -> str:
     """Run ``code`` in a new interpreter on this checkout's sources, with
-    OPENBLAS_NUM_THREADS unset unless passed in ``env_vars``; return its
-    stdout."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    OPENBLAS_NUM_THREADS, GLIBC_TUNABLES and every MALLOC_* variable unset
+    unless passed in ``env_vars``; return its stdout."""
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GLIBC_TUNABLES") and not k.startswith("MALLOC_")
+    }
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
@@ -613,6 +616,58 @@ class TestStartup:
         with pytest.raises(AttributeError, match="no_such_name"):
             quantile_limits.no_such_name
         assert not hasattr(quantile_limits, "uniforms")
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+needs_glibc = pytest.mark.skipif(not _glibc(), reason="qlim sets glibc's allocator only")
+
+
+class TestAllocator:
+    """qlim keeps the memory it frees: a dense simulate run faults its
+    arrays in once, not once per replication, unless the caller has set
+    glibc's allocator."""
+
+    @staticmethod
+    def faults(out_dir: Path, reps: int, **env_vars: str) -> int:
+        # minor page faults of one dense coin run, stride 1, on one thread
+        code = (
+            "import resource\n"
+            "from quantile_limits import cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "rc = cli.main(['simulate', '--family', 'coin', '--p', '0.5',\n"
+            f"    '--n-max', '100000', '--record-stride', '1', '--replications', '{reps}',\n"
+            "    '--analysis', 'switch_stats', '--min-switches', '0',\n"
+            f"    '--output-dir', {str(out_dir / str(reps))!r}])\n"
+            "assert rc == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        return int(run_fresh(code, QL_THREADS="1", **env_vars).split()[-1])
+
+    @needs_glibc
+    def test_faults_do_not_grow_with_replications(self, tmp_path):
+        # with glibc's default thresholds each replication faulted ~2400 pages
+        assert self.faults(tmp_path, 8) - self.faults(tmp_path, 2) < 500
+
+    @needs_glibc
+    @pytest.mark.parametrize(
+        "env_vars",
+        [
+            {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"},
+            {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072:"
+             "glibc.malloc.trim_threshold=131072"},
+        ],
+        ids=["malloc-variables", "glibc-tunables"],
+    )
+    def test_caller_allocator_settings_are_kept(self, tmp_path, env_vars):
+        # glibc's default thresholds, fixed by the caller: the arrays are
+        # faulted in again in every replication
+        assert self.faults(tmp_path, 8, **env_vars) - self.faults(tmp_path, 2, **env_vars) > 6000
 
 
 SEED_2_64 = str(2**64)

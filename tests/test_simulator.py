@@ -501,6 +501,15 @@ class TestSimConfig:
         with pytest.raises(ParameterOutOfRange):
             SimConfig(fair_coin(), 0.5, 10, 0, replications=0)
 
+    def test_numpy_level_is_stored_as_float(self):
+        # a float32 level is the same double as its float, and reports as one
+        cfg32 = SimConfig(fair_coin(), np.float32(0.25), 100, 1, replications=2)
+        cfg = SimConfig(fair_coin(), 0.25, 100, 1, replications=2)
+        assert type(cfg32.p) is float
+        assert report_to_json_bytes(run_replicated(cfg32, "convergence")) == (
+            report_to_json_bytes(run_replicated(cfg, "convergence"))
+        )
+
     @pytest.mark.parametrize("field", ["n_max", "record_stride"])
     def test_sizes_are_int64(self, field):
         # 2**63 - 1 is accepted as a value; 2**63 is refused by name
@@ -960,59 +969,97 @@ class TestGcPath:
         assert peak < simulate._workspace().nbytes + simulate._CHUNK * 8 + 2**17
 
 
-def exact_mean_switch_count(p: float, n_max: int) -> float:
-    """E[switch_count] of a stride-1 trajectory to n_max, for two atoms at
-    the gap p = F(lower atom).  The lower atom's count Z_n is Bin(n, p),
-    and lq_n is the lower atom iff Z_n >= L_n = ceil(n*p).
-    Z_n = Z_{n-1} + b, so the record at n switches iff Z_{n-1} lies between
-    L_{n-1} and L_n - b: one pmf value or none for each b."""
+def binomial_pmf(m: int, z: int, p: float) -> float:
+    return math.exp(
+        math.lgamma(m + 1) - math.lgamma(z + 1) - math.lgamma(m - z + 1)
+        + z * math.log(p) + (m - z) * math.log1p(-p)
+    )
 
-    def pmf(m: int, z: int) -> float:
-        return math.exp(
-            math.lgamma(m + 1) - math.lgamma(z + 1) - math.lgamma(m - z + 1)
-            + z * math.log(p) + (m - z) * math.log1p(-p)
-        )
 
+def record_points(n_max: int, stride: int) -> list[int]:
+    """Where a trajectory records: every stride-th draw, and n_max."""
+    return list(range(stride, n_max, stride)) + [n_max]
+
+
+def exact_mean_switch_count(p: float, n_max: int, stride: int = 1) -> float:
+    """E[switch_count] of a trajectory to n_max at record stride ``stride``,
+    for two atoms at the gap p = F(lower atom).  The lower atom's count Z_n
+    is Bin(n, p), and lq_n is the lower atom iff Z_n >= L_n = ceil(n*p).
+    Between records m and n, Z_n = Z_m + b with b ~ Bin(n - m, p), so the
+    record at n switches iff Z_m lies between L_m and L_n - b: a run of pmf
+    values, or none, for each b."""
+    points = record_points(n_max, stride)
     total = 0.0
-    for n in range(2, n_max + 1):
-        prev, cur = exact_ranks(n - 1, p)[0], exact_ranks(n, p)[0]
-        for b, weight in ((0, 1.0 - p), (1, p)):
+    for m, n in zip(points, points[1:]):
+        prev, cur = exact_ranks(m, p)[0], exact_ranks(n, p)[0]
+        for b in range(n - m + 1):
             lo, hi = sorted((prev, cur - b))
-            total += weight * sum(pmf(n - 1, z) for z in range(lo, hi))
+            run = range(max(lo, 0), min(hi, m + 1))
+            total += binomial_pmf(n - m, b, p) * sum(binomial_pmf(m, z, p) for z in run)
     return total
 
 
-def exact_switch_count_cdf(p: float, n_max: int, ks) -> list[float]:
+def exact_switch_count_cdf(p: float, n_max: int, ks, stride: int = 1) -> list[float]:
     """P(switch_count <= k) for each k of ks, in the setting of
     :func:`exact_mean_switch_count`, by a dynamic program over the joint
-    law of (Z_n, switches so far).  Counts above max(ks) share one column."""
+    law of (Z_n, switches so far) at the record points; between records the
+    law is convolved with the Bin(n - m, p) pmf of the lower atom's new
+    draws.  Counts above max(ks) share one column."""
     top = max(ks) + 1
-    law = np.zeros((2, top + 1))  # law[z, s] = P(Z_n = z, s switches)
-    law[:, 0] = 1.0 - p, p
-    for n in range(2, n_max + 1):
-        prev, cur = exact_ranks(n - 1, p)[0], exact_ranks(n, p)[0]
-        z = np.arange(n)
+    points = record_points(n_max, stride)
+    law = np.zeros((points[0] + 1, top + 1))  # law[z, s] = P(Z_n = z, s switches)
+    law[:, 0] = [binomial_pmf(points[0], z, p) for z in range(points[0] + 1)]
+    for m, n in zip(points, points[1:]):
+        prev, cur = exact_ranks(m, p)[0], exact_ranks(n, p)[0]
+        z = np.arange(m + 1)
         nxt = np.zeros((n + 1, top + 1))
-        for b, weight in ((0, 1.0 - p), (1, p)):
-            stay = weight * law
+        for b in range(n - m + 1):
+            stay = binomial_pmf(n - m, b, p) * law
             moved = np.zeros_like(stay)
             moved[:, 1:] = stay[:, :-1]
             moved[:, -1] += stay[:, -1]
             switch = (z >= prev) != (z + b >= cur)
-            nxt[b:b + n] += np.where(switch[:, None], moved, stay)
+            nxt[b:b + m + 1] += np.where(switch[:, None], moved, stay)
         law = nxt
     by_count = law.sum(axis=0)
     return [float(by_count[: k + 1].sum()) for k in ks]
 
 
 @functools.cache
-def simulated_switch_counts(name: str) -> tuple[float, list[int]]:
-    """(p, switch counts) of 3000 stride-1 trajectories to n = 1000, at the
-    gap p = F(lower atom) of a two-atom support."""
+def simulated_switch_counts(name: str, stride: int) -> tuple[float, list[int]]:
+    """(p, switch counts) of 3000 trajectories to n = 1000 at record stride
+    ``stride``, at the gap p = F(lower atom) of a two-atom support."""
     d = {"coin": fair_coin(), "0.3-0.7": make_discrete([(0.0, 0.3), (1.0, 0.7)])}[name]
     p = d.cum[0]
-    cfg = SimConfig(d, p, 1000, 31, record_stride=1)
+    cfg = SimConfig(d, p, 1000, 31, record_stride=stride)
     return p, [switch_stats(run_trajectory(cfg, rep), 0).switch_count for rep in range(3000)]
+
+
+def mean_z(counts: list[int], exact: float) -> float:
+    """z-score of the mean switch count against its exact value."""
+    return (np.mean(counts) - exact) / (np.std(counts, ddof=1) / math.sqrt(len(counts)))
+
+
+def frequency_z(counts: list[int], k: int, exact: float) -> float:
+    """z-score of the frequency of switch_count <= k against its exact P."""
+    freq = np.mean(np.array(counts) <= k)
+    return (freq - exact) / math.sqrt(exact * (1.0 - exact) / len(counts))
+
+
+def check_switch_law_by_enumeration(p: float, stride: int) -> None:
+    """Every path of 12 draws, weighed, against both exact oracles."""
+    n_max, ks = 12, range(12)
+    points = record_points(n_max, stride)
+    law = np.zeros(n_max)
+    for path in itertools.product((0, 1), repeat=n_max):
+        z = np.cumsum(path)
+        lower = [z[n - 1] >= exact_ranks(n, p)[0] for n in points]
+        switches = sum(a != b for a, b in zip(lower, lower[1:]))
+        law[switches] += p ** z[-1] * (1.0 - p) ** (n_max - z[-1])
+    assert np.allclose(exact_switch_count_cdf(p, n_max, ks, stride), np.cumsum(law))
+    assert math.isclose(
+        exact_mean_switch_count(p, n_max, stride), float(np.dot(np.arange(n_max), law))
+    )
 
 
 class TestSwitchStats:
@@ -1022,37 +1069,43 @@ class TestSwitchStats:
     def test_mean_switch_count_matches_exact_law(self, name, exact):
         # the oscillation of lq_n at a gap, as a rate: 3000 replications of
         # the switch count to n = 1000 against its exact mean
-        p, counts = simulated_switch_counts(name)
+        p, counts = simulated_switch_counts(name, 1)
         mean = exact_mean_switch_count(p, 1000)
         assert round(mean, 3) == exact
-        z = (np.mean(counts) - mean) / (np.std(counts, ddof=1) / math.sqrt(len(counts)))
-        assert abs(z) < 4.0, z
+        assert abs(mean_z(counts, mean)) < 4.0
 
     @pytest.mark.parametrize("name", ["coin", "0.3-0.7"])
     def test_switch_count_law_matches_exact_law(self, name):
         # "returns to 0 infinitely often" at n = 1000, as a distribution: the
         # same replications against P(switch_count <= k) at a few k
-        p, counts = simulated_switch_counts(name)
+        p, counts = simulated_switch_counts(name, 1)
         ks = (0, 5, 10, 20)
         for k, exact in zip(ks, exact_switch_count_cdf(p, 1000, ks)):
-            freq = np.mean(np.array(counts) <= k)
-            z = (freq - exact) / math.sqrt(exact * (1.0 - exact) / len(counts))
-            assert abs(z) < 4.0, (k, exact, freq)
+            assert abs(frequency_z(counts, k, exact)) < 4.0, (k, exact)
+
+    @pytest.mark.parametrize(
+        "name, exact", [("coin", 5.515), ("0.3-0.7", 5.490)], ids=["coin", "0.3-0.7"]
+    )
+    def test_switch_count_at_stride_matches_exact_law(self, name, exact):
+        # a record every 10 draws: between records the lower atom's count
+        # takes a Bin(10, F) step, in the mean and in P(switch_count <= k)
+        p, counts = simulated_switch_counts(name, 10)
+        mean = exact_mean_switch_count(p, 1000, stride=10)
+        assert round(mean, 3) == exact
+        assert abs(mean_z(counts, mean)) < 4.0
+        ks = (0, 2, 5, 10)
+        for k, exact in zip(ks, exact_switch_count_cdf(p, 1000, ks, stride=10)):
+            assert abs(frequency_z(counts, k, exact)) < 4.0, (k, exact)
 
     @pytest.mark.parametrize("p", [0.5, 0.3])
     def test_exact_switch_law_against_enumeration(self, p):
         # every path of 12 draws, weighed, against the dynamic program
-        n_max, ks = 12, range(12)
-        law = np.zeros(n_max)
-        for path in itertools.product((0, 1), repeat=n_max):
-            z = np.cumsum(path)
-            lower = [z[n - 1] >= exact_ranks(n, p)[0] for n in range(1, n_max + 1)]
-            switches = sum(a != b for a, b in zip(lower, lower[1:]))
-            law[switches] += p ** z[-1] * (1.0 - p) ** (n_max - z[-1])
-        assert np.allclose(exact_switch_count_cdf(p, n_max, ks), np.cumsum(law))
-        assert math.isclose(
-            exact_mean_switch_count(p, n_max), float(np.dot(np.arange(n_max), law))
-        )
+        check_switch_law_by_enumeration(p, 1)
+
+    @pytest.mark.parametrize("p, stride", [(0.5, 3), (0.3, 5)])
+    def test_exact_switch_law_at_stride_against_enumeration(self, p, stride):
+        # records at 3, 6, 9, 12 and at 5, 10, 12: the last one is always n_max
+        check_switch_law_by_enumeration(p, stride)
 
     def test_constant(self):
         traj = Trajectory(
@@ -1546,6 +1599,21 @@ class TestBlockEventExperiment:
         freq = block_event_experiment(0.5, 0.25, reps, 515)
         se = math.sqrt(0.17 * 0.83 / reps)
         assert p_d * p_e_lo - 3 * se < freq < p_d * p_e_hi + 3 * se
+
+    def test_numpy_q_reaches_the_tail_as_float(self, monkeypatch):
+        # float32 promotion in q / (1 - q) moved F(t) in its 7th digit
+        seen, tail = [], simulate._binomial_cdf
+
+        def recorded(t, n, q):
+            seen.append(q)
+            return tail(t, n, q)
+
+        monkeypatch.setattr(simulate, "_binomial_cdf", recorded)
+        q32 = np.float32(0.3)
+        assert block_event_experiment(q32, 0.25, 50, 9) == block_event_experiment(
+            float(q32), 0.25, 50, 9
+        )
+        assert len(seen) == 2 and all(type(q) is float for q in seen)
 
     def test_validation(self):
         with pytest.raises(ParameterOutOfRange):
