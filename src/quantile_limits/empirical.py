@@ -129,7 +129,8 @@ def quantile_ranks(ns, p: float) -> tuple[np.ndarray, np.ndarray]:
     ``(L, R)`` as int64 arrays.  This is the one place the sample-quantile
     rank rule lives.
 
-    p is ``num / 2**s`` exactly: callers refuse any other with check_binary.
+    p is a double, so ``num / 2**s`` exactly: callers refuse any other value
+    with check_binary.
     Where every ``n*num`` fits in an int64 the ranks are shifts of it.  Else,
     for n below 2**53, the float product rounds ``n*p`` once.  Where it is
     not an integer, its truncation k is floor(n*p) and n*p is no integer.

@@ -79,10 +79,11 @@ def check_open(param: str, x, lo=0.0, hi=1.0) -> None:
 
 
 def check_binary(param: str, x) -> None:
-    """x is ``num / 2**s`` exactly, as every float is: how the rank rule reads a level."""
-    den = x.as_integer_ratio()[1]
-    if den & (den - 1):
-        raise _out_of_range(param, "a binary fraction, such as a float", x)
+    """x equals a double exactly, the only level the rank rule reads as it is:
+    any other, such as Fraction(1, 3) or a binary fraction of more than 53
+    significant bits, would run as another level."""
+    if float(x) != x:
+        raise _out_of_range(param, "a double", x)
 
 
 def _check_integer(param: str, x) -> None:

@@ -23,10 +23,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(code: str, **env_vars: str) -> str:
-    """Run ``code`` in a new interpreter on this checkout's sources, with
+def fresh(*args: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` on this checkout's sources, with
     OPENBLAS_NUM_THREADS, GLIBC_TUNABLES and every MALLOC_* variable unset
-    unless passed in ``env_vars``; return its stdout."""
+    unless passed in ``env_vars``; stdout and stderr are piped, as bytes."""
     env = {
         k: v for k, v in os.environ.items()
         if k not in ("OPENBLAS_NUM_THREADS", "GLIBC_TUNABLES") and not k.startswith("MALLOC_")
@@ -34,12 +34,14 @@ def run_fresh(code: str, **env_vars: str) -> str:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+def run_fresh(code: str, **env_vars: str) -> str:
+    """Run ``code`` with ``fresh``, check that it exits 0; return its stdout."""
+    proc = fresh("-c", code, **env_vars)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
 
 
 class TestQuantileCommand:
@@ -585,6 +587,22 @@ class TestStartup:
             "assert dict(os.environ) == before\n"
         )
 
+    def test_cli_import_freezes_the_loaded_heap(self):
+        # numpy's and the package's objects sit in the permanent generation,
+        # so interpreter exit neither traverses nor frees them one by one
+        out = run_fresh(
+            "import gc\nimport quantile_limits.cli\nimport numpy\n"
+            "print(gc.get_freeze_count(), any(o is numpy.__dict__ for o in gc.get_objects()))"
+        )
+        count, numpy_dict_tracked = out.split()
+        assert int(count) >= 10_000
+        assert numpy_dict_tracked == "False"  # frozen after numpy loaded
+
+    @pytest.mark.parametrize("module", ["quantile_limits", "quantile_limits.simulate"])
+    def test_library_import_freezes_nothing(self, module):
+        out = run_fresh(f"import gc\nimport {module}\nprint(gc.get_freeze_count())")
+        assert out.split() == ["0"]
+
     @needs_proc_tasks
     def test_simulate_runs_within_its_thread_budget(self, tmp_path):
         # the calling thread and QL_THREADS workers, counted at every write
@@ -616,6 +634,24 @@ class TestStartup:
         with pytest.raises(AttributeError, match="no_such_name"):
             quantile_limits.no_such_name
         assert not hasattr(quantile_limits, "uniforms")
+
+
+class TestEntryPoint:
+    """``python -m quantile_limits`` runs ``console_entry``: its exit code is
+    main's, and exit drops none of its piped, buffered output."""
+
+    def test_prints_what_main_prints(self, capsys):
+        argv = ("blocks", "--q", "0.5", "--reps", "20")
+        proc = fresh("-m", "quantile_limits", *argv)
+        assert proc.returncode == 0, proc.stderr.decode()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert proc.stdout == out.encode()
+
+    def test_flag_error_exits_2(self):
+        proc = fresh("-m", "quantile_limits", "quantile", "--family", "coin", "--p", "2")
+        assert proc.returncode == 2
+        assert b"error: --p:" in proc.stderr
 
 
 def _glibc() -> bool:

@@ -357,10 +357,14 @@ class TestIntegerArguments:
         assert np.array_equal(dist, simulate.gc_path(fair_coin(), 5, [1, 2])[0])
 
 
+BITS_61 = Fraction(2**60 + 1, 2**61)  # a binary fraction, but no double
+
+
 class TestBinaryLevels:
-    """A level p or a q enters the rank rule as num / 2**s; one that is not a
-    binary fraction is refused by name before any draw, not read as another
-    level (the rule took Fraction(1, 3) for 1/2)."""
+    """A level p or a q enters the rank rule as the double num / 2**s; one
+    that is no double is refused by name before any draw, not read as another
+    level (the rule took Fraction(1, 3) for 1/2, and a binary fraction of 61
+    significant bits ran as its rounding, 1/2)."""
 
     @pytest.mark.parametrize(
         "param, call",
@@ -368,12 +372,16 @@ class TestBinaryLevels:
             ("p", lambda: SimConfig(fair_coin(), Fraction(1, 3), 100, 1)),
             ("q", lambda: deviation_experiment(Fraction(1, 3), 1, 0.25, 10, 1)),
             ("q", lambda: block_event_experiment(Fraction(1, 3), 0.25, 10, 1)),
+            ("p", lambda: SimConfig(fair_coin(), BITS_61, 100, 1)),
+            ("q", lambda: deviation_experiment(BITS_61, 1, 0.25, 10, 1)),
+            ("q", lambda: block_event_experiment(BITS_61, 0.25, 10, 1)),
         ],
-        ids=["SimConfig", "deviation_experiment", "block_event_experiment"],
+        ids=["SimConfig", "deviation_experiment", "block_event_experiment",
+             "SimConfig-61-bit", "deviation_experiment-61-bit", "block_event_experiment-61-bit"],
     )
     def test_fraction_refused(self, monkeypatch, param, call):
         monkeypatch.setattr(simulate, "_word_matrix", None)  # a draw would fail otherwise
-        with pytest.raises(ParameterOutOfRange) as info:
+        with pytest.raises(ParameterOutOfRange, match="must be a double") as info:
             call()
         assert info.value.param == param
 
