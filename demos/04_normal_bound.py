@@ -7,12 +7,10 @@ from fractions import Fraction
 
 from quantile_limits import (
     BEParams,
-    EmpiricalSample,
     be_bound,
     fair_coin,
-    gc_distance,
+    gc_path,
     interval_prob_bounds,
-    sample_stream,
     std_normal_cdf,
 )
 
@@ -44,12 +42,7 @@ for n in (100, 10_000, 1_000_000):
 
 print()
 print("sup |F_n - F| for one fair-coin stream, by checkpoint:")
-coin = fair_coin()
-draws = sample_stream(coin, seed=41, n=100_000)
-sample = EmpiricalSample.from_distribution(coin)
-done = 0
-for ck in (100, 1000, 10_000, 100_000):
-    sample.extend(draws[done:ck])
-    done = ck
-    g = gc_distance(sample, coin)
-    print(f"  n={ck:>7}: distance={g.value:.5f} attained at x={g.witness}")
+checkpoints = (100, 1000, 10_000, 100_000)
+distances, witnesses = gc_path(fair_coin(), 41, checkpoints)
+for ck, g, w in zip(checkpoints, distances, witnesses):
+    print(f"  n={ck:>7}: distance={g:.5f} attained at x={w}")

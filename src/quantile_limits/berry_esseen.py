@@ -132,11 +132,11 @@ def phi_of_k(params: BEParams, k: int, alpha: float) -> PhiOfK:
     n2 = _least_n(
         lambda n: std_normal_cdf(k / (params.sigma * math.sqrt(n))) < 0.5 + half
     )
-    if n1 is None or n2 is None:  # both searches run away as sigma shrinks
+    if n1 is None or n2 is None:  # n1 runs away as sigma shrinks, n2 also as k grows
         raise ParameterOutOfRange(
             f"no feasible n below 2^62 for sigma={params.sigma!r}, "
             f"rho={params.rho!r}, alpha={alpha!r}",
-            param="sigma",
+            param="sigma" if n1 is None else "k",
         )
     return PhiOfK(k=k, alpha=alpha, n1=n1, n2=n2)
 

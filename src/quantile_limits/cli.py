@@ -1,13 +1,18 @@
 """Command-line front end.
 
-Subcommands: quantile, simulate, blocks, be-bound, phi-of-k, transform, gc.
-Outputs are CSV and JSON only; plotting belongs to downstream tools.  Exit
-codes: 0 success, 2 validation error (message names the offending flag),
-1 internal error.  Identical flags and seeds produce byte-identical output.
-Every flag error is a ``QuantileLimitsError`` whose ``param`` names the flag
-(``n_max`` is reported as ``--n-max``).  Value ranges are checked by the
-library's ``errors.check_*`` rules only (``qlim gc --n``, which no library
-call takes, is checked with them here), whose argument names match the flags.
+Subcommands, and what each prints: quantile ``key: value`` lines; simulate
+one summary line, its trajectories and report going to CSV and JSON files;
+blocks, be-bound and phi-of-k JSON; transform text, or CSV with ``--format
+csv``; gc a CSV table, or with ``--output`` a one-line note of the file it
+wrote.  Plotting belongs to downstream tools.  Exit codes: 0 success, 2
+validation error (message names the offending flag), 1 internal error.
+Identical flags and seeds produce byte-identical output.  Every flag error is
+a ``QuantileLimitsError`` whose ``param`` names the flag (``n_max`` is
+reported as ``--n-max``, and the moments derived from ``--q`` as ``--q``).
+``--family`` and ``--q`` are a spec for ``distributions.from_spec``, as a
+``--dist-file`` is.  Value ranges are checked by the library's
+``errors.check_*`` rules only (``qlim gc --n``, which no library call takes,
+is checked with them here), whose argument names match the flags.
 ``simulate`` stages a run in ``.qlim-partial/`` inside ``--output-dir``, which it
 owns and removes after every run, and moves the files out, ``report.json`` last.
 An ``--output-dir`` that is no directory, or where the stage cannot be written, is a flag error.
@@ -34,6 +39,7 @@ import os
 import re
 import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 # OpenBLAS reads this once, when numpy loads it, and otherwise starts a
@@ -74,7 +80,7 @@ _keep_freed_memory()
 from . import distributions as dist_mod
 from . import simulate as sim
 from .berry_esseen import BEParams, be_bound, bernoulli_moments, phi_of_k
-from .errors import QuantileLimitsError, check_at_least, check_at_most
+from .errors import QuantileLimitsError, check_size
 from .transforms import binarize, collapse_shift
 
 # The finalizer would otherwise collect and free the ~22,000 objects the
@@ -87,37 +93,37 @@ gc.freeze()
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family",
-        choices=("coin", "bernoulli", "figure"),
+        choices=tuple(dist_mod.FAMILIES),
         help="built-in distribution family",
     )
     p.add_argument("--q", type=float, help="success probability for --family bernoulli")
     p.add_argument("--dist-file", type=Path, help="JSON distribution spec file")
 
 
+def _add_moment_flags(p: argparse.ArgumentParser) -> None:
+    for flag in ("--q", "--mu", "--sigma", "--rho"):
+        p.add_argument(flag, type=float, default=None)
+
+
 def _resolve_distribution(args) -> dist_mod.DiscreteDistribution:
     if args.dist_file is not None and args.family is not None:
         raise QuantileLimitsError("pass either --family or --dist-file, not both", param="family")
-    if args.dist_file is not None:
-        try:
-            spec = json.loads(args.dist_file.read_text())
-        except OSError as exc:
-            raise QuantileLimitsError(f"cannot read {args.dist_file}: {exc}", param="dist_file")
-        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to parse
-            raise QuantileLimitsError(f"invalid JSON: {exc}", param="dist_file")
-        try:
-            return dist_mod.from_spec(spec)
-        except QuantileLimitsError as exc:
-            exc.param = "dist_file"  # a bad field of the file, not a flag
-            raise
-    if args.family is None:
-        raise QuantileLimitsError("one of --family or --dist-file is required", param="family")
-    if args.family == "bernoulli":
-        if args.q is None:
-            raise QuantileLimitsError("required with --family bernoulli", param="q")
-        return dist_mod.bernoulli(args.q)
-    if args.q is not None:
-        raise QuantileLimitsError("only valid with --family bernoulli", param="q")
-    return dist_mod.fair_coin() if args.family == "coin" else dist_mod.gapped_example()
+    if args.dist_file is None:
+        if args.family is None:
+            raise QuantileLimitsError("one of --family or --dist-file is required", param="family")
+        flags = {"family": args.family, "q": args.q}
+        return dist_mod.from_spec({k: v for k, v in flags.items() if v is not None})
+    try:
+        spec = json.loads(args.dist_file.read_text())
+    except OSError as exc:
+        raise QuantileLimitsError(f"cannot read {args.dist_file}: {exc}", param="dist_file")
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to parse
+        raise QuantileLimitsError(f"invalid JSON: {exc}", param="dist_file")
+    try:
+        return dist_mod.from_spec(spec)
+    except QuantileLimitsError as exc:
+        exc.param = "dist_file"  # a bad field of the file, not a flag
+        raise
 
 
 def _fmt(x: float) -> str:
@@ -215,13 +221,7 @@ def _cmd_blocks(args) -> int:
         args.q, args.alpha, args.reps, args.master_seed
     )
     payload = {
-        "config": {
-            "q": args.q,
-            "alpha": args.alpha,
-            "k": args.k,
-            "reps": args.reps,
-            "master_seed": args.master_seed,
-        },
+        "config": {k: vars(args)[k] for k in ("q", "alpha", "k", "reps", "master_seed")},
         "n1": info.n1,
         "n2": info.n2,
         "phi": info.phi,
@@ -253,27 +253,14 @@ def _params_from_args(args) -> BEParams:
 
 def _cmd_be_bound(args) -> int:
     params = _params_from_args(args)
-    payload = {
-        "mu": params.mu,
-        "sigma": params.sigma,
-        "rho": params.rho,
-        "n": args.n,
-        "bound": be_bound(params, args.n),
-    }
+    payload = {**asdict(params), "n": args.n, "bound": be_bound(params, args.n)}
     sys.stdout.write(sim.report_to_json_bytes(payload).decode())
     return 0
 
 
 def _cmd_phi_of_k(args) -> int:
     params = _params_from_args(args)
-    info = phi_of_k(params, args.k, args.alpha)
-    payload = {
-        "k": info.k,
-        "alpha": info.alpha,
-        "n1": info.n1,
-        "n2": info.n2,
-        "phi": info.phi,
-    }
+    payload = asdict(phi_of_k(params, args.k, args.alpha))
     sys.stdout.write(sim.report_to_json_bytes(payload).decode())
     return 0
 
@@ -310,8 +297,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_gc(args) -> int:
     d = _resolve_distribution(args)
-    check_at_least("n", args.n, 1)
-    check_at_most("n", args.n, 2**63 - 1)  # a sample size is an int64
+    check_size("n", args.n)
     if args.checkpoints:
         try:
             checkpoints = sorted({int(tok) for tok in args.checkpoints.split(",")})
@@ -395,18 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_blocks)
 
     p = subs.add_parser("be-bound", help="normal-approximation error bound")
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
+    _add_moment_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_be_bound)
 
     p = subs.add_parser("phi-of-k", help="deviation block-length construction")
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
+    _add_moment_flags(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.25)
     p.set_defaults(func=_cmd_phi_of_k)
@@ -440,6 +420,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except QuantileLimitsError as exc:
+        if exc.param in ("mu", "sigma", "rho") and args.q is not None:
+            exc.param = "q"  # moments derived from --q are no flags
         flag = f"--{exc.param.replace('_', '-')}: " if exc.param else ""
         print(f"error: {flag}{exc}", file=sys.stderr)
         return 2

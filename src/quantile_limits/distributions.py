@@ -18,9 +18,9 @@ from .errors import (
     EmptyDistribution,
     NegativeProbability,
     NonFiniteAtom,
-    ProbabilityOutOfRange,
     ProbabilitySumOutOfTolerance,
     QuantileLimitsError,
+    check_closed,
     check_open,
 )
 from .rng import _LEVELS, _level_threshold
@@ -164,7 +164,7 @@ class DiscreteDistribution:
 
     def left_quantile(self, p: float) -> float:
         """inf{x : F(x) >= p}.  Returns -inf at p = 0 (infimum over all reals)."""
-        _check_level(p)
+        check_closed("p", p)
         if p == 0.0:
             return NEG_INF
         # bisect_left on the cumulative table: first index with cum[i] >= p
@@ -172,7 +172,7 @@ class DiscreteDistribution:
 
     def right_quantile(self, p: float) -> float:
         """inf{x : F(x) > p}.  Returns +inf at p = 1 (no x pushes F above 1)."""
-        _check_level(p)
+        check_closed("p", p)
         if p == 1.0:
             return POS_INF
         # bisect_right: first index with cum[i] > p
@@ -196,11 +196,6 @@ class DiscreteDistribution:
     def as_pairs(self) -> list[tuple[float, float]]:
         """Atoms as (value, probability) pairs, sorted by value."""
         return list(zip(self.values, self.probs))
-
-
-def _check_level(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ProbabilityOutOfRange(f"p must be in [0, 1], got {p!r}", param="p")
 
 
 def make_discrete(pairs: Iterable[tuple[float, float]]) -> DiscreteDistribution:
@@ -311,6 +306,15 @@ def point_mass(x: float) -> DiscreteDistribution:
     return make_discrete([(x, 1.0)])
 
 
+#: The built-in families by name: each constructor, and the spec fields it
+#: takes as its arguments, in order.
+FAMILIES = {
+    "coin": (fair_coin, ()),
+    "bernoulli": (bernoulli, ("q",)),
+    "figure": (gapped_example, ()),
+}
+
+
 def from_spec(spec: Mapping) -> DiscreteDistribution:
     """Parse the distribution-spec mapping used by spec files and the CLI.
 
@@ -320,6 +324,8 @@ def from_spec(spec: Mapping) -> DiscreteDistribution:
         {"family": "coin"}
         {"family": "bernoulli", "q": 0.3}
         {"family": "figure"}
+
+    A family's fields are required with it and refused with any other.
     """
     if not isinstance(spec, Mapping):
         raise QuantileSpecError(f"a distribution spec must be an object, got {spec!r}")
@@ -333,18 +339,19 @@ def from_spec(spec: Mapping) -> DiscreteDistribution:
             raise QuantileSpecError("each atom needs 'x' and 'p' fields") from exc
         return make_discrete(pairs)
     family = spec.get("family")
-    if family == "coin":
-        return fair_coin()
-    if family == "bernoulli":
-        if "q" not in spec:
-            raise QuantileSpecError("family 'bernoulli' requires field 'q'")
-        return bernoulli(_spec_number(spec["q"]))
-    if family == "figure":
-        return gapped_example()
-    raise QuantileSpecError(
-        f"unrecognized distribution spec: expected 'atoms' or family "
-        f"coin/bernoulli/figure, got {dict(spec)!r}"
-    )
+    if not (isinstance(family, str) and family in FAMILIES):
+        raise QuantileSpecError(
+            f"unrecognized distribution spec: expected 'atoms' or family "
+            f"{'/'.join(FAMILIES)}, got {dict(spec)!r}"
+        )
+    make, fields = FAMILIES[family]
+    for owner, (_, taken) in FAMILIES.items():
+        for name in taken:
+            if name in fields and name not in spec:
+                raise QuantileSpecError(f"{name} is required with family {family!r}", param=name)
+            if name in spec and name not in fields:
+                raise QuantileSpecError(f"{name} is only valid with family {owner!r}", param=name)
+    return make(*(_spec_number(spec[name]) for name in fields))
 
 
 def _spec_number(x) -> float:

@@ -2,18 +2,17 @@
 
 A sample is stored as per-atom counts rather than a list of observations:
 the supports we simulate from are tiny (a handful of atoms) while sample
-sizes reach 1e5..1e7, so counting makes inserts O(1) and quantile queries a
-linear scan over the atoms.
+sizes reach 1e5..1e7, so an insert is a binary search over the atoms and a
+quantile query a scan of their cumulative counts.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import (
-    EmptySample, ParameterOutOfRange, ValueOutsideSupport, check_binary, check_open,
-)
+from .errors import EmptySample, ParameterOutOfRange, ValueOutsideSupport, check_level
 
 
 @dataclass(frozen=True)
@@ -37,19 +36,18 @@ class EmpiricalSample:
     queries on a quiescent sample are safe from anywhere).
     """
 
-    __slots__ = ("values", "_index", "counts", "n")
+    __slots__ = ("values", "counts", "n")
 
     def __init__(self, support: tuple[float, ...]):
         self.values = tuple(float(v) for v in support)
         # the quantile scan and extend's binary search need the atoms in
-        # order, and insert's lookup needs them distinct
+        # order and distinct
         values = np.asarray(self.values, dtype=np.float64)
         if not (len(values) and np.all(np.isfinite(values)) and np.all(values[1:] > values[:-1])):
             raise ParameterOutOfRange(
                 f"support must be nonempty, finite and strictly increasing, got {support!r}",
                 param="support",
             )
-        self._index = {v: i for i, v in enumerate(self.values)}
         self.counts = np.zeros(len(self.values), dtype=np.int64)
         self.n = 0
 
@@ -64,33 +62,23 @@ class EmpiricalSample:
 
     def insert(self, x: float) -> None:
         """Record one observation; x must be one of the bound support values."""
-        i = self._index.get(float(x))
-        if i is None:
-            raise ValueOutsideSupport(f"{x!r} is not an atom of the bound support")
-        self.counts[i] += 1
-        self.n += 1
+        self.extend([x])
 
     def extend(self, xs: np.ndarray) -> None:
-        """Bulk insert; every entry must lie on the support."""
+        """Bulk insert; every entry must lie on the support, else none is recorded."""
         xs = np.asarray(xs, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
-        idx = np.searchsorted(values, xs)
-        idx_clipped = np.minimum(idx, len(values) - 1)
-        if not np.all(values[idx_clipped] == xs):
-            bad = float(xs[values[idx_clipped] != xs][0])
-            raise ValueOutsideSupport(f"{bad!r} is not an atom of the bound support")
-        self.counts += np.bincount(idx_clipped, minlength=len(values))
+        idx = np.searchsorted(values, xs)  # below len(values) where xs is an atom
+        on = values.take(idx, mode="clip") == xs
+        if not on.all():
+            raise ValueOutsideSupport(f"{float(xs[~on][0])!r} is not an atom of the bound support")
+        self.counts += np.bincount(idx, minlength=len(values))
         self.n += len(xs)
 
     def ecdf(self, x: float) -> float:
         """F_n(x) = (#observations <= x) / n."""
         self._require_data()
-        total = 0
-        for v, c in zip(self.values, self.counts):
-            if v > x:
-                break
-            total += int(c)
-        return total / self.n
+        return int(self.counts[: bisect_right(self.values, x)].sum()) / self.n
 
     def left_quantile(self, p: float) -> float:
         """Sample left quantile: inf{x : F_n(x) >= p}, i.e. order statistic
@@ -104,9 +92,7 @@ class EmpiricalSample:
 
     def _quantile_indices(self, p: float) -> tuple[int, int]:
         self._require_data()
-        check_open("p", p)
-        check_binary("p", p)
-        (left_rank,), (right_rank,) = quantile_ranks([self.n], p)
+        (left_rank,), (right_rank,) = quantile_ranks([self.n], check_level("p", p))
         left, right = quantile_indices(np.cumsum(self.counts), left_rank, right_rank)
         return int(left), int(right)
 
@@ -130,7 +116,7 @@ def quantile_ranks(ns, p: float) -> tuple[np.ndarray, np.ndarray]:
     rank rule lives.
 
     p is a double, so ``num / 2**s`` exactly: callers refuse any other value
-    with check_binary.
+    with check_level.
     Where every ``n*num`` fits in an int64 the ranks are shifts of it.  Else,
     for n below 2**53, the float product rounds ``n*p`` once.  Where it is
     not an integer, its truncation k is floor(n*p) and n*p is no integer.

@@ -78,12 +78,19 @@ def check_open(param: str, x, lo=0.0, hi=1.0) -> None:
         raise _out_of_range(param, f"in ({lo:g}, {hi:g})", x, ProbabilityOutOfRange)
 
 
-def check_binary(param: str, x) -> None:
-    """x equals a double exactly, the only level the rank rule reads as it is:
-    any other, such as Fraction(1, 3) or a binary fraction of more than 53
-    significant bits, would run as another level."""
+def check_closed(param: str, x) -> None:
+    """``0 <= x <= 1``, for a probability that may be an endpoint."""
+    if not 0.0 <= x <= 1.0:
+        raise _out_of_range(param, "in [0, 1]", x, ProbabilityOutOfRange)
+
+
+def check_level(param: str, x) -> float:
+    """``0 < x < 1`` and x a double exactly, the only level the rank rule reads
+    as it is (Fraction(1, 3) would run as another one); returns float(x)."""
+    check_open(param, x)
     if float(x) != x:
         raise _out_of_range(param, "a double", x)
+    return float(x)
 
 
 def _check_integer(param: str, x) -> None:
@@ -103,6 +110,12 @@ def check_at_most(param: str, x, hi) -> None:
     _check_integer(param, x)
     if not x <= hi:
         raise _out_of_range(param, f"<= {hi}", x)
+
+
+def check_size(param: str, x) -> None:
+    """``1 <= x < 2**63``: a sample size is a positive int64."""
+    check_at_least(param, x, 1)
+    check_at_most(param, x, 2**63 - 1)
 
 
 def check_positive(param: str, x) -> None:

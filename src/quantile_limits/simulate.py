@@ -26,10 +26,10 @@ from .errors import (
     ParameterOutOfRange,
     check_at_least,
     check_at_most,
-    check_binary,
-    check_open,
+    check_level,
     check_positive,
     check_seed,
+    check_size,
 )
 from .rng import _LEVELS, _level_threshold, _word_matrix, derive_seed, stream_words
 
@@ -88,19 +88,15 @@ class SimConfig:
     replications: int = 1
 
     def __post_init__(self):
-        check_open("p", self.p)
-        check_binary("p", self.p)
-        check_at_least("n_max", self.n_max, 1)
-        check_at_most("n_max", self.n_max, 2**63 - 1)  # a sample size is an int64
+        object.__setattr__(self, "p", check_level("p", self.p))
+        check_size("n_max", self.n_max)
         check_at_least("replications", self.replications, 1)
         check_seed("master_seed", self.master_seed)
-        object.__setattr__(self, "p", float(self.p))  # a numpy scalar would stay one
         if self.record_stride is None:
             stride = 1 if self.n_max <= DENSE_RECORD_LIMIT else 10
             object.__setattr__(self, "record_stride", stride)
         else:
-            check_at_least("record_stride", self.record_stride, 1)
-            check_at_most("record_stride", self.record_stride, 2**63 - 1)
+            check_size("record_stride", self.record_stride)
 
 
 class Trajectory:
@@ -482,24 +478,13 @@ def block_schedule(
     check_at_least("k_max", k_max, 1)
     check_at_least("n_cap", n_cap, 1)
     indices = [1]
-    entries: list[tuple[int, int]] = []
-    n_k = 1
-    for _ in range(k_max):
-        m_k = n_k + phi_of_k(params, n_k, alpha).phi
-        if m_k > n_cap:
+    while len(indices) < 2 * k_max:
+        step = indices[-1] + phi_of_k(params, indices[-1], alpha).phi
+        if step > n_cap:
             break
-        indices.append(m_k)
-        entries.append((n_k, m_k))
-        if len(entries) == k_max:
-            break
-        n_next = m_k + phi_of_k(params, m_k, alpha).phi
-        if n_next > n_cap:
-            break
-        indices.append(n_next)
-        n_k = n_next
-    return BlockSchedule(
-        entries=tuple(entries), indices=tuple(indices), alpha=alpha, k_max=k_max
-    )
+        indices.append(step)
+    entries = tuple(zip(indices[::2], indices[1::2]))
+    return BlockSchedule(entries=entries, indices=tuple(indices), alpha=alpha, k_max=k_max)
 
 
 def _block_counts(master_seed, r0, r1, block_len, threshold) -> np.ndarray:
@@ -587,11 +572,9 @@ def deviation_experiment(
     (freq_low, freq_high) : tuple of float
         Empirical frequencies over ``reps`` replications.
     """
-    check_open("q", q)
-    check_binary("q", q)
+    q = check_level("q", q)
     check_at_least("reps", reps, 1)
     check_seed("master_seed", master_seed)
-    q = float(q)  # a numpy scalar would carry its own precision into the arithmetic
     phi = phi_of_k(bernoulli_moments(q), k, alpha).phi
     sums = _bernoulli_block_sums(q, phi, reps, master_seed)
     low, high = _deviation_bounds(phi, q, k)
@@ -651,16 +634,18 @@ def block_event_experiment(
     one threshold.  Both events compare S with integer cut-offs, exact for
     the double q.
     """
-    check_open("q", q)
-    check_binary("q", q)
+    q = check_level("q", q)
     check_at_least("reps", reps, 1)
     check_seed("master_seed", master_seed)
-    q = float(q)  # a numpy scalar would carry its own precision into the arithmetic
 
     params = bernoulli_moments(q)
     phi_a = phi_of_k(params, 1, alpha).phi
     m1 = 1 + phi_a
-    phi_b = phi_of_k(params, m1, alpha).phi
+    try:
+        phi_b = phi_of_k(params, m1, alpha).phi
+    except ParameterOutOfRange as exc:  # m1 is no argument: q and alpha set it
+        exc.param = "q"
+        raise
 
     d_sums = _bernoulli_block_sums(q, phi_a, reps, master_seed)
     next_words = _word_matrix(stream_words(master_seed, reps), 1, phi_a)[:, 0]

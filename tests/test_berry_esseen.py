@@ -119,6 +119,12 @@ class TestBeBound:
             phi_of_k(params, 1, 0.25)
         assert info.value.param == "sigma"
 
+    def test_runaway_n2_names_k(self):
+        # n1 is 576 at sigma 1/2; only the n2 search passes 2**62
+        with pytest.raises(ParameterOutOfRange) as info:
+            phi_of_k(bernoulli_moments(0.5), 10**11, 0.25)
+        assert info.value.param == "k"
+
     @pytest.mark.parametrize(
         "mu,sigma,rho,param",
         [(math.nan, 1.0, 1.0, "mu"), (math.inf, 1.0, 1.0, "mu"),

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 import quantile_limits
 from conftest import gc_table_materialised
 from quantile_limits import simulate as sim
-from quantile_limits.cli import main
+from quantile_limits.cli import build_parser, main
 from quantile_limits.distributions import fair_coin, from_spec, gapped_example
 
 
@@ -533,6 +534,16 @@ class TestParserBehavior:
         )
         assert code == 2
 
+    def test_readme_commands_parse(self):
+        # every qlim line of the README's CLI block, continuations joined
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("qlim ")]
+        assert lines
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            assert build_parser().parse_args(argv).command == argv[0], line
+
 
 needs_proc_tasks = pytest.mark.skipif(
     not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc/self/task"
@@ -769,6 +780,12 @@ BAD_FLAGS = [
     (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1e-200", "--rho", "1"), "--sigma"),
     (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1e-105", "--rho", "1"), "--sigma"),
     (("phi-of-k", "--k", "1", "--mu", "0", "--sigma", "1e-50", "--rho", "1"), "--sigma"),
+    # moments derived from --q are no flags: their errors are --q's
+    (("blocks", "--q", "1e-300", "--reps", "1"), "--q"),
+    (("phi-of-k", "--q", "1e-300", "--k", "1"), "--q"),
+    (("be-bound", "--q", "1e-300", "--n", "1"), "--q"),
+    # only the n2 search runs away: k is too large for any block below 2**62
+    (("blocks", "--q", "0.5", "--k", "100000000000", "--reps", "1"), "--k"),
     (("transform", "--family", "figure", "--p", "1", "--kind", "binarize"), "--p"),
     (("transform", "--family", "figure", "--p", "nan", "--kind",
       "collapse_shift"), "--p"),
@@ -787,6 +804,8 @@ BAD_FLAGS = [
      "--dist-file"),
     (("quantile", "--dist-file", "[1, 2]", "--p", "0.5"), "--dist-file"),
     (("quantile", "--dist-file", '{"atoms": [{"x": "a", "p": 1}]}', "--p", "0.5"),
+     "--dist-file"),
+    (("quantile", "--dist-file", '{"family": "coin", "q": 0.3}', "--p", "0.5"),
      "--dist-file"),
 ]
 

@@ -256,6 +256,21 @@ class TestFromSpec:
 
     @pytest.mark.parametrize(
         "spec",
+        [{"family": "bernoulli"}, {"family": "coin", "q": 0.3}, {"family": "figure", "q": None}],
+    )
+    def test_q_goes_with_bernoulli(self, spec):
+        with pytest.raises(QuantileSpecError) as info:
+            from_spec(spec)
+        assert info.value.param == "q"
+        assert "family 'bernoulli'" in str(info.value)
+
+    def test_family_must_be_a_name(self):
+        for family in (["coin"], {"a": 1}, None, 1):
+            with pytest.raises(QuantileSpecError, match="unrecognized"):
+                from_spec({"family": family})
+
+    @pytest.mark.parametrize(
+        "spec",
         [{"family": "bernoulli", "q": "abc"}, {"family": "bernoulli", "q": [1]},
          [1, 2], "coin", None, {"atoms": [{"x": "a", "p": 1}]},
          {"atoms": [{"x": 0, "p": None}]}],

@@ -114,10 +114,18 @@ class TestSampleBasics:
         # on (0.0, 0.0, 1.0) insert counted 0.0 in slot 1 and extend in slot 0
         self.assert_support_refused((0.0, 0.0, 1.0))
         self.assert_support_refused((-0.0, 0.0))
-        a, b = EmpiricalSample((0.0, 1.0)), EmpiricalSample((0.0, 1.0))
-        a.insert(0.0)
-        b.extend(np.array([0.0]))
-        assert list(a.counts) == list(b.counts) == [1, 0]
+        for x, counts in [(0.0, [1, 0]), (-0.0, [1, 0]), (1, [0, 1]), (math.nan, [0, 0])]:
+            a, b = EmpiricalSample((0.0, 1.0)), EmpiricalSample((0.0, 1.0))
+            if x != x:  # off the support: both refuse it and count nothing
+                with pytest.raises(ValueOutsideSupport):
+                    a.insert(x)
+                with pytest.raises(ValueOutsideSupport):
+                    b.extend(np.array([x]))
+            else:
+                a.insert(x)
+                b.extend(np.array([x]))
+            assert list(a.counts) == list(b.counts) == counts, x
+            assert a.n == b.n == sum(counts)
 
     @pytest.mark.parametrize("support", [(), (0.0, math.nan), (-math.inf, 0.0)],
                              ids=["empty", "nan", "inf"])

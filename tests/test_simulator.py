@@ -1585,6 +1585,14 @@ class TestBlockEventExperiment:
         assert np.array_equal(u > simulate._binomial_cdf(t, n, q), want)
         assert 0.2 < want.mean() < 0.8
 
+    def test_unreachable_second_block_names_q(self, monkeypatch):
+        # phi(m1) passes 2**62 at q = 1e-5, where phi(1) is 57598273: m1
+        # comes of q, so q is named, before any draw
+        monkeypatch.setattr(simulate, "_word_matrix", None)
+        with pytest.raises(ParameterOutOfRange) as info:
+            block_event_experiment(1e-5, 0.25, 1, 1)
+        assert info.value.param == "q"
+
     def test_fair_coin_frequency(self):
         freq = block_event_experiment(0.5, 0.25, 10_000, 2024)
         assert freq > 1.0 / 16.0
