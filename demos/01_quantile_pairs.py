@@ -25,8 +25,8 @@ print("mass strictly inside the gap (0, 3):",
 print()
 print("the solution interval of F(x-) <= p <= F(x) is [left, right]:")
 for p in (0.5, 0.8, 0.9):
-    si = fig.solution_interval(p)
-    print(f"  p={p}: [{si.lo}, {si.hi}]  unique={si.unique}")
+    pair = fig.quantile_pair(p)
+    print(f"  p={p}: [{pair.left}, {pair.right}]  unique={pair.coincide}")
 
 print()
 print("endpoints use extended reals:")

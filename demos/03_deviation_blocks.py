@@ -30,10 +30,10 @@ print(f"  P(S - phi/2 < -1) ~ {freq_low}   P(S - phi/2 > 1) ~ {freq_high}")
 print("  guarantee: both > 0.25;  normal-approximation value ~ 0.45")
 
 print()
-sched = block_schedule(params, alpha=0.25, k_max=3, n_cap=10**8)
+idx = block_schedule(params, alpha=0.25, k_max=3, n_cap=10**8)
 print("block schedule under cap 1e8:")
-print("  complete windows:", sched.entries)
-print("  generated indices:", sched.indices)
+print("  complete windows:", tuple(zip(idx[::2], idx[1::2])))
+print("  generated indices:", idx)
 print("  (the next window start would exceed the cap: phi grows quadratically)")
 
 print()

@@ -22,7 +22,6 @@ _SUBMODULE_NAMES = {
     "distributions": (
         "DiscreteDistribution",
         "QuantilePair",
-        "SolutionInterval",
         "bernoulli",
         "fair_coin",
         "from_spec",
@@ -30,7 +29,7 @@ _SUBMODULE_NAMES = {
         "make_discrete",
         "point_mass",
     ),
-    "empirical": ("EmpiricalSample", "GCDistance", "gc_distance"),
+    "empirical": ("EmpiricalSample", "gc_distance"),
     "errors": (
         "EmptyDistribution",
         "EmptySample",
@@ -47,7 +46,6 @@ _SUBMODULE_NAMES = {
         "ValueOutsideSupport",
     ),
     "simulate": (
-        "BlockSchedule",
         "SimConfig",
         "SwitchStats",
         "Trajectory",

@@ -134,7 +134,7 @@ def phi_of_k(params: BEParams, k: int, alpha: float) -> PhiOfK:
     )
     if n1 is None or n2 is None:  # n1 runs away as sigma shrinks, n2 also as k grows
         raise ParameterOutOfRange(
-            f"no feasible n below 2^62 for sigma={params.sigma!r}, "
+            f"no feasible n below 2^62 for k={k!r}, sigma={params.sigma!r}, "
             f"rho={params.rho!r}, alpha={alpha!r}",
             param="sigma" if n1 is None else "k",
         )

@@ -108,6 +108,8 @@ def _add_moment_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_distribution(args) -> dist_mod.DiscreteDistribution:
     if args.dist_file is not None and args.family is not None:
         raise QuantileLimitsError("pass either --family or --dist-file, not both", param="family")
+    if args.dist_file is not None and args.q is not None:
+        raise QuantileLimitsError("q goes in the --dist-file spec, not next to it", param="q")
     if args.dist_file is None:
         if args.family is None:
             raise QuantileLimitsError("one of --family or --dist-file is required", param="family")
@@ -141,11 +143,10 @@ def _cmd_quantile(args) -> int:
     print(f"left_quantile: {_fmt(pair.left)}")
     print(f"right_quantile: {_fmt(pair.right)}")
     print(f"coincide: {str(pair.coincide).lower()}")
-    if 0.0 < args.p < 1.0:
-        si = d.solution_interval(args.p)
+    if 0.0 < args.p < 1.0:  # [left, right] solves F(x-) <= p <= F(x)
         print(
-            f"solution_interval: [{_fmt(si.lo)}, {_fmt(si.hi)}] "
-            f"unique={str(si.unique).lower()}"
+            f"solution_interval: [{_fmt(pair.left)}, {_fmt(pair.right)}] "
+            f"unique={str(pair.coincide).lower()}"
         )
     return 0
 
@@ -214,11 +215,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_blocks(args) -> int:
     params = bernoulli_moments(args.q)
     info = phi_of_k(params, args.k, args.alpha)
-    freq_low, freq_high = sim.deviation_experiment(
-        args.q, args.k, args.alpha, args.reps, args.master_seed
-    )
+    # first, as it refuses an unreachable second block before any draw
     block_freq = sim.block_event_experiment(
         args.q, args.alpha, args.reps, args.master_seed
+    )
+    freq_low, freq_high = sim.deviation_experiment(
+        args.q, args.k, args.alpha, args.reps, args.master_seed
     )
     payload = {
         "config": {k: vars(args)[k] for k in ("q", "alpha", "k", "reps", "master_seed")},

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     EmptyDistribution,
+    InvalidInterval,
     NegativeProbability,
     NonFiniteAtom,
     ProbabilitySumOutOfTolerance,
@@ -43,6 +44,9 @@ class QuantilePair:
 
     ``left <= right`` always; ``coincide`` records whether the two agree,
     which is exactly the condition under which sample quantiles converge.
+    For 0 < p < 1, [left, right] is the solution set of F(x-) <= p <= F(x).
+    The weak left inequality is deliberate: with a strict one the set would
+    lose its equivalence to quantile coincidence on flat CDF levels.
     """
 
     p: float
@@ -52,20 +56,8 @@ class QuantilePair:
 
     def __post_init__(self):
         if not self.left <= self.right:
-            raise ValueError("left quantile exceeds right quantile")
+            raise InvalidInterval("left quantile exceeds right quantile")
         object.__setattr__(self, "coincide", self.left == self.right)
-
-
-@dataclass(frozen=True)
-class SolutionInterval:
-    """Solution set of F(x-) <= p <= F(x), as a closed interval [lo, hi]."""
-
-    lo: float
-    hi: float
-    unique: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "unique", self.lo == self.hi)
 
 
 @dataclass(frozen=True)
@@ -181,17 +173,6 @@ class DiscreteDistribution:
     def quantile_pair(self, p: float) -> QuantilePair:
         """Both quantiles at p, with the coincidence flag."""
         return QuantilePair(p, self.left_quantile(p), self.right_quantile(p))
-
-    def solution_interval(self, p: float) -> SolutionInterval:
-        """Solution set of F(x-) <= p <= F(x) for p strictly inside (0, 1).
-
-        The set is the closed interval [left_quantile, right_quantile]; it is
-        a single point exactly when the two quantiles coincide.  The weak left
-        inequality is deliberate: with a strict one the set would lose its
-        equivalence to quantile coincidence on flat CDF levels.
-        """
-        check_open("p", p)
-        return SolutionInterval(self.left_quantile(p), self.right_quantile(p))
 
     def as_pairs(self) -> list[tuple[float, float]]:
         """Atoms as (value, probability) pairs, sorted by value."""

@@ -7,24 +7,11 @@ quantile query a scan of their cumulative counts.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscreteDistribution
 from .errors import EmptySample, ParameterOutOfRange, ValueOutsideSupport, check_level
-
-
-@dataclass(frozen=True)
-class GCDistance:
-    """Sup distance between an empirical CDF and its generating CDF.
-
-    ``value`` is sup |F_n - F| as :func:`sup_distances` rounds it, and
-    ``witness`` the leftmost atom attaining that value.
-    """
-
-    value: float
-    witness: float
 
 
 class EmpiricalSample:
@@ -184,11 +171,11 @@ def sup_distances(cum_counts, n, cdf):
     return np.take_along_axis(diffs, j[..., None], axis=-1)[..., 0], j
 
 
-def gc_distance(sample: EmpiricalSample, d: DiscreteDistribution) -> GCDistance:
-    """sup_x |F_n(x) - F(x)| for a sample bound to d's support, as the float
-    maximum of :func:`sup_distances`, with its leftmost witness atom."""
+def gc_distance(sample: EmpiricalSample, d: DiscreteDistribution) -> tuple[float, float]:
+    """``(value, witness)``: sup_x |F_n(x) - F(x)| for a sample bound to d's support,
+    as the float maximum of :func:`sup_distances`, and its leftmost atom."""
     sample._require_data()
     if sample.values != d.values:
         raise ValueOutsideSupport("sample is not bound to this distribution's support")
     value, j = sup_distances(np.cumsum(sample.counts), sample.n, d.cum_array)
-    return GCDistance(float(value), d.values[int(j)])
+    return float(value), d.values[int(j)]

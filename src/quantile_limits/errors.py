@@ -53,7 +53,7 @@ class EmptySample(QuantileLimitsError):
 
 
 class InvalidInterval(QuantileLimitsError):
-    """Interval endpoints are not strictly ordered."""
+    """Interval endpoints are out of order."""
 
 
 class NoQuantileGap(QuantileLimitsError):

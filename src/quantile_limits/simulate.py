@@ -37,7 +37,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "SwitchStats",
-    "BlockSchedule",
     "derive_seed",
     "sample_stream",
     "run_trajectory",
@@ -125,21 +124,6 @@ class SwitchStats:
     visits: dict
     running_min: float
     running_max: float
-
-
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Non-overlapping deviation windows n_k < m_k < n_{k+1} < ...
-
-    ``indices`` is the raw generated sequence (n_1, m_1, n_2, m_2, ...)
-    truncated before the first index that would exceed the cap; ``entries``
-    holds the complete (n_k, m_k) pairs.
-    """
-
-    entries: tuple[tuple[int, int], ...]
-    indices: tuple[int, ...]
-    alpha: float
-    k_max: int
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +452,11 @@ def gap_interior_hits(traj: Trajectory, d: DiscreteDistribution, p: float) -> in
 
 def block_schedule(
     params: BEParams, alpha: float, k_max: int, n_cap: int
-) -> BlockSchedule:
-    """Deviation-window schedule n_1=1, m_k = n_k + phi(n_k),
-    n_{k+1} = m_k + phi(m_k), truncated before any index above n_cap.
+) -> tuple[int, ...]:
+    """Deviation-window indices (n_1, m_1, n_2, ...): n_1 = 1, m_k = n_k +
+    phi(n_k), n_{k+1} = m_k + phi(m_k), at most 2 * k_max of them, truncated
+    before any index above n_cap, or where phi runs past 2^62.  The complete
+    windows (n_k, m_k) are ``zip(idx[::2], idx[1::2])``.
 
     phi grows quadratically in its argument, so only the first window or two
     are reachable at desk scale; the cap makes the truncation explicit.
@@ -479,12 +465,16 @@ def block_schedule(
     check_at_least("n_cap", n_cap, 1)
     indices = [1]
     while len(indices) < 2 * k_max:
-        step = indices[-1] + phi_of_k(params, indices[-1], alpha).phi
+        try:
+            step = indices[-1] + phi_of_k(params, indices[-1], alpha).phi
+        except ParameterOutOfRange as exc:
+            if exc.param != "k":  # the moments or alpha are at fault
+                raise
+            break
         if step > n_cap:
             break
         indices.append(step)
-    entries = tuple(zip(indices[::2], indices[1::2]))
-    return BlockSchedule(entries=entries, indices=tuple(indices), alpha=alpha, k_max=k_max)
+    return tuple(indices)
 
 
 def _block_counts(master_seed, r0, r1, block_len, threshold) -> np.ndarray:

@@ -258,8 +258,8 @@ def gc_table_materialised(d: DiscreteDistribution, seed: int, n: int, checkpoint
     for ck in checkpoints:
         sample.extend(draws[done:ck])
         done = ck
-        g = gc_distance(sample, d)
-        lines.append(f"{ck},{g.value!r},{g.witness!r}")
+        value, witness = gc_distance(sample, d)
+        lines.append(f"{ck},{value!r},{witness!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -554,13 +554,13 @@ THREADS = "len(os.listdir('/proc/self/task'))"
 PUBLIC_NAMES = {
     "berry_esseen": "BEParams PhiOfK be_bound bernoulli_moments interval_prob_bounds "
     "phi_of_k std_normal_cdf",
-    "distributions": "DiscreteDistribution QuantilePair SolutionInterval bernoulli fair_coin "
+    "distributions": "DiscreteDistribution QuantilePair bernoulli fair_coin "
     "from_spec gapped_example make_discrete point_mass",
-    "empirical": "EmpiricalSample GCDistance gc_distance",
+    "empirical": "EmpiricalSample gc_distance",
     "errors": "EmptyDistribution EmptySample EmptyWindow InvalidInterval NegativeProbability "
     "NoQuantileGap NonFiniteAtom ParameterOutOfRange ProbabilityOutOfRange "
     "ProbabilitySumOutOfTolerance QuantileLimitsError ValueInGap ValueOutsideSupport",
-    "simulate": "BlockSchedule SimConfig SwitchStats Trajectory block_event_experiment "
+    "simulate": "SimConfig SwitchStats Trajectory block_event_experiment "
     "block_schedule derive_seed deviation_experiment gap_interior_hits gc_path "
     "report_to_json_bytes run_replicated run_trajectory sample_stream sandwich_check "
     "switch_stats write_trajectory_csv",
@@ -634,7 +634,7 @@ class TestStartup:
 
     def test_namespace_lists_the_public_names(self):
         expected = {name: mod for mod, names in PUBLIC_NAMES.items() for name in names.split()}
-        assert len(expected) == 55
+        assert len(expected) == 52
         assert sorted(quantile_limits.__all__) == sorted(expected)
         assert set(expected) <= set(dir(quantile_limits))
         for name, mod in expected.items():
@@ -785,7 +785,9 @@ BAD_FLAGS = [
     (("phi-of-k", "--q", "1e-300", "--k", "1"), "--q"),
     (("be-bound", "--q", "1e-300", "--n", "1"), "--q"),
     # only the n2 search runs away: k is too large for any block below 2**62
-    (("blocks", "--q", "0.5", "--k", "100000000000", "--reps", "1"), "--k"),
+    (("blocks", "--q", "0.5", "--k", "100000000000", "--reps", "1"), "--k", "k=100000000000"),
+    # phi(m1) passes 2**62 at q = 1e-5: refused before the first block is drawn
+    (("blocks", "--q", "1e-5", "--reps", "20"), "--q"),
     (("transform", "--family", "figure", "--p", "1", "--kind", "binarize"), "--p"),
     (("transform", "--family", "figure", "--p", "nan", "--kind",
       "collapse_shift"), "--p"),
@@ -807,17 +809,26 @@ BAD_FLAGS = [
      "--dist-file"),
     (("quantile", "--dist-file", '{"family": "coin", "q": 0.3}', "--p", "0.5"),
      "--dist-file"),
+    (("quantile", "--dist-file", '{"family": "coin"}', "--q", "0.3", "--p", "0.5"), "--q"),
 ]
 
 
 def _row_id(row) -> str:
-    argv, flag = row
+    argv, flag = row[:2]
     value = argv[argv.index(flag) + 1] if flag in argv else "missing"
     return f"{argv[0]} {flag}={value}"
 
 
-@pytest.mark.parametrize("argv,flag", BAD_FLAGS, ids=map(_row_id, BAD_FLAGS))
-def test_bad_flag_value_names_flag(capsys, tmp_path, argv, flag):
+def _no_draw(*args):
+    raise AssertionError("a block was drawn")
+
+
+@pytest.mark.parametrize("row", BAD_FLAGS, ids=map(_row_id, BAD_FLAGS))
+def test_bad_flag_value_names_flag(capsys, monkeypatch, tmp_path, row):
+    # a row's optional third entry is text its message must hold; every row
+    # is refused before any Bernoulli block is drawn
+    argv, flag, *text = row
+    monkeypatch.setattr(sim, "_block_counts", _no_draw)
     out_dir = tmp_path / "out"
     extra = ("--output-dir", str(out_dir)) if argv[0] == "simulate" else ()
     if "--dist-file" in argv:
@@ -831,6 +842,7 @@ def test_bad_flag_value_names_flag(capsys, tmp_path, argv, flag):
     code, out, err = run_cli(capsys, *argv, *extra)
     assert code == 2, out
     assert re.search(rf"{flag}(?![\w-])", err), err  # --n must not match --n-max
+    assert all(t in err for t in text), err
     assert not out_dir.exists()
 
 

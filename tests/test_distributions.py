@@ -25,6 +25,7 @@ from quantile_limits.distributions import (
 )
 from quantile_limits.errors import (
     EmptyDistribution,
+    InvalidInterval,
     NegativeProbability,
     NonFiniteAtom,
     ProbabilityOutOfRange,
@@ -156,29 +157,35 @@ class TestQuantiles:
         assert (pair.left, pair.right, pair.coincide) == (-1.0, -1.0, True)
 
     def test_pair_rejects_inverted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInterval) as info:
             QuantilePair(p=0.5, left=1.0, right=-1.0)
+        assert isinstance(info.value, ValueError)
 
 
 class TestSolutionInterval:
+    """[left, right] of the quantile pair solves F(x-) <= p <= F(x), and the
+    set is one point exactly when the pair coincides."""
+
+    @staticmethod
+    def check(d, p, lo, hi):
+        pair = d.quantile_pair(p)
+        assert bf_solution_interval(d, p) == (pair.left, pair.right) == (lo, hi)
+        assert pair.coincide == (lo == hi)
+
     def test_fair_coin_flat(self):
-        si = fair_coin().solution_interval(0.5)
-        assert (si.lo, si.hi, si.unique) == (-1.0, 1.0, False)
+        self.check(fair_coin(), 0.5, -1.0, 1.0)
 
     def test_point_mass(self):
-        si = point_mass(7.0).solution_interval(0.5)
-        assert (si.lo, si.hi, si.unique) == (7.0, 7.0, True)
+        self.check(point_mass(7.0), 0.5, 7.0, 7.0)
 
     def test_three_atom_instance_upper(self):
         # F(3)=0.8 < 0.9 <= F(5)=1
-        si = gapped_example().solution_interval(0.9)
-        assert (si.lo, si.hi, si.unique) == (5.0, 5.0, True)
+        self.check(gapped_example(), 0.9, 5.0, 5.0)
 
-    def test_endpoints_rejected(self):
-        with pytest.raises(ProbabilityOutOfRange):
-            gapped_example().solution_interval(0.0)
-        with pytest.raises(ProbabilityOutOfRange):
-            gapped_example().solution_interval(1.0)
+    def test_endpoints_extend_to_infinity(self):
+        # at p = 0 the set is (-inf, 0], at p = 1 it is [5, inf)
+        assert gapped_example().quantile_pair(0.0) == QuantilePair(0.0, NEG_INF, 0.0)
+        assert gapped_example().quantile_pair(1.0) == QuantilePair(1.0, 5.0, POS_INF)
 
 
 class TestProperties:
@@ -219,13 +226,8 @@ class TestProperties:
         d, p = case
         if not 0.0 < p < 1.0:
             return
-        si = d.solution_interval(p)
         pair = d.quantile_pair(p)
-        assert (si.lo, si.hi) == (pair.left, pair.right)
-        assert si.unique == pair.coincide
-        scanned = bf_solution_interval(d, p)
-        assert scanned is not None
-        assert scanned == (si.lo, si.hi)
+        assert bf_solution_interval(d, p) == (pair.left, pair.right)
 
     @given(dist_and_level_st())
     @settings(max_examples=200)

@@ -1223,32 +1223,33 @@ class TestSandwichCheck:
 
 class TestBlockSchedule:
     def test_first_window(self):
-        sched = block_schedule(bernoulli_moments(0.5), 0.25, 5, 10**8)
-        assert sched.indices[0] == 1
-        assert sched.entries[0] == (1, 577)  # phi(1) = 576
+        idx = block_schedule(bernoulli_moments(0.5), 0.25, 5, 10**8)
+        assert idx[:2] == (1, 577)  # phi(1) = 576
 
     def test_second_start_and_truncation(self):
         params = bernoulli_moments(0.5)
-        sched = block_schedule(params, 0.25, 5, 10**8)
         n2 = 577 + phi_of_k(params, 577, 0.25).phi
-        assert sched.indices == (1, 577, n2)
-        assert len(sched.entries) == 1  # m_2 blows through the cap: no k >= 2
+        # m_2 blows through the cap: no window for k >= 2
+        assert block_schedule(params, 0.25, 5, 10**8) == (1, 577, n2)
 
     def test_small_cap_truncates_everything(self):
-        sched = block_schedule(bernoulli_moments(0.5), 0.25, 5, 100)
-        assert sched.entries == ()
-        assert sched.indices == (1,)
+        assert block_schedule(bernoulli_moments(0.5), 0.25, 5, 100) == (1,)
 
     def test_entries_satisfy_recurrence(self):
         params = bernoulli_moments(0.5)
-        sched = block_schedule(params, 0.25, 3, 10**8)
-        for n_k, m_k in sched.entries:
+        idx = block_schedule(params, 0.25, 3, 10**8)
+        for n_k, m_k in zip(idx[::2], idx[1::2]):
             assert m_k == n_k + phi_of_k(params, n_k, 0.25).phi
-        assert all(a < b for a, b in zip(sched.indices, sched.indices[1:]))
+        assert all(a < b for a, b in zip(idx, idx[1:]))
 
     def test_k_max_respected(self):
-        sched = block_schedule(bernoulli_moments(0.5), 0.25, 1, 10**12)
-        assert len(sched.entries) == 1
+        assert len(block_schedule(bernoulli_moments(0.5), 0.25, 1, 10**12)) == 2
+
+    @pytest.mark.parametrize("n_cap", [10**17, 2**62], ids=["1e17", "2^62"])
+    def test_runaway_phi_truncates(self, n_cap):
+        # phi at the fourth index has no value below 2**62: past any cap
+        idx = block_schedule(bernoulli_moments(0.5), 0.25, 5, n_cap)
+        assert idx == (1, 577, 13116920, 6778363873253772)
 
     def test_validation(self):
         with pytest.raises(ParameterOutOfRange):
