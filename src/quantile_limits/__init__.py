@@ -30,21 +30,7 @@ _SUBMODULE_NAMES = {
         "point_mass",
     ),
     "empirical": ("EmpiricalSample", "gc_distance"),
-    "errors": (
-        "EmptyDistribution",
-        "EmptySample",
-        "EmptyWindow",
-        "InvalidInterval",
-        "NegativeProbability",
-        "NoQuantileGap",
-        "NonFiniteAtom",
-        "ParameterOutOfRange",
-        "ProbabilityOutOfRange",
-        "ProbabilitySumOutOfTolerance",
-        "QuantileLimitsError",
-        "ValueInGap",
-        "ValueOutsideSupport",
-    ),
+    "errors": ("QuantileLimitsError",),
     "simulate": (
         "SimConfig",
         "SwitchStats",

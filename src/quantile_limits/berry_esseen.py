@@ -14,14 +14,7 @@ sum escapes +/-k with probability > 1/2 - alpha on each side.
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    InvalidInterval,
-    ParameterOutOfRange,
-    check_at_least,
-    check_finite,
-    check_open,
-    check_positive,
-)
+from .errors import QuantileLimitsError, check_at_least, check_finite, check_open, check_positive
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ def be_bound(params: BEParams, n: int) -> float:
     except (OverflowError, ZeroDivisionError):  # sigma**3 leaves the double range
         bound = math.nan
     if not math.isfinite(bound):
-        raise ParameterOutOfRange(
+        raise QuantileLimitsError(
             f"sigma={params.sigma!r} is too small or too large: "
             f"3*rho/(sigma^3*sqrt(n)) is not a finite double",
             param="sigma",
@@ -102,7 +95,7 @@ def interval_prob_bounds(
     clipped into [0, 1].  Endpoints may be -inf/+inf.
     """
     if not z1 < z2:
-        raise InvalidInterval(f"need z1 < z2, got {z1!r} >= {z2!r}")
+        raise QuantileLimitsError(f"need z1 < z2, got {z1!r} >= {z2!r}")
     width = std_normal_cdf(z2) - std_normal_cdf(z1)
     slack = 2.0 * be_bound(params, n)
     return max(0.0, width - slack), min(1.0, width + slack)
@@ -133,7 +126,7 @@ def phi_of_k(params: BEParams, k: int, alpha: float) -> PhiOfK:
         lambda n: std_normal_cdf(k / (params.sigma * math.sqrt(n))) < 0.5 + half
     )
     if n1 is None or n2 is None:  # n1 runs away as sigma shrinks, n2 also as k grows
-        raise ParameterOutOfRange(
+        raise QuantileLimitsError(
             f"no feasible n below 2^62 for k={k!r}, sigma={params.sigma!r}, "
             f"rho={params.rho!r}, alpha={alpha!r}",
             param="sigma" if n1 is None else "k",

@@ -14,21 +14,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyDistribution,
-    InvalidInterval,
-    NegativeProbability,
-    NonFiniteAtom,
-    ProbabilitySumOutOfTolerance,
-    QuantileLimitsError,
-    check_closed,
-    check_open,
-)
+from .errors import QuantileLimitsError, check_closed, check_open
 from .rng import _LEVELS, _level_threshold
-
-
-class QuantileSpecError(QuantileLimitsError):
-    """Malformed distribution spec mapping."""
 
 
 #: Accepted deviation of the input probability mass from 1 before rejection.
@@ -56,7 +43,7 @@ class QuantilePair:
 
     def __post_init__(self):
         if not self.left <= self.right:
-            raise InvalidInterval("left quantile exceeds right quantile")
+            raise QuantileLimitsError("left quantile exceeds right quantile")
         object.__setattr__(self, "coincide", self.left == self.right)
 
 
@@ -204,15 +191,15 @@ def make_discrete(pairs: Iterable[tuple[float, float]]) -> DiscreteDistribution:
     """
     items = [(float(v), float(q)) for v, q in pairs]
     if not items:
-        raise EmptyDistribution("at least one atom is required")
+        raise QuantileLimitsError("at least one atom is required")
     for v, q in items:
         if not math.isfinite(v) or not math.isfinite(q):
-            raise NonFiniteAtom(f"atom ({v!r}, {q!r}) is not finite")
+            raise QuantileLimitsError(f"atom ({v!r}, {q!r}) is not finite")
         if q <= 0.0:
-            raise NegativeProbability(f"atom ({v!r}, {q!r}) has non-positive probability")
+            raise QuantileLimitsError(f"atom ({v!r}, {q!r}) has non-positive probability")
     total = math.fsum(q for _, q in items)
     if abs(total - 1.0) > PROB_SUM_TOLERANCE:
-        raise ProbabilitySumOutOfTolerance(
+        raise QuantileLimitsError(
             f"probabilities sum to {total!r}, outside 1 +/- {PROB_SUM_TOLERANCE}"
         )
 
@@ -309,19 +296,19 @@ def from_spec(spec: Mapping) -> DiscreteDistribution:
     A family's fields are required with it and refused with any other.
     """
     if not isinstance(spec, Mapping):
-        raise QuantileSpecError(f"a distribution spec must be an object, got {spec!r}")
+        raise QuantileLimitsError(f"a distribution spec must be an object, got {spec!r}")
     if "atoms" in spec:
         atoms = spec["atoms"]
         if not isinstance(atoms, Sequence):
-            raise QuantileSpecError("'atoms' must be a list of {x, p} objects")
+            raise QuantileLimitsError("'atoms' must be a list of {x, p} objects")
         try:
             pairs = [(_spec_number(a["x"]), _spec_number(a["p"])) for a in atoms]
         except (TypeError, KeyError) as exc:
-            raise QuantileSpecError("each atom needs 'x' and 'p' fields") from exc
+            raise QuantileLimitsError("each atom needs 'x' and 'p' fields") from exc
         return make_discrete(pairs)
     family = spec.get("family")
     if not (isinstance(family, str) and family in FAMILIES):
-        raise QuantileSpecError(
+        raise QuantileLimitsError(
             f"unrecognized distribution spec: expected 'atoms' or family "
             f"{'/'.join(FAMILIES)}, got {dict(spec)!r}"
         )
@@ -329,9 +316,9 @@ def from_spec(spec: Mapping) -> DiscreteDistribution:
     for owner, (_, taken) in FAMILIES.items():
         for name in taken:
             if name in fields and name not in spec:
-                raise QuantileSpecError(f"{name} is required with family {family!r}", param=name)
+                raise QuantileLimitsError(f"{name} is required with family {family!r}", param=name)
             if name in spec and name not in fields:
-                raise QuantileSpecError(f"{name} is only valid with family {owner!r}", param=name)
+                raise QuantileLimitsError(f"{name} is only valid with family {owner!r}", param=name)
     return make(*(_spec_number(spec[name]) for name in fields))
 
 
@@ -339,4 +326,4 @@ def _spec_number(x) -> float:
     try:
         return float(x)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise QuantileSpecError(f"expected a number, got {x!r}") from exc
+        raise QuantileLimitsError(f"expected a number, got {x!r}") from exc

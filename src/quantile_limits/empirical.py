@@ -11,7 +11,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import EmptySample, ParameterOutOfRange, ValueOutsideSupport, check_level
+from .errors import QuantileLimitsError, check_level
 
 
 class EmpiricalSample:
@@ -31,7 +31,7 @@ class EmpiricalSample:
         # order and distinct
         values = np.asarray(self.values, dtype=np.float64)
         if not (len(values) and np.all(np.isfinite(values)) and np.all(values[1:] > values[:-1])):
-            raise ParameterOutOfRange(
+            raise QuantileLimitsError(
                 f"support must be nonempty, finite and strictly increasing, got {support!r}",
                 param="support",
             )
@@ -58,7 +58,7 @@ class EmpiricalSample:
         idx = np.searchsorted(values, xs)  # below len(values) where xs is an atom
         on = values.take(idx, mode="clip") == xs
         if not on.all():
-            raise ValueOutsideSupport(f"{float(xs[~on][0])!r} is not an atom of the bound support")
+            raise QuantileLimitsError(f"{float(xs[~on][0])!r} is not an atom of the bound support")
         self.counts += np.bincount(idx, minlength=len(values))
         self.n += len(xs)
 
@@ -85,7 +85,7 @@ class EmpiricalSample:
 
     def _require_data(self) -> None:
         if self.n == 0:
-            raise EmptySample("sample holds no observations")
+            raise QuantileLimitsError("sample holds no observations")
 
     def __repr__(self) -> str:
         return f"EmpiricalSample(n={self.n}, support={self.values})"
@@ -176,6 +176,6 @@ def gc_distance(sample: EmpiricalSample, d: DiscreteDistribution) -> tuple[float
     as the float maximum of :func:`sup_distances`, and its leftmost atom."""
     sample._require_data()
     if sample.values != d.values:
-        raise ValueOutsideSupport("sample is not bound to this distribution's support")
+        raise QuantileLimitsError("sample is not bound to this distribution's support")
     value, j = sup_distances(np.cumsum(sample.counts), sample.n, d.cum_array)
     return float(value), d.values[int(j)]

@@ -1,9 +1,13 @@
-"""Exception types raised by quantile-limits operations, and the range checks
-that raise them.
+"""The one exception type of quantile-limits, and the range checks that raise it.
+
+Every refusal in the package is a ``QuantileLimitsError``, a ``ValueError``
+whose message says what was wrong and whose ``param`` names the argument at
+fault (None where no single argument is).  Callers tell refusals apart by
+``param``, never by type: the CLI prints ``param`` as the flag (``n_max`` as
+``--n-max``).
 
 Each ``check_*`` helper holds one range rule on an argument.  Rules are
-written as ``not <in range>``, so NaN fails, and the error's ``param`` names
-the argument (the CLI prints ``n_max`` as ``--n-max``).  The integer rules
+written as ``not <in range>``, so NaN fails.  The integer rules
 (``check_at_least``, ``check_at_most``, ``check_seed``) refuse a float too.
 """
 
@@ -12,76 +16,28 @@ import operator
 
 
 class QuantileLimitsError(ValueError):
-    """Base class for all validation errors raised by this package; ``param``
-    names the argument at fault, or is None."""
+    """An input outside the documented contract; ``param`` names the argument
+    at fault, or is None."""
 
     def __init__(self, *args, param: str | None = None):
         super().__init__(*args)
         self.param = param
 
 
-class EmptyDistribution(QuantileLimitsError):
-    """Distribution constructed from an empty atom list."""
-
-
-class NegativeProbability(QuantileLimitsError):
-    """An atom probability is zero or negative."""
-
-
-class NonFiniteAtom(QuantileLimitsError):
-    """An atom value or probability is NaN or infinite."""
-
-
-class ProbabilitySumOutOfTolerance(QuantileLimitsError):
-    """Atom probabilities do not sum to 1 within the construction tolerance."""
-
-
-class ParameterOutOfRange(QuantileLimitsError):
-    """A numeric parameter violates its documented range."""
-
-
-class ProbabilityOutOfRange(ParameterOutOfRange):
-    """A probability-valued parameter lies outside its required range."""
-
-
-class ValueOutsideSupport(QuantileLimitsError):
-    """An observation does not match any atom of the bound support."""
-
-
-class EmptySample(QuantileLimitsError):
-    """Operation requires at least one observation."""
-
-
-class InvalidInterval(QuantileLimitsError):
-    """Interval endpoints are out of order."""
-
-
-class NoQuantileGap(QuantileLimitsError):
-    """Transform requires distinct left and right quantiles at the level."""
-
-
-class ValueInGap(QuantileLimitsError):
-    """A value lies strictly inside the zero-probability quantile gap."""
-
-
-class EmptyWindow(QuantileLimitsError):
-    """No trajectory records remain after the burn-in cutoff."""
-
-
-def _out_of_range(param: str, rule: str, x, error=ParameterOutOfRange):
-    return error(f"{param} must be {rule}, got {x!r}", param=param)
+def _out_of_range(param: str, rule: str, x):
+    return QuantileLimitsError(f"{param} must be {rule}, got {x!r}", param=param)
 
 
 def check_open(param: str, x, lo=0.0, hi=1.0) -> None:
     """``lo < x < hi``, for a probability-valued argument."""
     if not lo < x < hi:
-        raise _out_of_range(param, f"in ({lo:g}, {hi:g})", x, ProbabilityOutOfRange)
+        raise _out_of_range(param, f"in ({lo:g}, {hi:g})", x)
 
 
 def check_closed(param: str, x) -> None:
     """``0 <= x <= 1``, for a probability that may be an endpoint."""
     if not 0.0 <= x <= 1.0:
-        raise _out_of_range(param, "in [0, 1]", x, ProbabilityOutOfRange)
+        raise _out_of_range(param, "in [0, 1]", x)
 
 
 def check_level(param: str, x) -> float:

@@ -22,8 +22,7 @@ from .berry_esseen import BEParams, bernoulli_moments, phi_of_k
 from .distributions import DiscreteDistribution
 from .empirical import quantile_indices, quantile_ranks, sup_distances
 from .errors import (
-    EmptyWindow,
-    ParameterOutOfRange,
+    QuantileLimitsError,
     check_at_least,
     check_at_most,
     check_level,
@@ -362,7 +361,7 @@ def gc_path(
     else:
         ns = None
     if ns is None or ns.ndim != 1 or len(ns) == 0 or ns[0] < 1 or np.any(ns[1:] <= ns[:-1]):
-        raise ParameterOutOfRange(
+        raise QuantileLimitsError(
             f"checkpoints must be strictly increasing integers in [1, 2**63), got {checkpoints!r}",
             param="checkpoints",
         )
@@ -382,10 +381,10 @@ def gc_path(
 
 def _window(traj: Trajectory, burn_in: int) -> np.ndarray:
     if len(traj) == 0:
-        raise EmptyWindow("trajectory holds no records")
+        raise QuantileLimitsError("trajectory holds no records")
     mask = traj.ns >= burn_in
     if not mask.any():
-        raise EmptyWindow(f"no records at or beyond burn_in={burn_in}")
+        raise QuantileLimitsError(f"no records at or beyond burn_in={burn_in}")
     return mask
 
 
@@ -467,7 +466,7 @@ def block_schedule(
     while len(indices) < 2 * k_max:
         try:
             step = indices[-1] + phi_of_k(params, indices[-1], alpha).phi
-        except ParameterOutOfRange as exc:
+        except QuantileLimitsError as exc:
             if exc.param != "k":  # the moments or alpha are at fault
                 raise
             break
@@ -633,7 +632,7 @@ def block_event_experiment(
     m1 = 1 + phi_a
     try:
         phi_b = phi_of_k(params, m1, alpha).phi
-    except ParameterOutOfRange as exc:  # m1 is no argument: q and alpha set it
+    except QuantileLimitsError as exc:  # m1 is no argument: q and alpha set it
         exc.param = "q"
         raise
 
@@ -704,9 +703,13 @@ def run_replicated(
     sandwich_check
         Pass iff every record past ``burn_in`` sits in the epsilon-sandwich;
         also reports exact interior-gap hits over all records.
+
+    The report records only settings its analysis reads: ``epsilon`` is
+    refused outside sandwich_check, and a nonzero ``burn_in`` under
+    convergence.
     """
     if analysis not in ANALYSES:
-        raise ParameterOutOfRange(f"analysis must be one of {ANALYSES}, got {analysis!r}")
+        raise QuantileLimitsError(f"analysis must be one of {ANALYSES}, got {analysis!r}")
     # every check runs before the first trajectory (and its on_trajectory)
     check_at_least("burn_in", burn_in, 0)
     check_at_least("min_switches", min_switches, 0)
@@ -714,8 +717,17 @@ def run_replicated(
         check_at_most("burn_in", burn_in, cfg.n_max)
     if analysis == "sandwich_check":
         if epsilon is None:
-            raise ParameterOutOfRange("sandwich_check requires epsilon", param="epsilon")
+            raise QuantileLimitsError("sandwich_check requires epsilon", param="epsilon")
         check_positive("epsilon", epsilon)
+    elif epsilon is not None:
+        raise QuantileLimitsError(
+            f"epsilon is only valid with analysis 'sandwich_check', not {analysis!r}",
+            param="epsilon",
+        )
+    if analysis == "convergence" and burn_in != 0:
+        raise QuantileLimitsError(
+            f"burn_in must be 0 with analysis 'convergence', got {burn_in!r}", param="burn_in"
+        )
 
     d = cfg.distribution
     target = d.left_quantile(cfg.p)
@@ -872,5 +884,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def report_to_json_bytes(report: dict) -> bytes:
-    """Canonical JSON encoding of a report: sorted keys, 2-space indent."""
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Canonical JSON encoding of a report: sorted keys, 2-space indent, and
+    no NaN or Infinity, which strict JSON parsers refuse."""
+    return (json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")

@@ -18,7 +18,7 @@ value level (streaming simulation of transformed paths).
 from dataclasses import dataclass
 
 from .distributions import DiscreteDistribution, make_discrete
-from .errors import NoQuantileGap, ValueInGap, check_open
+from .errors import QuantileLimitsError, check_open
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class TransformSpec:
 
     def __post_init__(self):
         if not self.lq < self.rq:
-            raise NoQuantileGap(
+            raise QuantileLimitsError(
                 f"left and right quantiles coincide or invert at p={self.p!r}: "
                 f"lq={self.lq!r}, rq={self.rq!r}",
                 param="p",
@@ -57,7 +57,7 @@ def binarize_value(spec: TransformSpec, x: float) -> float:
         return 0.0
     if x >= spec.rq:
         return 1.0
-    raise ValueInGap(f"{x!r} lies in the zero-probability gap ({spec.lq!r}, {spec.rq!r})")
+    raise QuantileLimitsError(f"{x!r} lies in the zero-probability gap ({spec.lq!r}, {spec.rq!r})")
 
 
 def collapse_shift_value(spec: TransformSpec, x: float) -> float:
@@ -71,7 +71,7 @@ def collapse_shift_value(spec: TransformSpec, x: float) -> float:
         return x
     if x >= spec.rq:
         return spec.lq if x == spec.rq else x - spec.h
-    raise ValueInGap(f"{x!r} lies in the zero-probability gap ({spec.lq!r}, {spec.rq!r})")
+    raise QuantileLimitsError(f"{x!r} lies in the zero-probability gap ({spec.lq!r}, {spec.rq!r})")
 
 
 def _push_through(d: DiscreteDistribution, spec: TransformSpec, value_map) -> DiscreteDistribution:

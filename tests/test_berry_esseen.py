@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,7 @@ from quantile_limits.berry_esseen import (
     phi_of_k,
     std_normal_cdf,
 )
-from quantile_limits.errors import InvalidInterval, ParameterOutOfRange
+from quantile_limits.errors import QuantileLimitsError
 from quantile_limits.simulate import deviation_experiment
 
 
@@ -81,12 +82,18 @@ class TestBernoulliMoments:
 
     def test_range_checks(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ParameterOutOfRange):
+            message = re.escape(f"q must be in (0, 1), got {bad!r}")
+            with pytest.raises(QuantileLimitsError, match=message) as info:
                 bernoulli_moments(bad)
-        with pytest.raises(ParameterOutOfRange):
+            assert info.value.param == "q"
+        message = r"^sigma must be positive and finite, got 0\.0$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             BEParams(mu=0.0, sigma=0.0, rho=1.0)
-        with pytest.raises(ParameterOutOfRange):
+        assert info.value.param == "sigma"
+        message = r"^rho must be positive and finite, got -1\.0$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             BEParams(mu=0.0, sigma=1.0, rho=-1.0)
+        assert info.value.param == "rho"
 
 
 class TestBeBound:
@@ -103,7 +110,7 @@ class TestBeBound:
 
     def test_sample_size_checked(self):
         for bad in (0, -1):
-            with pytest.raises(ParameterOutOfRange) as info:
+            with pytest.raises(QuantileLimitsError, match=f"^n must be >= 1, got {bad}$") as info:
                 be_bound(bernoulli_moments(0.5), bad)
             assert info.value.param == "n"
 
@@ -112,16 +119,21 @@ class TestBeBound:
         # sigma**3 underflows to 0 (1e-200), makes the bound overflow
         # (1e-105) or overflows itself (1e103)
         params = BEParams(mu=0.0, sigma=sigma, rho=1.0)
-        with pytest.raises(ParameterOutOfRange) as info:
+        message = re.escape(
+            f"sigma={sigma!r} is too small or too large: "
+            "3*rho/(sigma^3*sqrt(n)) is not a finite double"
+        )
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             be_bound(params, 4)
         assert info.value.param == "sigma"
-        with pytest.raises(ParameterOutOfRange) as info:
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             phi_of_k(params, 1, 0.25)
         assert info.value.param == "sigma"
 
     def test_runaway_n2_names_k(self):
         # n1 is 576 at sigma 1/2; only the n2 search passes 2**62
-        with pytest.raises(ParameterOutOfRange) as info:
+        message = "no feasible n below 2^62 for k=100000000000, sigma=0.5, rho=0.125, alpha=0.25"
+        with pytest.raises(QuantileLimitsError, match=re.escape(message)) as info:
             phi_of_k(bernoulli_moments(0.5), 10**11, 0.25)
         assert info.value.param == "k"
 
@@ -132,7 +144,10 @@ class TestBeBound:
          (0.0, 1.0, math.nan, "rho"), (0.0, 1.0, math.inf, "rho")],
     )
     def test_moments_must_be_finite(self, mu, sigma, rho, param):
-        with pytest.raises(ParameterOutOfRange) as info:
+        rule = "finite" if param == "mu" else "positive and finite"
+        bad = {"mu": mu, "sigma": sigma, "rho": rho}[param]
+        message = f"^{param} must be {rule}, got {bad}$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             BEParams(mu=mu, sigma=sigma, rho=rho)
         assert info.value.param == param
 
@@ -158,9 +173,9 @@ class TestIntervalProbBounds:
         assert lo < exact < hi
 
     def test_rejects_bad_interval(self):
-        with pytest.raises(InvalidInterval):
+        with pytest.raises(QuantileLimitsError, match=r"^need z1 < z2, got 1\.0 >= 1\.0$"):
             interval_prob_bounds(bernoulli_moments(0.5), 10, 1.0, 1.0)
-        with pytest.raises(InvalidInterval):
+        with pytest.raises(QuantileLimitsError, match=r"^need z1 < z2, got 2\.0 >= -2\.0$"):
             interval_prob_bounds(bernoulli_moments(0.5), 10, 2.0, -2.0)
 
 
@@ -203,11 +218,14 @@ class TestPhiOfK:
 
     def test_parameter_checks(self):
         params = bernoulli_moments(0.5)
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(QuantileLimitsError, match=r"^k must be >= 1, got 0$") as info:
             phi_of_k(params, 0, 0.25)
+        assert info.value.param == "k"
         for bad_alpha in (0.0, 0.5, 0.7, -0.1):
-            with pytest.raises(ParameterOutOfRange):
+            message = rf"^alpha must be in \(0, 0\.5\), got {re.escape(repr(bad_alpha))}$"
+            with pytest.raises(QuantileLimitsError, match=message) as info:
                 phi_of_k(params, 1, bad_alpha)
+            assert info.value.param == "alpha"
 
 
 def test_deviation_probabilities_exceed_quarter():

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -16,6 +17,7 @@ from conftest import gc_table_materialised
 from quantile_limits import simulate as sim
 from quantile_limits.cli import build_parser, main
 from quantile_limits.distributions import fair_coin, from_spec, gapped_example
+from quantile_limits.errors import QuantileLimitsError
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +100,14 @@ class TestQuantileCommand:
         code, _, err = run_cli(capsys, "quantile", "--dist-file", str(f), "--p", "0.5")
         assert code == 2
         assert "--dist-file" in err
+
+
+    def test_unreadable_dist_file(self, capsys, tmp_path):
+        f = tmp_path / "missing.json"
+        code, _, err = run_cli(capsys, "quantile", "--dist-file", str(f), "--p", "0.5")
+        assert code == 2
+        assert err.startswith(f"error: --dist-file: cannot read {f}: ")
+        assert "No such file or directory" in err
 
 
 class TestSimulateCommand:
@@ -557,9 +567,7 @@ PUBLIC_NAMES = {
     "distributions": "DiscreteDistribution QuantilePair bernoulli fair_coin "
     "from_spec gapped_example make_discrete point_mass",
     "empirical": "EmpiricalSample gc_distance",
-    "errors": "EmptyDistribution EmptySample EmptyWindow InvalidInterval NegativeProbability "
-    "NoQuantileGap NonFiniteAtom ParameterOutOfRange ProbabilityOutOfRange "
-    "ProbabilitySumOutOfTolerance QuantileLimitsError ValueInGap ValueOutsideSupport",
+    "errors": "QuantileLimitsError",
     "simulate": "SimConfig SwitchStats Trajectory block_event_experiment "
     "block_schedule derive_seed deviation_experiment gap_interior_hits gc_path "
     "report_to_json_bytes run_replicated run_trajectory sample_stream sandwich_check "
@@ -634,12 +642,29 @@ class TestStartup:
 
     def test_namespace_lists_the_public_names(self):
         expected = {name: mod for mod, names in PUBLIC_NAMES.items() for name in names.split()}
-        assert len(expected) == 52
+        assert len(expected) == 40
         assert sorted(quantile_limits.__all__) == sorted(expected)
         assert set(expected) <= set(dir(quantile_limits))
         for name, mod in expected.items():
             defining = importlib.import_module(f"quantile_limits.{mod}")
             assert getattr(quantile_limits, name) is getattr(defining, name), name
+
+    def test_one_exception_type(self):
+        # a refusal is told apart by its message and param, never by its type
+        defined = []
+        for info in pkgutil.iter_modules(quantile_limits.__path__):
+            if info.name != "__main__":  # running it is the console entry
+                mod = importlib.import_module(f"quantile_limits.{info.name}")
+                defined += [
+                    v for v in vars(mod).values()
+                    if isinstance(v, type) and issubclass(v, BaseException)
+                    and v.__module__ == mod.__name__
+                ]
+        assert defined == [QuantileLimitsError]
+        assert issubclass(QuantileLimitsError, ValueError)
+        exc = QuantileLimitsError("n_max must be >= 1, got 0", param="n_max")
+        assert (str(exc), exc.param) == ("n_max must be >= 1, got 0", "n_max")
+        assert QuantileLimitsError("no argument at fault").param is None
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -810,6 +835,21 @@ BAD_FLAGS = [
     (("quantile", "--dist-file", '{"family": "coin", "q": 0.3}', "--p", "0.5"),
      "--dist-file"),
     (("quantile", "--dist-file", '{"family": "coin"}', "--q", "0.3", "--p", "0.5"), "--q"),
+    (("quantile", "--dist-file", '{"atoms": 5}', "--p", "0.5"), "--dist-file",
+     "'atoms' must be a list of {x, p} objects"),
+    (("quantile", "--p", "0.5"), "--family", "one of --family or --dist-file is required"),
+    (("phi-of-k", "--q", "0.5", "--mu", "0", "--k", "1"), "--q",
+     "pass either --q or the --mu/--sigma/--rho triple"),
+    # a setting the analysis does not read is refused, not recorded in the
+    # report (NaN and Infinity: these rows' ids must differ from the rows above)
+    (SIM + ("--epsilon", "NaN"), "--epsilon",
+     "epsilon is only valid with analysis 'sandwich_check', not 'convergence'"),
+    (SIM + ("--epsilon", "Infinity", "--burn-in", "99999999"), "--epsilon",
+     "epsilon is only valid with analysis 'sandwich_check', not 'convergence'"),
+    (SWITCHES + ("--epsilon", "-5"), "--epsilon",
+     "epsilon is only valid with analysis 'sandwich_check', not 'switch_stats'"),
+    (SIM + ("--burn-in", "99999999"), "--burn-in",
+     "burn_in must be 0 with analysis 'convergence', got 99999999"),
 ]
 
 

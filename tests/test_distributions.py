@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from conftest import (
 )
 from quantile_limits.distributions import (
     QuantilePair,
-    QuantileSpecError,
     bernoulli,
     fair_coin,
     from_spec,
@@ -23,14 +23,7 @@ from quantile_limits.distributions import (
     make_discrete,
     point_mass,
 )
-from quantile_limits.errors import (
-    EmptyDistribution,
-    InvalidInterval,
-    NegativeProbability,
-    NonFiniteAtom,
-    ProbabilityOutOfRange,
-    ProbabilitySumOutOfTolerance,
-)
+from quantile_limits.errors import QuantileLimitsError
 
 
 class TestMakeDiscrete:
@@ -48,22 +41,39 @@ class TestMakeDiscrete:
         assert d.as_pairs() == [(2.0, 1.0)]
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyDistribution):
+        with pytest.raises(QuantileLimitsError, match="^at least one atom is required$"):
             make_discrete([])
 
     def test_nonpositive_prob_rejected(self):
-        with pytest.raises(NegativeProbability):
+        message = r"^atom \(0\.0, -0\.5\) has non-positive probability$"
+        with pytest.raises(QuantileLimitsError, match=message):
             make_discrete([(0, -0.5), (1, 1.5)])
-        with pytest.raises(NegativeProbability):
+        message = r"^atom \(0\.0, 0\.0\) has non-positive probability$"
+        with pytest.raises(QuantileLimitsError, match=message):
             make_discrete([(0, 0.0), (1, 1.0)])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteAtom):
+        with pytest.raises(QuantileLimitsError, match=r"^atom \(nan, 1\.0\) is not finite$"):
             make_discrete([(float("nan"), 1.0)])
 
     def test_sum_out_of_tolerance_rejected(self):
-        with pytest.raises(ProbabilitySumOutOfTolerance):
+        message = r"^probabilities sum to 1\.1, outside 1 \+/- 1e-12$"
+        with pytest.raises(QuantileLimitsError, match=message):
             make_discrete([(0, 0.5), (1, 0.6)])
+
+    def test_residue_too_large_for_the_top_atom(self):
+        # the top atom cannot absorb the first residue and stay positive, so
+        # the largest prob takes it
+        d = make_discrete([
+            (0.0, 0.2508394984557776), (1.0, 0.26308504214489836), (2.0, 0.1860737049995595),
+            (3.0, 0.111438388373034), (4.0, 0.18856336602673046), (6.0, 3e-17),
+        ])
+        assert d.probs == (
+            0.25083949845577763, 0.2630850421448982, 0.18607370499955952,
+            0.11143838837303402, 0.1885633660267305, 1.4102230246251565e-16,
+        )
+        assert math.fsum(d.probs) == 1.0 and min(d.probs) > 0.0
+        assert d.cum[-2:] == (0.9999999999999999, 1.0)
 
     def test_renormalizes_to_exact_unit_sum(self):
         d = make_discrete([(0, 0.2 + 1e-13), (1, 0.3), (2, 0.5)])
@@ -138,10 +148,14 @@ class TestQuantiles:
         assert d.right_quantile(0.0) == 0.0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ProbabilityOutOfRange):
+        message = r"^p must be in \[0, 1\], got 1\.5$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             fair_coin().left_quantile(1.5)
-        with pytest.raises(ProbabilityOutOfRange):
+        assert info.value.param == "p"
+        message = r"^p must be in \[0, 1\], got -0\.1$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             fair_coin().right_quantile(-0.1)
+        assert info.value.param == "p"
 
     def test_pair_point_mass(self):
         pair = point_mass(7.0).quantile_pair(0.3)
@@ -157,7 +171,8 @@ class TestQuantiles:
         assert (pair.left, pair.right, pair.coincide) == (-1.0, -1.0, True)
 
     def test_pair_rejects_inverted(self):
-        with pytest.raises(InvalidInterval) as info:
+        message = "^left quantile exceeds right quantile$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             QuantilePair(p=0.5, left=1.0, right=-1.0)
         assert isinstance(info.value, ValueError)
 
@@ -238,6 +253,13 @@ class TestProperties:
         assert d.right_quantile(p) in atoms
 
 
+def unrecognized(spec):
+    return re.escape(
+        "unrecognized distribution spec: expected 'atoms' or family "
+        f"coin/bernoulli/figure, got {spec!r}"
+    )
+
+
 class TestFromSpec:
     def test_atoms_form(self):
         d = from_spec({"atoms": [{"x": 0, "p": 0.5}, {"x": 2, "p": 0.5}]})
@@ -249,11 +271,13 @@ class TestFromSpec:
         assert from_spec({"family": "bernoulli", "q": 0.3}) == bernoulli(0.3)
 
     def test_bad_specs(self):
-        with pytest.raises(QuantileSpecError):
+        with pytest.raises(QuantileLimitsError, match=unrecognized({"family": "cauchy"})):
             from_spec({"family": "cauchy"})
-        with pytest.raises(QuantileSpecError):
+        message = "^q is required with family 'bernoulli'$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             from_spec({"family": "bernoulli"})
-        with pytest.raises(QuantileSpecError):
+        assert info.value.param == "q"
+        with pytest.raises(QuantileLimitsError, match="^each atom needs 'x' and 'p' fields$"):
             from_spec({"atoms": [{"x": 0}]})
 
     @pytest.mark.parametrize(
@@ -261,29 +285,37 @@ class TestFromSpec:
         [{"family": "bernoulli"}, {"family": "coin", "q": 0.3}, {"family": "figure", "q": None}],
     )
     def test_q_goes_with_bernoulli(self, spec):
-        with pytest.raises(QuantileSpecError) as info:
+        rule = "required" if spec["family"] == "bernoulli" else "only valid"
+        message = f"^q is {rule} with family 'bernoulli'$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             from_spec(spec)
         assert info.value.param == "q"
         assert "family 'bernoulli'" in str(info.value)
 
     def test_family_must_be_a_name(self):
         for family in (["coin"], {"a": 1}, None, 1):
-            with pytest.raises(QuantileSpecError, match="unrecognized"):
+            with pytest.raises(QuantileLimitsError, match=unrecognized({"family": family})):
                 from_spec({"family": family})
 
     @pytest.mark.parametrize(
-        "spec",
-        [{"family": "bernoulli", "q": "abc"}, {"family": "bernoulli", "q": [1]},
-         [1, 2], "coin", None, {"atoms": [{"x": "a", "p": 1}]},
-         {"atoms": [{"x": 0, "p": None}]}],
+        "spec, message",
+        [({"family": "bernoulli", "q": "abc"}, "expected a number, got 'abc'"),
+         ({"family": "bernoulli", "q": [1]}, "expected a number, got [1]"),
+         ([1, 2], "a distribution spec must be an object, got [1, 2]"),
+         ("coin", "a distribution spec must be an object, got 'coin'"),
+         (None, "a distribution spec must be an object, got None"),
+         ({"atoms": [{"x": "a", "p": 1}]}, "expected a number, got 'a'"),
+         ({"atoms": [{"x": 0, "p": None}]}, "expected a number, got None")],
+        ids=["spec0", "spec1", "spec2", "coin", "None", "spec5", "spec6"],
     )
-    def test_malformed_content(self, spec):
-        with pytest.raises(QuantileSpecError):
+    def test_malformed_content(self, spec, message):
+        with pytest.raises(QuantileLimitsError, match=f"^{re.escape(message)}$"):
             from_spec(spec)
 
     def test_bernoulli_range(self):
-        with pytest.raises(ProbabilityOutOfRange):
+        with pytest.raises(QuantileLimitsError, match=r"^q must be in \(0, 1\), got 1\.0$") as info:
             bernoulli(1.0)
+        assert info.value.param == "q"
 
 
 def test_distribution_is_value_like():

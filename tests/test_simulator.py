@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -32,11 +33,7 @@ from quantile_limits.distributions import (
     point_mass,
 )
 from quantile_limits.empirical import sup_distances
-from quantile_limits.errors import (
-    EmptyWindow,
-    ParameterOutOfRange,
-    ProbabilityOutOfRange,
-)
+from quantile_limits.errors import QuantileLimitsError
 from quantile_limits.simulate import (
     SimConfig,
     Trajectory,
@@ -105,8 +102,11 @@ class TestRng:
             lambda: qrng.uniforms(0, n, start),
             lambda: qrng.uniform_matrix(np.array([0, 1], dtype=np.uint64), n, start),
         ]
+        bad = {"n": n, "start": start}[param]
+        top = 2**64 - 1 - (start if param == "n" else 0)
+        message = f"^{param} must be {'>= 0' if bad < 0 else f'<= {top}'}, got {bad}$"
         for call in calls:
-            with pytest.raises(ParameterOutOfRange) as info:
+            with pytest.raises(QuantileLimitsError, match=message) as info:
                 call()
             assert info.value.param == param
 
@@ -330,23 +330,29 @@ class TestIntegerArguments:
     truncated or run past its bound."""
 
     @pytest.mark.parametrize(
-        "param, call",
+        "param, call, got",
         [
             ("record_stride",
-             lambda: SimConfig(fair_coin(), 0.5, 100, 1, record_stride=2.5)),
-            ("n_max", lambda: SimConfig(fair_coin(), 0.5, 10.5, 1)),
-            ("n", lambda: sample_stream(fair_coin(), 1, 2.5)),
-            ("n", lambda: qrng.uniforms(1, 2.5)),
-            ("checkpoints", lambda: simulate.gc_path(fair_coin(), 5, [1.5, 2.7])),
-            ("checkpoints", lambda: simulate.gc_path(fair_coin(), 5, np.array([1.0, 2.0]))),
-            ("master_seed", lambda: SimConfig(fair_coin(), 0.5, 100, 1.5)),
-            ("seed", lambda: sample_stream(fair_coin(), 1.5, 10)),
+             lambda: SimConfig(fair_coin(), 0.5, 100, 1, record_stride=2.5), "2.5"),
+            ("n_max", lambda: SimConfig(fair_coin(), 0.5, 10.5, 1), "10.5"),
+            ("n", lambda: sample_stream(fair_coin(), 1, 2.5), "2.5"),
+            ("n", lambda: qrng.uniforms(1, 2.5), "2.5"),
+            ("checkpoints", lambda: simulate.gc_path(fair_coin(), 5, [1.5, 2.7]), "[1.5, 2.7]"),
+            ("checkpoints", lambda: simulate.gc_path(fair_coin(), 5, np.array([1.0, 2.0])),
+             "array([1., 2.])"),
+            ("master_seed", lambda: SimConfig(fair_coin(), 0.5, 100, 1.5), "1.5"),
+            ("seed", lambda: sample_stream(fair_coin(), 1.5, 10), "1.5"),
         ],
         ids=["record_stride", "n_max", "sample_stream-n", "uniforms-n",
              "checkpoints", "checkpoints-integral-floats", "master_seed", "seed"],
     )
-    def test_float_rejected(self, param, call):
-        with pytest.raises(ParameterOutOfRange) as info:
+    def test_float_rejected(self, param, call, got):
+        if param == "checkpoints":
+            rule = "strictly increasing integers in [1, 2**63)"
+        else:
+            rule = "an integer"
+        message = re.escape(f"{param} must be {rule}, got {got}")
+        with pytest.raises(QuantileLimitsError, match=f"^{message}$") as info:
             call()
         assert info.value.param == param
 
@@ -367,22 +373,23 @@ class TestBinaryLevels:
     significant bits ran as its rounding, 1/2)."""
 
     @pytest.mark.parametrize(
-        "param, call",
+        "param, level, call",
         [
-            ("p", lambda: SimConfig(fair_coin(), Fraction(1, 3), 100, 1)),
-            ("q", lambda: deviation_experiment(Fraction(1, 3), 1, 0.25, 10, 1)),
-            ("q", lambda: block_event_experiment(Fraction(1, 3), 0.25, 10, 1)),
-            ("p", lambda: SimConfig(fair_coin(), BITS_61, 100, 1)),
-            ("q", lambda: deviation_experiment(BITS_61, 1, 0.25, 10, 1)),
-            ("q", lambda: block_event_experiment(BITS_61, 0.25, 10, 1)),
+            ("p", Fraction(1, 3), lambda x: SimConfig(fair_coin(), x, 100, 1)),
+            ("q", Fraction(1, 3), lambda x: deviation_experiment(x, 1, 0.25, 10, 1)),
+            ("q", Fraction(1, 3), lambda x: block_event_experiment(x, 0.25, 10, 1)),
+            ("p", BITS_61, lambda x: SimConfig(fair_coin(), x, 100, 1)),
+            ("q", BITS_61, lambda x: deviation_experiment(x, 1, 0.25, 10, 1)),
+            ("q", BITS_61, lambda x: block_event_experiment(x, 0.25, 10, 1)),
         ],
         ids=["SimConfig", "deviation_experiment", "block_event_experiment",
              "SimConfig-61-bit", "deviation_experiment-61-bit", "block_event_experiment-61-bit"],
     )
-    def test_fraction_refused(self, monkeypatch, param, call):
+    def test_fraction_refused(self, monkeypatch, param, level, call):
         monkeypatch.setattr(simulate, "_word_matrix", None)  # a draw would fail otherwise
-        with pytest.raises(ParameterOutOfRange, match="must be a double") as info:
-            call()
+        message = re.escape(f"{param} must be a double, got {level!r}")
+        with pytest.raises(QuantileLimitsError, match=f"^{message}$") as info:
+            call(level)
         assert info.value.param == param
 
     def test_float32_accepted(self):
@@ -417,7 +424,8 @@ class TestDeriveSeed:
     @pytest.mark.parametrize("rep_index", [2**64 - 1, 2**64, 2**64 + 5])
     def test_rejects_index_past_counter_range(self, rep_index):
         # a counter past 2**64 - 1 would wrap onto another index's seed
-        with pytest.raises(ParameterOutOfRange) as info:
+        message = f"^rep_index must be <= {2**64 - 2}, got {rep_index}$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             derive_seed(7, rep_index)
         assert info.value.param == "rep_index"
 
@@ -438,7 +446,8 @@ class TestSeedRange:
             ("seed", lambda: qrng.stream_words(seed, 1)),
         ]
         for param, call in calls:
-            with pytest.raises(ParameterOutOfRange) as info:
+            message = f"^{param} must be an unsigned 64-bit integer, got {seed}$"
+            with pytest.raises(QuantileLimitsError, match=message) as info:
                 call()
             assert info.value.param == param
 
@@ -496,18 +505,21 @@ class TestSimConfig:
         assert cfg.record_stride == 10
 
     def test_validation(self):
-        with pytest.raises(ProbabilityOutOfRange):
-            SimConfig(fair_coin(), 0.0, 10, 0)
-        with pytest.raises(ProbabilityOutOfRange):
-            SimConfig(fair_coin(), math.nan, 10, 0)
-        with pytest.raises(ParameterOutOfRange):
-            SimConfig(fair_coin(), 0.5, 0, 0)
-        with pytest.raises(ParameterOutOfRange):
-            SimConfig(fair_coin(), 0.5, 10, -1)
-        with pytest.raises(ParameterOutOfRange):
-            SimConfig(fair_coin(), 0.5, 10, 0, record_stride=0)
-        with pytest.raises(ParameterOutOfRange):
-            SimConfig(fair_coin(), 0.5, 10, 0, replications=0)
+        refused = [
+            ("p", r"in \(0, 1\), got 0\.0", lambda: SimConfig(fair_coin(), 0.0, 10, 0)),
+            ("p", r"in \(0, 1\), got nan", lambda: SimConfig(fair_coin(), math.nan, 10, 0)),
+            ("n_max", ">= 1, got 0", lambda: SimConfig(fair_coin(), 0.5, 0, 0)),
+            ("master_seed", "an unsigned 64-bit integer, got -1",
+             lambda: SimConfig(fair_coin(), 0.5, 10, -1)),
+            ("record_stride", ">= 1, got 0",
+             lambda: SimConfig(fair_coin(), 0.5, 10, 0, record_stride=0)),
+            ("replications", ">= 1, got 0",
+             lambda: SimConfig(fair_coin(), 0.5, 10, 0, replications=0)),
+        ]
+        for param, rule, call in refused:
+            with pytest.raises(QuantileLimitsError, match=f"^{param} must be {rule}$") as info:
+                call()
+            assert info.value.param == param
 
     def test_numpy_level_is_stored_as_float(self):
         # a float32 level is the same double as its float, and reports as one
@@ -524,7 +536,8 @@ class TestSimConfig:
         sizes = {"n_max": 2**63 - 1, "record_stride": 2**62}
         cfg = SimConfig(fair_coin(), 0.5, master_seed=0, **sizes)
         assert (cfg.n_max, cfg.record_stride) == (2**63 - 1, 2**62)
-        with pytest.raises(ParameterOutOfRange) as info:
+        message = f"^{field} must be <= {2**63 - 1}, got {2**63}$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             SimConfig(fair_coin(), 0.5, master_seed=0, **{**sizes, field: 2**63})
         assert info.value.param == field
 
@@ -956,7 +969,10 @@ class TestGcPath:
         ids=["zero", "repeat", "past-int64", "last-past-int64", "below-int64"],
     )
     def test_bad_checkpoints_name_checkpoints(self, checkpoints):
-        with pytest.raises(ParameterOutOfRange) as info:
+        message = re.escape(
+            f"checkpoints must be strictly increasing integers in [1, 2**63), got {checkpoints!r}"
+        )
+        with pytest.raises(QuantileLimitsError, match=f"^{message}$") as info:
             simulate.gc_path(fair_coin(), 1, checkpoints)
         assert info.value.param == "checkpoints"
 
@@ -1142,8 +1158,15 @@ class TestSwitchStats:
             seed=0,
         )
         assert switch_stats(traj, 2).switch_count == 0
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(QuantileLimitsError, match="^no records at or beyond burn_in=5$"):
             switch_stats(traj, 5)
+
+    def test_no_records(self):
+        empty = np.array([], dtype=np.int64)
+        traj = Trajectory(ns=empty, lq=empty.astype(float), rq=empty.astype(float), seed=0)
+        with pytest.raises(QuantileLimitsError, match="^trajectory holds no records$") as info:
+            switch_stats(traj)
+        assert info.value.param is None
 
     def test_coin_visits_both_sides(self):
         # random-walk recurrence: the full +/-1 band shows up for nearly
@@ -1211,13 +1234,15 @@ class TestSandwichCheck:
     def test_epsilon_validated(self):
         cfg = SimConfig(point_mass(7.0), 0.4, 10, 5)
         traj = run_trajectory(cfg, 0)
-        with pytest.raises(ParameterOutOfRange):
+        message = r"^epsilon must be positive and finite, got 0\.0$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             sandwich_check(traj, point_mass(7.0), 0.4, 0.0, 0)
+        assert info.value.param == "epsilon"
 
     def test_empty_window(self):
         cfg = SimConfig(point_mass(7.0), 0.4, 10, 5)
         traj = run_trajectory(cfg, 0)
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(QuantileLimitsError, match="^no records at or beyond burn_in=11$"):
             sandwich_check(traj, point_mass(7.0), 0.4, 0.1, 11)
 
 
@@ -1252,10 +1277,12 @@ class TestBlockSchedule:
         assert idx == (1, 577, 13116920, 6778363873253772)
 
     def test_validation(self):
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(QuantileLimitsError, match="^k_max must be >= 1, got 0$") as info:
             block_schedule(bernoulli_moments(0.5), 0.25, 0, 100)
-        with pytest.raises(ParameterOutOfRange):
+        assert info.value.param == "k_max"
+        with pytest.raises(QuantileLimitsError, match="^n_cap must be >= 1, got 0$") as info:
             block_schedule(bernoulli_moments(0.5), 0.25, 1, 0)
+        assert info.value.param == "n_cap"
 
 
 def exact_fair_block_low_prob(phi: int, k: int) -> float:
@@ -1322,10 +1349,13 @@ class TestDeviationExperiment:
         assert not sums.flags.writeable
 
     def test_validation(self):
-        with pytest.raises(ParameterOutOfRange):
+        message = r"^q must be in \(0, 1\), got 0\.0$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             deviation_experiment(0.0, 1, 0.25, 10, 0)
-        with pytest.raises(ParameterOutOfRange):
+        assert info.value.param == "q"
+        with pytest.raises(QuantileLimitsError, match="^reps must be >= 1, got 0$") as info:
             deviation_experiment(0.5, 1, 0.25, 0, 0)
+        assert info.value.param == "reps"
 
 
 def recount_block_sums(q: float, block_len: int, reps: int, master_seed: int) -> np.ndarray:
@@ -1590,7 +1620,12 @@ class TestBlockEventExperiment:
         # phi(m1) passes 2**62 at q = 1e-5, where phi(1) is 57598273: m1
         # comes of q, so q is named, before any draw
         monkeypatch.setattr(simulate, "_word_matrix", None)
-        with pytest.raises(ParameterOutOfRange) as info:
+        params = bernoulli_moments(1e-5)
+        message = re.escape(
+            f"no feasible n below 2^62 for k=57598274, sigma={params.sigma!r}, "
+            f"rho={params.rho!r}, alpha=0.25"
+        )
+        with pytest.raises(QuantileLimitsError, match=f"^{message}$") as info:
             block_event_experiment(1e-5, 0.25, 1, 1)
         assert info.value.param == "q"
 
@@ -1633,10 +1668,13 @@ class TestBlockEventExperiment:
         assert len(seen) == 2 and all(type(q) is float for q in seen)
 
     def test_validation(self):
-        with pytest.raises(ParameterOutOfRange):
+        message = r"^q must be in \(0, 1\), got 1\.0$"
+        with pytest.raises(QuantileLimitsError, match=message) as info:
             block_event_experiment(1.0, 0.25, 10, 0)
-        with pytest.raises(ParameterOutOfRange):
+        assert info.value.param == "q"
+        with pytest.raises(QuantileLimitsError, match="^reps must be >= 1, got 0$") as info:
             block_event_experiment(0.5, 0.25, 0, 0)
+        assert info.value.param == "reps"
 
 
 class TestRunReplicated:
@@ -1697,10 +1735,15 @@ class TestRunReplicated:
 
     def test_unknown_analysis_rejected(self):
         cfg = SimConfig(fair_coin(), 0.5, 10, 0)
-        with pytest.raises(ParameterOutOfRange):
+        message = re.escape(
+            "analysis must be one of ('convergence', 'switch_stats', 'sandwich_check'), "
+            "got 'spectral'"
+        )
+        with pytest.raises(QuantileLimitsError, match=f"^{message}$"):
             run_replicated(cfg, "spectral")
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(QuantileLimitsError, match="^sandwich_check requires epsilon$") as info:
             run_replicated(cfg, "sandwich_check")  # epsilon missing
+        assert info.value.param == "epsilon"
 
     @pytest.mark.parametrize(
         "analysis,kwargs,param",
@@ -1716,10 +1759,36 @@ class TestRunReplicated:
     def test_rejected_before_first_trajectory(self, analysis, kwargs, param):
         cfg = SimConfig(fair_coin(), 0.5, 100, 0)
         seen = []
-        with pytest.raises(ParameterOutOfRange) as info:
+        bad = kwargs[param]
+        rule = "positive and finite" if param == "epsilon" else ">= 0" if bad < 0 else "<= 100"
+        message = re.escape(f"{param} must be {rule}, got {bad!r}")
+        with pytest.raises(QuantileLimitsError, match=f"^{message}$") as info:
             run_replicated(cfg, analysis, on_trajectory=lambda r, t: seen.append(r), **kwargs)
         assert info.value.param == param
         assert seen == []
+
+    @pytest.mark.parametrize(
+        "analysis, kwargs, message",
+        [
+            ("convergence", {"epsilon": math.nan},
+             "epsilon is only valid with analysis 'sandwich_check', not 'convergence'"),
+            ("switch_stats", {"epsilon": -5.0},
+             "epsilon is only valid with analysis 'sandwich_check', not 'switch_stats'"),
+            ("convergence", {"burn_in": 99999999},
+             "burn_in must be 0 with analysis 'convergence', got 99999999"),
+        ],
+        ids=["convergence-epsilon", "switch_stats-epsilon", "convergence-burn_in"],
+    )
+    def test_unread_setting_refused(self, analysis, kwargs, message):
+        cfg = SimConfig(fair_coin(), 0.5, 100, 0)
+        with pytest.raises(QuantileLimitsError, match=f"^{re.escape(message)}$") as info:
+            run_replicated(cfg, analysis, **kwargs)
+        assert info.value.param == next(iter(kwargs))
+
+    def test_report_json_is_strict(self):
+        # no NaN or Infinity token, which a strict JSON parser refuses
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report_to_json_bytes({"epsilon": math.nan})
 
     def test_burn_in_at_n_max_accepted(self):
         cfg = SimConfig(fair_coin(), 0.5, 100, 0)

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import random_gapped_case
 from quantile_limits.distributions import fair_coin, gapped_example, make_discrete
 from quantile_limits.empirical import EmpiricalSample
-from quantile_limits.errors import NoQuantileGap, ValueInGap
+from quantile_limits.errors import QuantileLimitsError
 from quantile_limits.simulate import sample_stream
 from quantile_limits.transforms import (
     TransformSpec,
@@ -16,6 +18,14 @@ from quantile_limits.transforms import (
 )
 
 FIGURE_SPEC = TransformSpec(p=0.5, lq=0.0, rq=3.0)
+
+
+def no_gap(p, lq, rq):
+    return re.escape(f"left and right quantiles coincide or invert at p={p}: lq={lq}, rq={rq}")
+
+
+def in_gap(x):
+    return re.escape(f"{x} lies in the zero-probability gap (0.0, 3.0)")
 
 
 class TestBinarize:
@@ -30,8 +40,9 @@ class TestBinarize:
         assert binarize(gapped_example(), 0.8).as_pairs() == [(0.0, 0.8), (1.0, 0.2)]
 
     def test_requires_gap(self):
-        with pytest.raises(NoQuantileGap):
+        with pytest.raises(QuantileLimitsError, match=no_gap(0.3, 0.0, 0.0)) as info:
             binarize(gapped_example(), 0.3)
+        assert info.value.param == "p"
 
     def test_randomized_zero_mass_is_level(self):
         import math
@@ -53,7 +64,7 @@ class TestBinarizeValue:
         assert binarize_value(FIGURE_SPEC, 0.0) == 0.0
 
     def test_gap_interior_rejected(self):
-        with pytest.raises(ValueInGap):
+        with pytest.raises(QuantileLimitsError, match=in_gap(1.5)):
             binarize_value(FIGURE_SPEC, 1.5)
 
 
@@ -69,8 +80,9 @@ class TestCollapseShift:
         assert out.left_quantile(0.5) == out.right_quantile(0.5) == -1.0
 
     def test_requires_gap(self):
-        with pytest.raises(NoQuantileGap):
+        with pytest.raises(QuantileLimitsError, match=no_gap(0.25, -1.0, -1.0)) as info:
             collapse_shift(fair_coin(), 0.25)
+        assert info.value.param == "p"
 
     def test_randomized_quantile_collapse(self):
         rng = np.random.default_rng(12)
@@ -104,7 +116,7 @@ class TestCollapseShiftValue:
         assert collapse_shift_value(self.spec, 0.0) == 0.0
 
     def test_gap_interior_rejected(self):
-        with pytest.raises(ValueInGap):
+        with pytest.raises(QuantileLimitsError, match=in_gap(2.9)):
             collapse_shift_value(self.spec, 2.9)
 
 
@@ -114,13 +126,14 @@ class TestSpecConstruction:
         assert (spec.lq, spec.rq, spec.h) == (0.0, 3.0, 3.0)
 
     def test_rejects_coincident(self):
-        with pytest.raises(NoQuantileGap) as info:
+        with pytest.raises(QuantileLimitsError, match=no_gap(0.9, 5.0, 5.0)) as info:
             gap_spec(gapped_example(), 0.9)
         assert info.value.param == "p"
 
     def test_rejects_inverted_edges(self):
-        with pytest.raises(NoQuantileGap):
+        with pytest.raises(QuantileLimitsError, match=no_gap(0.5, 3.0, 0.0)) as info:
             TransformSpec(p=0.5, lq=3.0, rq=0.0)
+        assert info.value.param == "p"
 
 
 class TestPathwiseDistributionCommutation:
