@@ -23,11 +23,16 @@ doubles.
 The map from level to uniform is non-decreasing, so a comparison ``u > x`` of
 a uniform with a probability is one comparison ``level >= T`` of integers,
 with T the first level whose uniform exceeds x (:func:`_level_threshold`),
-and T = ``2**53``, past every level, when none does.  The samplers decide
-every draw that way and make no uniform: Bernoulli draws are counted on the
-words, as ``word >= T << 11``, and the inverse-CDF draw looks each level up
-in a table of the thresholds of the cumulative probabilities
-(``DiscreteDistribution._level_indices``).
+and T = ``2**53``, past every level, when none does.  On the raw word that
+is ``word >= T << 11`` (:func:`_word_threshold`, which names the T no word
+reaches).  The samplers decide every draw that way and make no uniform.
+Words are compared with a word threshold where the question has one or a
+few thresholds: a Bernoulli draw is 1 iff its word is at or above that of
+1 - q, and on a small support (``simulate._WORD_ATOMS`` atoms or fewer) a
+draw is at or below atom j iff its word is below that of ``cum[j]``, so
+counts come from comparisons alone.  On a larger support the inverse-CDF
+draw looks each level up in a table of the thresholds of the cumulative
+probabilities (``DiscreteDistribution._level_indices``).
 """
 
 import functools
@@ -150,6 +155,16 @@ def _level_threshold(x):
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, np.minimum(mid + 1, hi))
     return int(lo) if x.ndim == 0 else lo
+
+
+def _word_threshold(level):
+    """The first word of a level threshold T, ``T << 11``, as a uint64: a
+    word's level ``word >> 11`` is at least T iff the word is at least it.
+    None when T is ``_LEVELS``, which no word reaches (``T << 11`` would be
+    2**64).
+    """
+    level = int(level)
+    return None if level >= _LEVELS else np.uint64(level << 11)
 
 
 def uniform_matrix(seeds: np.ndarray, n: int, start: int = 0) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import (
     check_seed,
     check_size,
 )
-from .rng import _LEVELS, _level_threshold, _word_matrix, derive_seed, stream_words
+from .rng import _level_threshold, _word_matrix, _word_threshold, derive_seed, stream_words
 
 __all__ = [
     "SimConfig",
@@ -59,6 +59,18 @@ DENSE_RECORD_LIMIT = 10_000
 # workspace), and cells of the chunk's atom-by-segment count matrix
 _CHUNK = 1 << 15
 _CELLS = 1 << 18
+
+# supports of at most this many atoms are counted on the raw words, one
+# threshold comparison per atom and draw (_record_counts); larger ones
+# through the guide table and a bincount.  At most 9: the comparisons of
+# all atoms but the last, a byte a draw, share one workspace row.  Measured
+# on 2 cores (medians of 9, two sessions): gc_path over 10**7 record-free
+# draws took 48-50 ms on the words against 98-134 ms through the table at
+# 2 atoms, 73-80 against 91-125 ms at 8 and 87-114 against 130-145 ms at
+# 9, and trajectories at strides 1 and 10 were faster on the words at 2 to
+# 9 atoms too.  A comparison costs about 5-7 ms per atom per 10**7 draws,
+# so the crossover lies past the bound of 9.
+_WORD_ATOMS = 8
 
 # _binomial_cdf window half-width in standard deviations (plus 30 atoms),
 # and the atoms it weighs at a time
@@ -130,21 +142,32 @@ class SwitchStats:
 
 
 def _workspace() -> np.ndarray:
-    # the buffers of one running draw: three int64 rows of _CHUNK, for the
-    # words (then their levels, then segment ids), the mixing scratch (then
-    # record offsets) and the atom indices (then their count columns)
+    # the buffers of one running draw: three int64 rows of _CHUNK.  Row 0
+    # holds the words (then their levels, then segment ids, or the starts
+    # of the segments between records), row 1 the mixing scratch (then
+    # record offsets, or the words' threshold comparisons) and row 2 the
+    # atom indices (then their count columns, or one atom's running sum)
     return np.empty((3, _CHUNK), dtype=np.int64)
+
+
+def _draw_words(seed: int, n: int, start: int, ws: np.ndarray) -> np.ndarray:
+    # words start .. start+n-1 (n <= _CHUNK) of seed's stream, made in row 0
+    # of the workspace ws, which no other running draw may use, with row 1
+    # as the mixing scratch.  Returns the uint64 view of ws[0, :n].
+    words = ws[0, :n].view(np.uint64)
+    scratch = ws[1, :n].view(np.uint64)
+    _word_matrix(np.array([seed], dtype=np.uint64), n, start, words[None], scratch[None])
+    return words
 
 
 def _draw_indices(d: DiscreteDistribution, seed: int, n: int, start: int, ws: np.ndarray):
     # inverse-CDF sampling of draws start .. start+n-1 (n <= _CHUNK): the
-    # atom index of each word's level, in the workspace ws, which no other
-    # running draw may use.  Returns a view of ws.
-    words, scratch, idx = ws[:, :n]
-    raw = words.view(np.uint64)
-    _word_matrix(np.array([seed], dtype=np.uint64), n, start, raw[None], scratch.view(np.uint64)[None])
+    # atom index of each word's level, in the workspace ws.  Returns a view
+    # of ws.
+    raw = _draw_words(seed, n, start, ws)
     raw >>= np.uint64(11)  # the levels, below 2**53: the same in the int64 view
-    return d._level_indices(words, idx, scratch)
+    levels, scratch, idx = ws[:, :n]
+    return d._level_indices(levels, idx, scratch)
 
 
 def sample_stream(d: DiscreteDistribution, seed: int, n: int) -> np.ndarray:
@@ -239,42 +262,101 @@ def _record_counts(d: DiscreteDistribution, seed: int, rec_ns: np.ndarray, windo
     For a chunk that completes records ``r0 .. r1-1``, ``window(r0, r1,
     below, end)`` is asked for the atoms to count, ``(a, b)``, where
     ``below[j]`` and ``end[j]`` are the numbers of draws at or below atom j
-    before and at the chunk's end; then ``(r0, r1, a, C)`` is yielded, where
-    ``C[j, r - r0]`` is the number of draws at or below atom ``a + j`` among
-    the first ``rec_ns[r]``.  C has ``b - a`` rows.  The ranges are
-    consecutive and cover every record, and drawing stops at ``rec_ns[-1]``.
+    before and at the chunk's end; then ``(r0, r1, a, C)`` is yielded,
+    where ``C[j, r - r0]`` is the number of draws at or below atom ``a + j``
+    among the first ``rec_ns[r]``.  C has ``b - a`` rows.  The ranges are
+    consecutive and cover every record, and drawing stops at
+    ``rec_ns[-1]``.  A chunk whose only record is its last draw needs no
+    more counting: C is ``end[a:b]``.
 
+    A support of at most ``_WORD_ATOMS`` atoms is counted on the raw words.
+    The drawn index is the number of j with ``T[j] <= level``, where
+    ``T = _level_threshold(cum)`` is non-decreasing, so a draw is at or
+    below atom j iff its word is below ``T[j] << 11``, and every draw is
+    when ``T[j]`` is 2**53.  Each atom's comparisons are made once per
+    chunk, a byte a draw in the workspace: their count gives ``end``, and a
+    window atom's counts at the records are their running sum, read at the
+    record offsets.  Where every draw is a record that is one cumulative
+    sum, read as a slice.  Elsewhere the comparisons are summed between
+    records (``np.add.reduceat``) and those sums summed along the records:
+    slower than one cumulative sum at 2 to 5 draws a record (up to 2.5
+    times), faster from about 6 up (8 times at one record a chunk), and
+    the segment starts fit in a workspace row.  Total work is
+    O(rec_ns[-1] * atoms).
+
+    A larger support looks each word's level up in the guide table
+    (``_draw_indices``), and ``end`` is a bincount of the atom indices.
     Draws are binned by atom and record segment (the draws after one record
     point up to and including the next), atoms below the window counted
     with its first atom and those above it in one spare column, so the
-    counts at every record come from one cumulative sum over segments.  A
-    chunk whose only record is its last draw needs no binning: C is
-    ``end[a:b]``.  Total work is O(rec_ns[-1] + records * window), plus
-    O(atoms) per chunk.  The working set is one workspace, ``3 * _CHUNK``
-    int64 words (768 KiB) in which words, levels, atom indices and segment
-    ids are all made, and one chunk's counts, at most ``_CELLS`` of them,
-    whatever ``rec_ns[-1]`` is, so long as the consumer drops C before it
-    asks for the next chunk.
+    counts at every record come from one cumulative sum over segments.
+    Total work is O(rec_ns[-1] + records * window).
+
+    Both add O(atoms) per chunk.  The working set is one workspace, ``3 *
+    _CHUNK`` int64 words (768 KiB), in which every per-draw array is made,
+    and one chunk's counts, at most ``_CELLS`` of them, whatever
+    ``rec_ns[-1]`` is, so long as the consumer drops C before it asks for
+    the next chunk.
     """
     atoms = len(d)
     ws = _workspace()
     below = np.zeros(atoms, dtype=np.int64)  # draws before lo at or below each atom
+    on_words = atoms <= _WORD_ATOMS
+    if on_words:
+        # the word thresholds of the atoms some draw may lie above: a prefix,
+        # as T is non-decreasing
+        _, _, t, _ = d._guide
+        thresholds = [w for w in map(_word_threshold, t[:atoms]) if w is not None]
     for lo, hi, r0, rb, r1 in _chunks(atoms, rec_ns):
-        idx = _draw_indices(d, seed, hi - lo, lo, ws)
-        end = np.cumsum(np.bincount(idx, minlength=atoms))
-        end += below  # draws before hi at or below each atom
+        n = hi - lo
+        if on_words:
+            words = _draw_words(seed, n, lo, ws)
+            hits = ws[1].view(np.bool_)[: len(thresholds) * n].reshape(-1, n)
+            end = below + n  # draws before hi at or below each atom
+            for j, w in enumerate(thresholds):
+                np.less(words, w, out=hits[j])
+                end[j] = below[j] + np.count_nonzero(hits[j])
+        else:
+            idx = _draw_indices(d, seed, n, lo, ws)
+            end = np.cumsum(np.bincount(idx, minlength=atoms))
+            end += below
         if r1 > r0:
             a, b = window(r0, r1, below, end)
             if rb == r0 or a == b:
-                yield r0, r1, a, end[a:b, None]
+                cum = end[a:b, None]
+            elif on_words:
+                # record r counts the chunk's first rec_ns[r] - lo draws
+                cum = np.empty((b - a, r1 - r0), dtype=np.int64)
+                first, last = int(rec_ns[r0]) - lo, int(rec_ns[r1 - 1]) - lo
+                every_draw = last - first == r1 - 1 - r0  # a record at every draw
+                if not every_draw:
+                    # the segments between records start at draw 0 and
+                    # after each record but the last
+                    starts = ws[0, : r1 - r0]
+                    starts[0] = 0
+                    np.subtract(rec_ns[r0 : r1 - 1], lo, out=starts[1:])
+                run = ws[2, :last]
+                for j in range(a, b):
+                    if j >= len(thresholds):  # every draw lies at or below atom j
+                        cum[j - a] = rec_ns[r0:r1]
+                        continue
+                    # cast, then summed in place: numpy would cast the bytes
+                    # through a temporary
+                    np.copyto(run, hits[j, :last])
+                    if every_draw:  # the running sum, read at the records
+                        np.cumsum(run, out=run)
+                        np.add(run[first - 1 :], below[j], out=cum[j - a])
+                    else:  # the segment sums, summed along the segments
+                        np.add.reduceat(run, starts, out=cum[j - a])
+                        cum[j - a, 0] += below[j]
+                        np.cumsum(cum[j - a], out=cum[j - a])
             else:
                 # column j holds atom a + j, column 0 the draws below atom
                 # a too, and column b - a the draws above the window
                 idx -= a
                 np.maximum(idx, 0, out=idx)
                 np.minimum(idx, b - a, out=idx)
-                counts = _segment_counts(b - a + 1, idx, rec_ns, lo, r0, rb, ws)
-                cum = counts[: b - a]
+                cum = _segment_counts(b - a + 1, idx, rec_ns, lo, r0, rb, ws)[: b - a]
                 # down the atoms, in whichever makes fewer, longer inner
                 # loops: one add per row, or numpy's one pass per column
                 if len(cum) <= cum.shape[1]:
@@ -284,10 +366,11 @@ def _record_counts(d: DiscreteDistribution, seed: int, rec_ns: np.ndarray, windo
                     cum.cumsum(axis=0, out=cum)
                 cum[:, 0] += below[a:b]
                 cum.cumsum(axis=1, out=cum)  # along the segments
-                yield r0, r1, a, cum[:, : r1 - r0]
-                # freed here, not when the next chunk rebinds the names, so
-                # no two chunks' counts are ever held at once
-                del counts, cum
+                cum = cum[:, : r1 - r0]
+            yield r0, r1, a, cum
+            # freed here, not when the next chunk rebinds the name, so no
+            # two chunks' counts are ever held at once
+            del cum
         below = end
 
 
@@ -307,7 +390,8 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
     count at the chunk's start already reaches the last R lies at or above
     all of them.  So only the window's atoms are counted, and a quantile's
     index is the window's first atom plus the number of window atoms whose
-    cumulative count is below its rank.  Total work is
+    cumulative count is below its rank.  Total work is O(n_max * atoms) on
+    a support of at most ``_WORD_ATOMS`` atoms, and otherwise
     O(n_max + records * window), plus O(atoms) per chunk to place the
     window, and the working set is one workspace and one chunk's counts and
     ranks, whatever the stride.  It all runs on the calling thread:
@@ -351,8 +435,10 @@ def gc_path(
     refused, not truncated).  Returns the distances and their leftmost
     witness atoms, one per checkpoint.  The counts over the whole support
     come from ``_record_counts`` on the calling thread, and drawing stops
-    at the last checkpoint; past the checkpoint arrays, memory is bounded
-    by its one workspace, however large the checkpoints are.
+    at the last checkpoint n.  Total work is O(n * atoms) on a support of
+    at most ``_WORD_ATOMS`` atoms, and otherwise O(n + checkpoints *
+    atoms), plus O(atoms) per chunk.  Past the checkpoint arrays, memory is
+    bounded by its one workspace, however large the checkpoints are.
     """
     check_seed("seed", seed)
     ns = np.asarray(checkpoints)
@@ -508,10 +594,11 @@ def _bernoulli_block_sums(
 
     A draw is 1 iff its uniform exceeds 1 - q (the inverse CDF), that is iff
     its level is at least ``T = _level_threshold(1 - q)``: the sums count
-    words at or above ``T << 11``, and no uniform is made.  Words are made
-    and counted in tiles of at most ``_TILE``, a row group of ``_JOB_TILES``
-    tiles' worth of words (at least one row) is one pure job, and the jobs
-    run on ``_worker_count()`` threads and are stored in order.  A row
+    words at or above ``_word_threshold(T)``, and no uniform is made.
+    Words are made and counted in tiles of at most ``_TILE``, a row group
+    of ``_JOB_TILES`` tiles' worth of words (at least one row) is one pure
+    job, and the jobs run on ``_worker_count()`` threads and are stored in
+    order.  A row
     longer than a tile is counted a tile of columns at a time, so memory
     does not grow with the block length, and the sums do not depend on the
     worker count.
@@ -520,12 +607,12 @@ def _bernoulli_block_sums(
     block and the first paired block are the same draws, so ``qlim blocks``
     makes them once.
     """
-    level = _level_threshold(1.0 - q)
+    threshold = _word_threshold(_level_threshold(1.0 - q))
     sums = np.zeros(reps, dtype=np.int64)
-    if level < _LEVELS:  # else 1 - q rounds to 1.0 and no draw is 1
+    if threshold is not None:  # else 1 - q rounds to 1.0 and no draw is 1
         rows = max(1, _JOB_TILES * _TILE // block_len)
         jobs = [
-            (master_seed, r0, min(r0 + rows, reps), block_len, level << 11)
+            (master_seed, r0, min(r0 + rows, reps), block_len, threshold)
             for r0 in range(0, reps, rows)
         ]
         workers = min(_worker_count(), len(jobs))

@@ -506,6 +506,31 @@ class TestGcCommand:
             assert code == 0, err
             assert out == gc_table_materialised(d, seed, n, checkpoints)
 
+    @pytest.mark.parametrize("family", ["figure", "coin"])
+    def test_matches_bincount_recount(self, capsys, family):
+        # the gc-long benchmark's check, at a smaller n: at the default
+        # decade checkpoints, every line equals a bincount recount of the
+        # searchsorted draws
+        d = gapped_example() if family == "figure" else fair_coin()
+        n = 300_000
+        checkpoints = [10, 100, 1000, 10_000, 100_000, n]
+        for seed in (5, 2**62 + 11, 3558559446808474027):
+            code, out, err = run_cli(
+                capsys, "gc", "--family", family, "--n", str(n), "--seed", str(seed)
+            )
+            assert code == 0, err
+            idx = np.searchsorted(d.values_array, sim.sample_stream(d, seed, n))
+            counts = np.zeros(len(d), dtype=np.int64)
+            want = ["n,gc_distance,witness"]
+            done = 0
+            for ck in checkpoints:
+                counts += np.bincount(idx[done:ck], minlength=len(d))
+                done = ck
+                diffs = np.abs(np.cumsum(counts) / ck - d.cum_array)
+                j = int(np.argmax(diffs))
+                want.append(f"{ck},{float(diffs[j])!r},{d.values[j]!r}")
+            assert out.splitlines() == want
+
     @pytest.mark.parametrize("n", [10**4, 10**6])
     def test_memory_does_not_grow_with_n(self, capsys, tmp_path, n):
         out_file = tmp_path / "gc.csv"

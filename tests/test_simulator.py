@@ -230,6 +230,9 @@ SUPPORTS = {
     # all 1001 cum entries lie in the top one of 2048 buckets: 10 rounds
     "packed": PACKED,
     "uniform4096": make_discrete((float(i), 1.0 / 4096) for i in range(4096)),
+    "six": make_discrete(
+        [(0.0, 0.1), (1.0, 0.15), (2.0, 0.25), (4.0, 0.2), (5.0, 0.2), (9.0, 0.1)]
+    ),
 }
 
 
@@ -564,7 +567,9 @@ class TestRunTrajectory:
             slow = run_trajectory_streaming(cfg, 0)
             assert_same_records(fast, slow)
 
-    @pytest.mark.parametrize("atoms", [1, 2, 13, 257])
+    @pytest.mark.parametrize(
+        "atoms", [1, 2, simulate._WORD_ATOMS, simulate._WORD_ATOMS + 1, 13, 257]
+    )
     @pytest.mark.parametrize("stride", [1, 7, simulate._CHUNK + 3, "above"])
     def test_matches_oracle_across_supports_and_strides(self, atoms, stride):
         # n_max spans two draw chunks and is no multiple of 7 or _CHUNK + 3
@@ -586,7 +591,9 @@ class TestRunTrajectory:
         cfg = SimConfig(d, 0.5, n_max, 11, record_stride=stride)
         assert_same_records(run_trajectory(cfg, 2), run_trajectory_streaming(cfg, 2))
 
-    @pytest.mark.parametrize("atoms", [1, 3, 257, 4096])
+    @pytest.mark.parametrize(
+        "atoms", [1, 3, simulate._WORD_ATOMS, simulate._WORD_ATOMS + 1, 257, 4096]
+    )
     def test_cumulative_counts_match_prefix_recount(self, atoms):
         rng = np.random.default_rng(atoms)
         values = np.arange(atoms, dtype=np.float64)
@@ -653,6 +660,24 @@ class TestRunTrajectory:
         assert len(traj) == n_max // stride
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("n_max", [10**5, 10**6])
+    def test_two_atom_working_set_is_flat(self, n_max):
+        # two atoms at their gap, a record at every draw, counted on the
+        # words.  Past the trajectory's own arrays, at both lengths: the
+        # workspace (3 chunk-length int64 rows), one chunk's counts (1), its
+        # ranks (2) and quantile indices (2), and under 2 rows of
+        # temporaries; a second chunk's counts held at once would pass 10
+        cfg = SimConfig(make_discrete([(0.0, 0.3), (1.0, 0.7)]), 0.3, n_max, 4, record_stride=1)
+        qrng._steps()  # the step table, a chunk-length row made once per process
+        tracemalloc.start()
+        try:
+            traj = run_trajectory(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == n_max
+        assert peak - (traj.ns.nbytes + traj.lq.nbytes + traj.rq.nbytes) < 10 * simulate._CHUNK * 8
+
     def test_record_points_include_n_max(self):
         cfg = SimConfig(fair_coin(), 0.5, 1003, 1, record_stride=10)
         traj = run_trajectory(cfg, 0)
@@ -687,6 +712,100 @@ class TestRunTrajectory:
         assert set(traj.rq.tolist()) <= atoms
         assert np.all(traj.lq <= traj.rq)
         assert gap_interior_hits(traj, d, 0.5) == 0
+
+
+def _edge_support(name: str):
+    # (distribution, p, seeds) of a small support at one end of the word
+    # thresholds T << 11 that _record_counts compares words with
+    light = seed_for_word(2047, 1000), seed_for_word(2048, 1000), 1
+    if name == "cum-one-before-last":  # T of atom 1 is 2**53: every draw
+        d = make_discrete([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-17)])
+        assert d.cum == (0.5, 1.0, 1.0)
+        return d, 0.5, (3558559446808474027, 8)
+    if name == "light-T0":  # no word lies below atom 0's threshold
+        d = make_discrete([(0.0, 1e-17), (1.0, 1.0)])
+        assert qrng._level_threshold(d.cum[0]) == 0
+        return d, 1e-17, light
+    if name == "light-T1":
+        d = make_discrete([(0.0, 1e-16), (1.0, 1.0 - 1e-16)])
+        assert qrng._level_threshold(d.cum[0]) == 1
+        return d, 1e-16, light
+    if name == "one-atom":
+        return point_mass(3.0), 0.5, (8, 2**64 - 1)
+    # "top-seed": the first uniform of the seed is 1.0
+    assert qrng.uniforms(3558559446808474027, 1).tolist() == [1.0]
+    return gapped_example(), 0.5, (3558559446808474027,)
+
+
+class TestWordCounts:
+    """Small supports are counted on raw words, larger ones through the
+    guide table: both binnings give the same counts, records and
+    distances."""
+
+    @pytest.mark.parametrize(
+        "name", ["cum-one-before-last", "light-T0", "light-T1", "one-atom", "top-seed"]
+    )
+    def test_edge_supports(self, name):
+        d, p, seeds = _edge_support(name)
+        assert len(d) <= simulate._WORD_ATOMS
+        n_max = simulate._CHUNK + 1000
+        rec_ns = np.array([1, 2, 1000, 1001, 1002, simulate._CHUNK, simulate._CHUNK + 1, n_max])
+        first_atom = []  # the draws of atom 0 on each path
+        for seed in seeds:
+            idx = np.searchsorted(d.values_array, sample_stream(d, seed, n_max))
+            first_atom.append(np.flatnonzero(idx == 0).tolist())
+            want = np.array([np.cumsum(np.bincount(idx[:n], minlength=len(d))) for n in rec_ns])
+            got = [
+                cum.T for _, _, _, cum in
+                simulate._record_counts(d, seed, rec_ns, lambda *chunk: (0, len(d)))
+            ]
+            assert np.array_equal(np.concatenate(got), want)
+            dist, j = sup_distances(want, rec_ns, d.cum_array)
+            gc_dist, gc_witness = simulate.gc_path(d, seed, rec_ns)
+            assert np.array_equal(gc_dist, dist)
+            assert np.array_equal(gc_witness, d.values_array[j])
+            for stride in (1, 7):
+                # master seeds whose replication 0 draws from this seed
+                cfg = SimConfig(d, p, n_max, seed_for_word(seed), record_stride=stride)
+                traj = run_trajectory(cfg, 0)
+                assert traj.seed == seed
+                assert_same_records(traj, run_trajectory_streaming(cfg, 0))
+        if name.startswith("light"):  # only word 2047 of T = 1 draws atom 0
+            assert first_atom[:2] == ([[1000], []] if name == "light-T1" else [[], []])
+
+    @pytest.mark.parametrize("stride", [1, 2, 7, simulate._CHUNK + 3])
+    def test_counts_at_a_stride_match_recount(self, stride):
+        # records at every draw, read from one running sum, and at a stride
+        # and n_max, off it, from sums between records
+        d = SUPPORTS["six"]
+        n_max = 70_001
+        rec_ns = simulate._record_points(n_max, stride)
+        idx = np.searchsorted(d.values_array, sample_stream(d, 4, n_max))
+        prefix = np.cumsum(np.cumsum(np.eye(len(d), dtype=np.int64)[idx], axis=0), axis=1)
+        got = [
+            cum.T for _, _, _, cum in
+            simulate._record_counts(d, 4, rec_ns, lambda *chunk: (0, len(d)))
+        ]
+        assert np.array_equal(np.concatenate(got), prefix[rec_ns - 1])
+
+    @pytest.mark.parametrize("support", ["coin", "figure", "six"])
+    def test_word_and_guide_binnings_agree(self, monkeypatch, support):
+        d = SUPPORTS[support]
+        ns = np.unique(np.concatenate([np.geomspace(1, 70_000, 30).astype(np.int64),
+                                       np.arange(32_000, 33_500, 7)]))
+        out = {}
+        for word_atoms in (0, 4096):
+            monkeypatch.setattr(simulate, "_WORD_ATOMS", word_atoms)
+            trajs = [
+                run_trajectory(SimConfig(d, 0.5, 70_000, 5, record_stride=stride), 1)
+                for stride in (1, 7, simulate._CHUNK + 3)
+            ]
+            out[word_atoms] = trajs, simulate.gc_path(d, 9, ns)
+        (guide_trajs, guide_gc), (word_trajs, word_gc) = out[0], out[4096]
+        for guide, word in zip(guide_trajs, word_trajs):
+            assert_same_records(guide, word)
+        assert np.array_equal(guide_gc[0], word_gc[0])
+        assert np.array_equal(guide_gc[1], word_gc[1])
 
 
 def _uniform(atoms: int):
