@@ -175,9 +175,9 @@ def _cmd_simulate(args) -> int:
 
     stage = out_dir / ".qlim-partial"
 
-    def writer(rep: int, traj: sim.Trajectory) -> None:
+    def csv_path(rep: int) -> Path:
         stage.mkdir(parents=True, exist_ok=True)
-        sim.write_trajectory_csv(traj, stage / f"traj_{rep}.csv")
+        return stage / f"traj_{rep}.csv"
 
     try:  # run_replicated validates first: a flag error creates no out_dir
         try:
@@ -187,7 +187,7 @@ def _cmd_simulate(args) -> int:
                 burn_in=args.burn_in,
                 epsilon=args.epsilon,
                 min_switches=args.min_switches,
-                on_trajectory=writer,
+                csv_path=csv_path,
             )
             (stage / "report.json").write_bytes(sim.report_to_json_bytes(report))
         except OSError as exc:

@@ -111,24 +111,60 @@ def quantile_ranks(ns, p: float) -> tuple[np.ndarray, np.ndarray]:
     ``n*num - k*2**s`` is below 2**54 in size, wrapping uint64 arithmetic
     gives it exactly, and its sign places n*p at, above or below k.  Larger
     n take Python integers.
+
+    Each path makes its two results in place: the shift path with no other
+    array of len(ns), the float path with one scratch array.
     """
     ns = np.asarray(ns, dtype=np.int64)
     num, den = p.as_integer_ratio()
     s = den.bit_length() - 1
     top = int(ns.max())
     if top <= (2**63 - 1) // num:
-        prod = ns * num
-        t = min(s, 63)  # prod < 2**63, so the shift by 63 stands in for larger s
-        return -(-prod >> t), (prod >> t) + 1
+        t = min(s, 63)  # n*num < 2**63, so the shift by 63 stands in for larger s
+        left = np.multiply(ns, num)
+        right = left >> t
+        right += 1
+        np.negative(left, out=left)  # ceil(x / 2**t) = -(-x >> t)
+        left >>= t
+        np.negative(left, out=left)
+        return left, right
     if top < 2**53:
-        prod = ns * p
-        k = prod.astype(np.int64)
-        near = prod == k
-        res = ns.view(np.uint64) * np.uint64(num)
-        if s < 64:  # else k * 2**s wraps to 0
-            res -= k.view(np.uint64) << np.uint64(s)
-        res = res.view(np.int64)
-        return k + 1 - (near & (res <= 0)), k + 1 - (near & (res < 0))
+        # k and two rows that end as the results.  Every step writes in
+        # place, and each change of type is a copy (np.copyto), which numpy
+        # makes without the buffers it casts a ufunc's operands through
+        a, b, k = (np.empty(len(ns), dtype=np.int64) for _ in range(3))
+        au, bu = a.view(np.uint64), b.view(np.uint64)
+        prod = b.view(np.float64)
+        np.copyto(prod, ns)
+        prod *= p
+        np.copyto(k, prod, casting="unsafe")  # truncated
+        if s < 64:
+            # where prod is no integer, neither is n*p, k is floor(n*p) and
+            # res = n*num - k*2**s lies in (0, 2**s), so res > 0 there
+            res, free = b, a
+            np.left_shift(k.view(np.uint64), np.uint64(s), out=au)
+            np.multiply(ns.view(np.uint64), np.uint64(num), out=bu)
+            bu -= au
+        else:
+            # k * 2**s wraps to 0, so res is exact only where prod == k;
+            # elsewhere it is set to 1, for k + 1
+            res, free = a, b
+            frac = a.view(np.float64)
+            np.copyto(frac, k)
+            np.subtract(prod, frac, out=frac)
+            off = b.view(np.bool_)[: len(ns)]
+            np.not_equal(frac, 0.0, out=off)
+            np.multiply(ns.view(np.uint64), np.uint64(num), out=au)
+            np.copyto(a, 1, where=off)
+        # L = k + (res > 0) and R = k + (res >= 0), from sign bits: res is
+        # never -2**63, so -res >> 63 is -1 iff res > 0
+        np.negative(res, out=free)
+        free >>= 63
+        np.subtract(k, free, out=free)
+        res >>= 63
+        res += k
+        res += 1
+        return free, res
     ints = ns.tolist()
     return (
         np.array([-(-n * num // den) for n in ints], dtype=np.int64),

@@ -82,7 +82,8 @@ _TAIL_CHUNK = 1 << 16
 _TILE = 1 << 16
 _JOB_TILES = 16
 
-# trajectory_csv_bytes: records encoded at a time
+# records encoded at a time (_csv_chunks), and the fewest records a block
+# that run_replicated folds and writes holds, but the last (_coalesced)
 _CSV_ROWS = 1 << 14
 
 
@@ -188,24 +189,50 @@ def sample_stream(d: DiscreteDistribution, seed: int, n: int) -> np.ndarray:
     return out
 
 
-def _record_points(n_max: int, stride: int) -> np.ndarray:
-    ns = np.arange(stride, n_max + 1, stride, dtype=np.int64)
-    if len(ns) == 0 or ns[-1] != n_max:
-        ns = np.append(ns, np.int64(n_max))
-    return ns
+class _StridePoints:
+    """The record points of a trajectory: stride, 2*stride, ... up to n_max,
+    then n_max if it is off the stride.  They stand in for their int64 array
+    in the chunk loop (``len``, an element, a slice and ``searchsorted``),
+    and each slice is made when asked for, so no array grows with
+    n_max / stride."""
+
+    __slots__ = ("n_max", "stride", "_on_stride")
+
+    def __init__(self, n_max: int, stride: int):
+        self.n_max, self.stride = n_max, stride
+        self._on_stride = n_max // stride  # the multiples of stride
+
+    def __len__(self) -> int:
+        return self._on_stride + (self.n_max % self.stride != 0)
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):  # an index in [0, len)
+            return min((key + 1) * self.stride, self.n_max)
+        r0, r1, _ = key.indices(len(self))
+        ns = np.arange(r0 + 1, max(r0, r1) + 1, dtype=np.int64)
+        if self.stride > 1:
+            ns *= self.stride  # past n_max only at the last point, set next
+        if r0 < r1 and r1 > self._on_stride:  # the last point, n_max
+            ns[-1] = self.n_max
+        return ns
+
+    def searchsorted(self, n: int, side: str = "left") -> int:
+        # the number of points below n, or with side="right" at most n
+        top = n if side == "right" else n - 1
+        return len(self) if top >= self.n_max else max(top, 0) // self.stride
 
 
-def _chunks(atoms: int, rec_ns: np.ndarray):
+def _chunks(atoms: int, rec_ns):
     # (lo, hi, r0, rb, r1) of each chunk of draws lo .. hi-1, in order:
     # records r0 .. rb-1 fall strictly inside it, and r0 .. r1-1 are the
     # records it completes
     max_segs = max(1, _CELLS // atoms)
-    n_end = int(rec_ns[-1])
+    n_end = int(rec_ns[len(rec_ns) - 1])
     lo = r0 = 0  # records before r0 are complete: rec_ns[r0] > lo
     while lo < n_end:
         hi = min(lo + _CHUNK, int(rec_ns[min(r0 + max_segs, len(rec_ns)) - 1]))
-        rb = int(np.searchsorted(rec_ns, hi, side="left"))
-        r1 = int(np.searchsorted(rec_ns, hi, side="right"))
+        rb = int(rec_ns.searchsorted(hi, side="left"))
+        r1 = int(rec_ns.searchsorted(hi, side="right"))
         yield lo, hi, r0, rb, r1
         lo, r0 = hi, r1
 
@@ -253,12 +280,13 @@ def _in_order(fn, jobs, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _record_counts(d: DiscreteDistribution, seed: int, rec_ns: np.ndarray, window):
+def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
     """Per-atom cumulative counts of one sample path at each record point,
     on a window of atoms per chunk.
 
     ``rec_ns`` is a strictly increasing int64 array of positive sample
-    sizes.  Draws are made and counted a chunk at a time (``_chunks``).
+    sizes, or a ``_StridePoints``, which makes the slices the chunks read.
+    Draws are made and counted a chunk at a time (``_chunks``).
     For a chunk that completes records ``r0 .. r1-1``, ``window(r0, r1,
     below, end)`` is asked for the atoms to count, ``(a, b)``, where
     ``below[j]`` and ``end[j]`` are the numbers of draws at or below atom j
@@ -374,55 +402,122 @@ def _record_counts(d: DiscreteDistribution, seed: int, rec_ns: np.ndarray, windo
         below = end
 
 
+def _trajectory_blocks(cfg: SimConfig, seed: int):
+    """The records of run_trajectory, in blocks: ``(ns, lq, rq)`` of the
+    records each chunk of ``_record_counts`` completes, in order.
+
+    The order statistic of rank r is the first atom whose cumulative count
+    reaches r, and the ranks L and R are computed for the records each
+    chunk completes only.  Only a window of atoms can hold those records'
+    quantiles: an atom whose cumulative count at the chunk's end is still
+    below the first L lies below all of them, and one whose count at the
+    chunk's start already reaches the last R lies at or above all of them.
+    So only the window's atoms are counted, and a quantile's index is the
+    window's first atom plus the number of window atoms whose cumulative
+    count is below its rank.  Total work is O(n_max * atoms) on a support of at most
+    ``_WORD_ATOMS`` atoms, and otherwise O(n_max + records * window), plus
+    O(atoms) per chunk to place the window.
+
+    A block's arrays, its record points too, are made for its chunk, so the
+    working set is one workspace and a few chunk-length arrays whatever
+    n_max and the stride are, so long as the consumer lets go of a block
+    before it asks for the next.
+    """
+    d = cfg.distribution
+    values = d.values_array
+    points = _StridePoints(cfg.n_max, cfg.record_stride)
+    ranks = None
+
+    def window(r0, r1, below, end):
+        nonlocal ranks
+        ranks = quantile_ranks(points[r0:r1], cfg.p)
+        return int(np.searchsorted(end, ranks[0][0])), int(np.searchsorted(below, ranks[1][-1]))
+
+    for r0, r1, a, cum in _record_counts(d, seed, points, window):
+        # the quantiles are written over their ranks, which quantile_ranks
+        # made for this call and which are not read again
+        lq, rq = (r.view(np.float64) for r in ranks)
+        if len(cum) == 0:
+            lq.fill(values[a])
+            rq.fill(values[a])
+        else:
+            left, right = quantile_indices(cum, *ranks)
+            left += a
+            right += a
+            values.take(left, out=lq, mode="wrap")
+            values.take(right, out=rq, mode="wrap")
+            del left, right
+        del cum
+        # the record points are made again, not kept from the window: one
+        # chunk-length array fewer while the quantiles are found
+        yield points[r0:r1], lq, rq
+        ranks = lq = rq = None  # let go before the next chunk's are made
+
+
+def _coalesced(blocks, rows: int):
+    # the records of blocks, with each run of shorter blocks joined into one
+    # of at least rows records (but the last), so that per-block costs, of
+    # the folds and the CSV encoder, are not paid per kernel chunk when the
+    # chunks complete few records each
+    pending, held = [], 0
+    for block in blocks:
+        pending.append(block)
+        held += len(block[0])
+        del block
+        if held >= rows:
+            block, pending, held = _joined(pending), [], 0
+            yield block
+            del block  # let go before the next block is made
+    if pending:
+        yield _joined(pending)
+
+
+def _joined(blocks) -> tuple:
+    # consecutive blocks as one
+    return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+
+
+class _Records:
+    """A Trajectory filled in from its blocks, in order."""
+
+    def __init__(self, cfg: SimConfig, seed: int):
+        n = len(_StridePoints(cfg.n_max, cfg.record_stride))
+        self.trajectory = Trajectory(
+            np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), seed
+        )
+        self._filled = 0
+
+    def add(self, ns, lq, rq) -> None:
+        t, r0 = self.trajectory, self._filled
+        self._filled += len(ns)
+        t.ns[r0 : self._filled] = ns
+        t.lq[r0 : self._filled] = lq
+        t.rq[r0 : self._filled] = rq
+
+
 def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
     """Stream cfg.n_max draws and record both sample quantiles along the way.
 
     Records are taken every ``record_stride`` draws and at n_max.  At a
     record n the left quantile is the order statistic of rank
     ``L = ceil(n*p)`` and the right one that of rank ``R = floor(n*p) + 1``,
-    exactly for the double p (``empirical.quantile_ranks``); the order
-    statistic of rank r is the first atom whose cumulative count reaches r.
+    exactly for the double p (``empirical.quantile_ranks``).
 
-    The counts come from ``_record_counts``, and the ranks are computed for
-    the records each chunk completes only.  Only a window of atoms can hold
-    those records' quantiles: an atom whose cumulative count at the chunk's
-    end is still below the first L lies below all of them, and one whose
-    count at the chunk's start already reaches the last R lies at or above
-    all of them.  So only the window's atoms are counted, and a quantile's
-    index is the window's first atom plus the number of window atoms whose
-    cumulative count is below its rank.  Total work is O(n_max * atoms) on
-    a support of at most ``_WORD_ATOMS`` atoms, and otherwise
-    O(n_max + records * window), plus O(atoms) per chunk to place the
-    window, and the working set is one workspace and one chunk's counts and
-    ranks, whatever the stride.  It all runs on the calling thread:
-    ``run_replicated`` spreads the replications over the worker threads.
+    The records are made a chunk of draws at a time (``_trajectory_blocks``,
+    on the counts of ``_record_counts``) and filled into the trajectory's
+    three arrays, 24 bytes a record.  Past those, the working set is
+    O(chunk) whatever n_max and the stride are: one workspace and a few
+    chunk-length arrays.  ``run_replicated`` folds and writes the same
+    blocks without assembling a Trajectory at all.  It all runs on the
+    calling thread: ``run_replicated`` spreads the replications over the
+    worker threads.
     """
-    d = cfg.distribution
     seed = derive_seed(cfg.master_seed, rep_index)
-    rec_ns = _record_points(cfg.n_max, cfg.record_stride)
-    values = d.values_array
-    lq_out = np.empty(len(rec_ns), dtype=np.float64)
-    rq_out = np.empty(len(rec_ns), dtype=np.float64)
-    left_rank = right_rank = None
-
-    def window(r0, r1, below, end):
-        nonlocal left_rank, right_rank
-        left_rank, right_rank = quantile_ranks(rec_ns[r0:r1], cfg.p)
-        return int(np.searchsorted(end, left_rank[0])), int(np.searchsorted(below, right_rank[-1]))
-
-    for r0, r1, a, cum in _record_counts(d, seed, rec_ns, window):
-        if len(cum) == 0:
-            lq_out[r0:r1] = rq_out[r0:r1] = values[a]
-        else:
-            left, right = quantile_indices(cum, left_rank, right_rank)
-            left += a
-            right += a
-            values.take(left, out=lq_out[r0:r1], mode="wrap")
-            values.take(right, out=rq_out[r0:r1], mode="wrap")
-            del left, right
-        # let go of this chunk's counts and ranks before the next is made
-        del cum, left_rank, right_rank
-    return Trajectory(ns=rec_ns, lq=lq_out, rq=rq_out, seed=seed)
+    records = _Records(cfg, seed)
+    for block in _trajectory_blocks(cfg, seed):
+        records.add(*block)
+        del block  # let go before the next block is made
+    return records.trajectory
 
 
 def gc_path(
@@ -465,13 +560,135 @@ def gc_path(
 # Trajectory analyses
 
 
-def _window(traj: Trajectory, burn_in: int) -> np.ndarray:
-    if len(traj) == 0:
-        raise QuantileLimitsError("trajectory holds no records")
-    mask = traj.ns >= burn_in
-    if not mask.any():
-        raise QuantileLimitsError(f"no records at or beyond burn_in={burn_in}")
-    return mask
+class _WindowFold:
+    """The records past burn_in, over a trajectory's blocks in order: a
+    fold takes each block with ``add(ns, lq, rq)``, then gives its result."""
+
+    def __init__(self, burn_in: int):
+        self.burn_in = burn_in
+        self.records = self.kept = 0
+
+    def _window(self, ns: np.ndarray):
+        # an index of the block's records at or past burn_in: slice(None),
+        # which copies nothing, when that is all of them, else a mask
+        self.records += len(ns)
+        if len(ns) and ns.min() >= self.burn_in:
+            self.kept += len(ns)
+            return slice(None)
+        mask = ns >= self.burn_in
+        self.kept += int(np.count_nonzero(mask))
+        return mask
+
+    def _check(self) -> None:
+        if self.records == 0:
+            raise QuantileLimitsError("trajectory holds no records")
+        if self.kept == 0:
+            raise QuantileLimitsError(f"no records at or beyond burn_in={self.burn_in}")
+
+
+class _SwitchFold(_WindowFold):
+    """switch_stats over blocks: the switch count carries the last left
+    quantile from block to block, and the visits and extremes merge."""
+
+    def __init__(self, burn_in: int):
+        super().__init__(burn_in)
+        self.switch_count = 0
+        self.visits: dict = {}
+        self.last = self.low = self.high = None
+        # runs of one value and where each ends among the kept records, not
+        # yet merged into the visits, and the end of the last merged run
+        self.runs, self.ends, self.held, self.merged = [], [], 0, -1
+
+    def add(self, ns, lq, rq) -> None:
+        w = lq[self._window(ns)]
+        if len(w) == 0:
+            return
+        # w is runs of one value, which end at each change and at w's end
+        ends = np.append(np.flatnonzero(w[1:] != w[:-1]), len(w) - 1)
+        self.switch_count += len(ends) - 1
+        if self.last is not None:
+            self.switch_count += bool(w[0] != self.last)
+        self.last = w[-1]
+        self.runs.append(w[ends])
+        self.ends.append(ends + (self.kept - len(w)))
+        self.held += len(ends)
+        if self.held >= _CHUNK:  # merged a chunk's worth at a time, not per block
+            self._merge()
+
+    def _merge(self) -> None:
+        # the visits and extremes are the runs', so only the runs are sorted
+        runs, ends = np.concatenate(self.runs), np.concatenate(self.ends)
+        vals, which = np.unique(runs, return_inverse=True)
+        counts = np.bincount(which, weights=np.diff(ends, prepend=self.merged))
+        for v, c in zip(vals.tolist(), counts.tolist()):
+            v = v if v == v else math.nan  # one NaN key, whichever block it is in
+            self.visits[v] = self.visits.get(v, 0) + int(c)
+        # np.minimum and np.maximum carry a NaN on, as min and max of w do
+        low, high = runs.min(), runs.max()
+        self.low = low if self.low is None else np.minimum(self.low, low)
+        self.high = high if self.high is None else np.maximum(self.high, high)
+        self.runs, self.ends, self.held, self.merged = [], [], 0, ends[-1]
+
+    def result(self) -> SwitchStats:
+        self._check()
+        if self.runs:
+            self._merge()
+        return SwitchStats(self.switch_count, self.visits, float(self.low), float(self.high))
+
+
+class _SandwichFold(_WindowFold):
+    """sandwich_check over blocks."""
+
+    def __init__(self, d: DiscreteDistribution, p: float, epsilon: float, burn_in: int):
+        check_positive("epsilon", epsilon)
+        pair = d.quantile_pair(p)
+        super().__init__(burn_in)
+        # v > lq - epsilon iff v >= lo and v < rq + epsilon iff v <= hi, exactly:
+        # a rounded bound is the wanted double or a step short, and fsum's sign is exact
+        lo, hi = pair.left - epsilon, pair.right + epsilon
+        if math.fsum((lo, -pair.left, epsilon)) <= 0:
+            lo = math.nextafter(lo, math.inf)
+        if math.fsum((hi, -pair.right, -epsilon)) >= 0:
+            hi = math.nextafter(hi, -math.inf)
+        self.bounds = lo, pair.left, pair.right, hi
+        self.inside = True
+
+    def add(self, ns, lq, rq) -> None:
+        window = self._window(ns)
+        lo, left, right, hi = self.bounds
+        for vals in (lq[window], rq[window]):
+            # lo <= left <= right <= hi: the sandwich is [lo, hi] less the
+            # open gap (left, right); a NaN fails min() >= lo
+            if self.inside and len(vals):
+                self.inside = bool(
+                    vals.min() >= lo and vals.max() <= hi
+                    and not np.any((vals > left) & (vals < right))
+                )
+
+    def result(self) -> bool:
+        self._check()
+        return self.inside
+
+
+class _GapFold:
+    """gap_interior_hits over blocks."""
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.hits = 0
+
+    def add(self, ns, lq, rq) -> None:
+        left, right = self.pair.left, self.pair.right
+        inside_l = (lq > left) & (lq < right)
+        inside_r = (rq > left) & (rq < right)
+        self.hits += int(np.count_nonzero(inside_l) + np.count_nonzero(inside_r))
+
+
+class _LastFold:
+    """The last record of a trajectory's blocks."""
+
+    def add(self, ns, lq, rq) -> None:
+        self.n, self.lq, self.rq = int(ns[-1]), float(lq[-1]), float(rq[-1])
 
 
 def switch_stats(traj: Trajectory, burn_in: int = 0) -> SwitchStats:
@@ -481,15 +698,9 @@ def switch_stats(traj: Trajectory, burn_in: int = 0) -> SwitchStats:
     differs; ``visits`` maps each recorded value to its occurrence count;
     the running extremes estimate the limiting oscillation band.
     """
-    mask = _window(traj, burn_in)
-    w = traj.lq[mask]
-    vals, cnts = np.unique(w, return_counts=True)
-    return SwitchStats(
-        switch_count=int(np.count_nonzero(w[1:] != w[:-1])),
-        visits={float(v): int(c) for v, c in zip(vals, cnts)},
-        running_min=float(w.min()),
-        running_max=float(w.max()),
-    )
+    fold = _SwitchFold(burn_in)
+    fold.add(traj.ns, traj.lq, traj.rq)
+    return fold.result()
 
 
 def sandwich_check(
@@ -501,34 +712,18 @@ def sandwich_check(
 ) -> bool:
     """True iff every record past burn_in sits in the two-sided sandwich
     (lq - epsilon, lq] union [rq, rq + epsilon) around the quantile pair."""
-    check_positive("epsilon", epsilon)
-    pair = d.quantile_pair(p)
-    mask = _window(traj, burn_in)
-
-    # v > lq - epsilon iff v >= lo and v < rq + epsilon iff v <= hi, exactly:
-    # a rounded bound is the wanted double or a step short, and fsum's sign is exact
-    lo, hi = pair.left - epsilon, pair.right + epsilon
-    if math.fsum((lo, -pair.left, epsilon)) <= 0:
-        lo = math.nextafter(lo, math.inf)
-    if math.fsum((hi, -pair.right, -epsilon)) >= 0:
-        hi = math.nextafter(hi, -math.inf)
-
-    def inside(vals: np.ndarray) -> bool:
-        low = (vals >= lo) & (vals <= pair.left)
-        high = (vals >= pair.right) & (vals <= hi)
-        return bool(np.all(low | high))
-
-    return inside(traj.lq[mask]) and inside(traj.rq[mask])
+    fold = _SandwichFold(d, p, epsilon, burn_in)
+    fold.add(traj.ns, traj.lq, traj.rq)
+    return fold.result()
 
 
 def gap_interior_hits(traj: Trajectory, d: DiscreteDistribution, p: float) -> int:
     """Number of recorded quantile values strictly inside the gap
     (left_quantile, right_quantile) over ALL records.  Always 0 for a
     correctly sampled trajectory: the open gap carries no probability."""
-    pair = d.quantile_pair(p)
-    inside_l = (traj.lq > pair.left) & (traj.lq < pair.right)
-    inside_r = (traj.rq > pair.left) & (traj.rq < pair.right)
-    return int(np.count_nonzero(inside_l) + np.count_nonzero(inside_r))
+    fold = _GapFold(d.quantile_pair(p))
+    fold.add(traj.ns, traj.lq, traj.rq)
+    return fold.hits
 
 
 # ---------------------------------------------------------------------------
@@ -767,17 +962,27 @@ def run_replicated(
     epsilon: float | None = None,
     min_switches: int = 10,
     on_trajectory=None,
+    csv_path=None,
 ) -> dict:
     """Run cfg.replications trajectories and aggregate one analysis.
 
     Replications use derived seeds and may execute on several worker threads
     (QL_THREADS of them, at most the CPUs the process may run on), one
     thread per trajectory.  Per-replication results are keyed by index, so
-    the report is identical however the work is scheduled.
+    the report is identical however the work is scheduled.  An error in a
+    replication cancels those not yet started and is raised once the
+    threads are joined.
+
+    Each replication's records arrive a chunk of draws at a time, as the
+    blocks of ``run_trajectory``, and each block is folded into the
+    analysis and, when ``csv_path`` is given, written to the file
+    ``csv_path(rep_index)`` (the bytes of ``write_trajectory_csv``) as it
+    arrives; a file whose replication fails is removed.  So memory is
+    O(chunk) per worker thread whatever n_max is.
     ``on_trajectory(rep_index, trajectory)``, when given, is invoked once
-    per replication, on its worker thread (used by the CLI to write
-    trajectory CSVs).  An error in a replication cancels those not yet
-    started and is raised once the threads are joined.
+    per replication with a Trajectory assembled from the same blocks,
+    which holds the whole trajectory, 24 bytes a record.  Both callables
+    run on the worker threads.
 
     Analyses
     --------
@@ -817,29 +1022,49 @@ def run_replicated(
         )
 
     d = cfg.distribution
-    target = d.left_quantile(cfg.p)
+    pair = d.quantile_pair(cfg.p)
+    target = pair.left
 
     def one(rep: int) -> dict:
-        traj = run_trajectory(cfg, rep)
-        if on_trajectory is not None:
-            on_trajectory(rep, traj)
-        row: dict = {"rep": rep, "seed": traj.seed}
+        seed = derive_seed(cfg.master_seed, rep)
         if analysis == "convergence":
-            row["final_n"] = int(traj.ns[-1])
-            row["final_lq"] = float(traj.lq[-1])
-            row["final_rq"] = float(traj.rq[-1])
-            row["pass"] = row["final_lq"] == row["final_rq"] == target
+            folds = [_LastFold()]
         elif analysis == "switch_stats":
-            st = switch_stats(traj, burn_in)
+            folds = [_SwitchFold(burn_in)]
+        else:
+            folds = [_SandwichFold(d, cfg.p, epsilon, burn_in), _GapFold(pair)]
+        if on_trajectory is not None:
+            records = _Records(cfg, seed)
+            folds.append(records)
+
+        def blocks():
+            for block in _coalesced(_trajectory_blocks(cfg, seed), _CSV_ROWS):
+                for fold in folds:
+                    fold.add(*block)
+                yield block
+                del block  # let go before the next block is made
+
+        if csv_path is None:
+            collections.deque(blocks(), maxlen=0)
+        else:
+            _write_csv(blocks(), csv_path(rep))
+        if on_trajectory is not None:
+            on_trajectory(rep, records.trajectory)
+        row: dict = {"rep": rep, "seed": seed}
+        if analysis == "convergence":
+            last = folds[0]
+            row["final_n"], row["final_lq"], row["final_rq"] = last.n, last.lq, last.rq
+            row["pass"] = last.lq == last.rq == target
+        elif analysis == "switch_stats":
+            st = folds[0].result()
             row["switch_count"] = st.switch_count
             row["running_min"] = st.running_min
             row["running_max"] = st.running_max
             row["visits"] = {repr(v): c for v, c in sorted(st.visits.items())}
             row["pass"] = st.switch_count >= min_switches
         else:
-            ok = sandwich_check(traj, d, cfg.p, epsilon, burn_in)
-            row["interior_gap_hits"] = gap_interior_hits(traj, d, cfg.p)
-            row["pass"] = ok and row["interior_gap_hits"] == 0
+            row["interior_gap_hits"] = folds[1].hits
+            row["pass"] = folds[0].result() and folds[1].hits == 0
         return row
 
     reps = [(rep,) for rep in range(cfg.replications)]
@@ -893,21 +1118,24 @@ def trajectory_csv_bytes(traj: Trajectory) -> bytes:
     Each distinct float64 bit pattern is ``repr``'d once per trajectory, so
     ``-0.0``, NaN and values off the support keep their exact text.
     """
-    return b"".join(_csv_chunks(traj))
+    return b"".join(_csv_chunks([(traj.ns, traj.lq, traj.rq)]))
 
 
-def _csv_chunks(traj: Trajectory):
-    # the CSV of trajectory_csv_bytes, piece by piece: the header, then
-    # _CSV_ROWS records at a time, so the scratch memory of encoding does
-    # not grow with the trajectory
-    ns = np.asarray(traj.ns, dtype=np.int64)
-    lq = np.asarray(traj.lq, dtype=np.float64)
-    rq = np.asarray(traj.rq, dtype=np.float64)
+def _csv_chunks(blocks):
+    # the CSV of trajectory_csv_bytes for the records of blocks, (ns, lq,
+    # rq) in order, piece by piece: the header, then up to _CSV_ROWS records
+    # of a block at a time, so the scratch memory of encoding does not grow
+    # with the trajectory.  One repr cache serves the whole file.
     text: dict[int, bytes] = {}  # float64 bit pattern -> its repr
     yield b"n,lq,rq\n"
-    for r0 in range(0, len(ns), _CSV_ROWS):
-        r1 = r0 + _CSV_ROWS
-        yield _csv_rows(ns[r0:r1], lq[r0:r1], rq[r0:r1], text)
+    for ns, lq, rq in blocks:
+        ns = np.asarray(ns, dtype=np.int64)
+        lq = np.asarray(lq, dtype=np.float64)
+        rq = np.asarray(rq, dtype=np.float64)
+        for r0 in range(0, len(ns), _CSV_ROWS):
+            r1 = r0 + _CSV_ROWS
+            yield _csv_rows(ns[r0:r1], lq[r0:r1], rq[r0:r1], text)
+        del ns, lq, rq  # let go before the next block is made
 
 
 def _csv_rows(ns: np.ndarray, lq: np.ndarray, rq: np.ndarray, text: dict) -> bytes:
@@ -959,10 +1187,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     chunk as they are encoded, so memory does not grow with the trajectory.
     If encoding or writing fails, the partial file is removed.
     """
+    _write_csv([(traj.ns, traj.lq, traj.rq)], path)
+
+
+def _write_csv(blocks, path) -> None:
+    # the CSV of the records of blocks, written as they arrive; if making,
+    # encoding or writing them fails, the partial file is removed
     fh = open(path, "wb")
     try:
         with fh:
-            for piece in _csv_chunks(traj):
+            for piece in _csv_chunks(blocks):
                 fh.write(piece)
     except BaseException:
         with contextlib.suppress(OSError):

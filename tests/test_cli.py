@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import os
 import pkgutil
@@ -191,13 +192,12 @@ class TestSimulateCommand:
         )
         assert run_cli(capsys, *args, "--replications", "5")[0] == 0
         first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        encode = sim._csv_chunks
-        bad_seed = sim.derive_seed(3, 1)
+        encode, calls = sim._csv_chunks, itertools.count()
 
-        def failing(traj):
-            if traj.seed == bad_seed:
+        def failing(blocks):  # the second replication to start writing fails
+            if next(calls) == 1:
                 raise RuntimeError("encoder failed")
-            yield from encode(traj)
+            yield from encode(blocks)
 
         monkeypatch.setattr(sim, "_csv_chunks", failing)
         assert run_cli(capsys, *args, "--replications", "2", "--force")[0] == 1
@@ -283,17 +283,41 @@ class TestSimulateCommand:
         assert err.startswith("error: --output-dir: ")
         assert (tmp_path / "runs").read_text() == "keep"
 
+    @pytest.mark.parametrize("n_max", [10**4, 10**6])
+    def test_memory_does_not_grow_with_n_max(self, capsys, tmp_path, monkeypatch, n_max):
+        # the coin at stride 1, a record at every draw, on two worker
+        # threads.  Each worker holds one chunk's workspace, counts, ranks
+        # and block of records, and one piece of CSV being encoded: under
+        # 18 chunk-length int64 rows (4.5 MiB) a worker at both lengths,
+        # where the records of one replication of 10**6 take 92 rows
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("QL_THREADS", "2")
+        args = (
+            "simulate", "--family", "coin", "--p", "0.5", "--n-max", str(n_max),
+            "--record-stride", "1", "--replications", "3", "--master-seed", "7",
+            "--analysis", "switch_stats", "--min-switches", "0",
+            "--output-dir", str(tmp_path / "runs"),
+        )
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert (tmp_path / "runs" / "traj_2.csv").stat().st_size > 10 * n_max
+        assert peak < 2 * 18 * sim._CHUNK * 8
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("fault", ["encode", "write"])
     def test_failed_write_leaves_no_tmp_file(self, capsys, tmp_path, monkeypatch, threads, fault):
-        # replication 1 fails while its CSV is encoded, or while its file is
-        # written, after the header
-        encode = sim._csv_chunks
-        bad_seed = sim.derive_seed(7, 1)
+        # the second replication to start writing fails while its CSV is
+        # encoded, or while its file is written, after the header
+        encode, calls = sim._csv_chunks, itertools.count()
 
-        def failing(traj):
-            if traj.seed != bad_seed:
-                yield from encode(traj)
+        def failing(blocks):
+            if next(calls) != 1:
+                yield from encode(blocks)
                 return
             yield b"n,lq,rq\n"
             if fault == "encode":
@@ -649,15 +673,16 @@ class TestStartup:
 
     @needs_proc_tasks
     def test_simulate_runs_within_its_thread_budget(self, tmp_path):
-        # the calling thread and QL_THREADS workers, counted at every write
+        # the calling thread and QL_THREADS workers, counted as each
+        # replication starts to write its CSV
         code = (
             "import os\n"
             "from quantile_limits import cli, simulate\n"
-            "seen, write = [], simulate.write_trajectory_csv\n"
-            "def counted(*args):\n"
+            "seen, encode = [], simulate._csv_chunks\n"
+            "def counted(blocks):\n"
             f"    seen.append({THREADS})\n"
-            "    write(*args)\n"
-            "simulate.write_trajectory_csv = counted\n"
+            "    yield from encode(blocks)\n"
+            "simulate._csv_chunks = counted\n"
             "rc = cli.main(['simulate', '--family', 'coin', '--p', '0.5', '--n-max', '20000',\n"
             f"             '--replications', '8', '--output-dir', {str(tmp_path)!r}])\n"
             "assert rc == 0 and len(seen) == 8, (rc, seen)\n"

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -259,6 +260,23 @@ class TestExactRanks:
             left, right = quantile_ranks(ns, p)
             want = [exact_ranks(n, p) for n in ns.tolist()]
             assert list(zip(left.tolist(), right.tolist())) == want
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 1e-4])
+    def test_ranks_hold_at_most_three_rows(self, p):
+        # the shift path (0.5), and the float path with (0.3) and without
+        # (1e-4, whose k * 2**s wraps to 0) its shifted truncation: past the
+        # input, the two results and one scratch row, plus array headers
+        ns = np.arange(10**6, 10**6 + 2**15, dtype=np.int64)
+        quantile_ranks(ns, p)
+        tracemalloc.start()
+        try:
+            left, right = quantile_ranks(ns, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ns.nbytes + 4096
+        want = [exact_ranks(n, p) for n in ns[::97].tolist()]
+        assert list(zip(left[::97].tolist(), right[::97].tolist())) == want
 
     @pytest.mark.parametrize("p", LEVELS)
     def test_sample_quantiles_at_the_largest_size(self, p):

@@ -779,12 +779,15 @@ class TestWordCounts:
         # and n_max, off it, from sums between records
         d = SUPPORTS["six"]
         n_max = 70_001
-        rec_ns = simulate._record_points(n_max, stride)
+        rec_ns = np.arange(stride, n_max + 1, stride)
+        if rec_ns[-1] != n_max:
+            rec_ns = np.append(rec_ns, n_max)
         idx = np.searchsorted(d.values_array, sample_stream(d, 4, n_max))
         prefix = np.cumsum(np.cumsum(np.eye(len(d), dtype=np.int64)[idx], axis=0), axis=1)
+        points = simulate._StridePoints(n_max, stride)
         got = [
             cum.T for _, _, _, cum in
-            simulate._record_counts(d, 4, rec_ns, lambda *chunk: (0, len(d)))
+            simulate._record_counts(d, 4, points, lambda *chunk: (0, len(d)))
         ]
         assert np.array_equal(np.concatenate(got), prefix[rec_ns - 1])
 
@@ -1937,6 +1940,180 @@ class TestRunReplicated:
             run_replicated(cfg, "convergence", on_trajectory=on_trajectory)
         assert set(seen) <= {0, 2, 3}
         assert _pool_threads() == []
+
+
+def _reference_row(cfg, rep, analysis, burn_in=0, epsilon=None, min_switches=10):
+    # the whole trajectory and the report row the public analyses give it
+    traj = run_trajectory(cfg, rep)
+    d = cfg.distribution
+    row = {"rep": rep, "seed": traj.seed}
+    if analysis == "convergence":
+        row["final_n"] = int(traj.ns[-1])
+        row["final_lq"] = float(traj.lq[-1])
+        row["final_rq"] = float(traj.rq[-1])
+        row["pass"] = row["final_lq"] == row["final_rq"] == d.left_quantile(cfg.p)
+    elif analysis == "switch_stats":
+        st = switch_stats(traj, burn_in)
+        row["switch_count"] = st.switch_count
+        row["running_min"] = st.running_min
+        row["running_max"] = st.running_max
+        row["visits"] = {repr(v): c for v, c in sorted(st.visits.items())}
+        row["pass"] = st.switch_count >= min_switches
+    else:
+        ok = sandwich_check(traj, d, cfg.p, epsilon, burn_in)
+        row["interior_gap_hits"] = gap_interior_hits(traj, d, cfg.p)
+        row["pass"] = ok and row["interior_gap_hits"] == 0
+    return traj, row
+
+
+# no multiple of _CHUNK or _CSV_ROWS
+STREAM_N_MAX = 2 * simulate._CHUNK + 1001
+
+# (distribution, p): the word path on the coin and on two atoms at their
+# gap p = 0.3 (float-product ranks), a support holding -0.0, and the
+# guide path on 16 atoms with a gap at p = 1/2
+STREAM_SUPPORTS = {
+    "coin": (fair_coin(), 0.5),
+    "gap-0.3": (make_discrete([(0.0, 0.3), (1.0, 0.7)]), 0.3),
+    "neg-zero": (make_discrete([(-0.0, 0.5), (1.0, 0.5)]), 0.5),
+    "guide-16": (make_discrete([(j * 1.5, 1 / 16) for j in range(16)]), 0.5),
+}
+
+
+def _analysis_kwargs(analysis: str, burn_in: int) -> dict:
+    if analysis == "convergence":
+        return {}
+    if analysis == "switch_stats":
+        return {"burn_in": burn_in, "min_switches": 3}
+    return {"burn_in": burn_in, "epsilon": 2.0}
+
+
+def _first_block_end(cfg) -> int:
+    # the record point that ends the first block of a replication: the last
+    # one the first chunk that completes any completes
+    points = simulate._StridePoints(cfg.n_max, cfg.record_stride)
+    r1 = next(r1 for *_, r1 in simulate._chunks(len(cfg.distribution), points) if r1)
+    return points[r1 - 1]
+
+
+class TestStreamedReplications:
+    """run_replicated folds and writes each replication's records a block
+    (one chunk of the counting kernel) at a time, without a Trajectory.
+    Its report rows and CSV bytes, and the Trajectory it hands to
+    on_trajectory, equal run_trajectory plus the public analyses plus
+    trajectory_csv_bytes on the whole trajectory, at every block edge."""
+
+    def assert_streamed_as_whole(self, tmp_path, cfg, analysis, trajectories=True, **kwargs):
+        paths, assembled = {}, {}
+        report = run_replicated(
+            cfg, analysis,
+            csv_path=lambda rep: paths.setdefault(rep, tmp_path / f"traj_{rep}.csv"),
+            on_trajectory=assembled.__setitem__ if trajectories else None,
+            **kwargs,
+        )
+        assert len(report["replications"]) == cfg.replications
+        for rep, row in enumerate(report["replications"]):
+            traj, want = _reference_row(cfg, rep, analysis, **kwargs)
+            assert row == want
+            assert paths[rep].read_bytes() == trajectory_csv_bytes(traj)
+            if trajectories:
+                assert_same_records(assembled[rep], traj)
+        return report
+
+    @pytest.mark.parametrize("analysis", simulate.ANALYSES)
+    @pytest.mark.parametrize("stride", [1, 7, simulate._CHUNK + 3])
+    @pytest.mark.parametrize("support", list(STREAM_SUPPORTS))
+    def test_rows_and_bytes_match_the_whole_trajectory(self, tmp_path, support, stride, analysis):
+        d, p = STREAM_SUPPORTS[support]
+        cfg = SimConfig(d, p, STREAM_N_MAX, 31, record_stride=stride, replications=2)
+        kwargs = _analysis_kwargs(analysis, _first_block_end(cfg) + 1)
+        report = self.assert_streamed_as_whole(tmp_path, cfg, analysis, **kwargs)
+        if support == "neg-zero":
+            assert b"-0.0" in (tmp_path / "traj_0.csv").read_bytes()
+            if analysis == "switch_stats":
+                assert "-0.0" in report["replications"][0]["visits"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("analysis", ["switch_stats", "sandwich_check"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("support", ["coin", "guide-16"])
+    def test_burn_in_at_a_block_edge(self, tmp_path, monkeypatch, support, offset, analysis, threads):
+        # burn_in one record before, at and just past the end of the first
+        # block: it keeps two, one or none of that block's records
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setenv("QL_THREADS", threads)
+        d, p = STREAM_SUPPORTS[support]
+        cfg = SimConfig(d, p, STREAM_N_MAX, 8, record_stride=1, replications=3)
+        kwargs = _analysis_kwargs(analysis, _first_block_end(cfg) + offset)
+        self.assert_streamed_as_whole(tmp_path, cfg, analysis, trajectories=False, **kwargs)
+
+    def test_switch_on_a_block_edge(self, tmp_path, monkeypatch):
+        # 64-draw chunks and 50-row CSV pieces: the left quantile switches
+        # between the last record of one block and the first of the next
+        # in several replications, and the switch count carries over
+        monkeypatch.setattr(simulate, "_CHUNK", 64)
+        monkeypatch.setattr(simulate, "_CSV_ROWS", 50)
+        cfg = SimConfig(fair_coin(), 0.5, 3001, 12, record_stride=1, replications=20)
+        self.assert_streamed_as_whole(tmp_path, cfg, "switch_stats", burn_in=0, min_switches=3)
+        on_edge = 0
+        for rep in range(cfg.replications):
+            lq = run_trajectory(cfg, rep).lq
+            on_edge += int(np.count_nonzero(lq[64::64] != lq[63:-1:64]))
+        assert on_edge >= 3
+
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0, -1.0, 3.0, 3.5, math.inf, -math.inf, math.nan]),
+                 min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=42),
+        st.lists(st.integers(min_value=1, max_value=39), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_folds_over_any_split_match_one_block(self, values, burn_in, cuts):
+        # NaN, infinities and values in and off the gap of the figure; the
+        # switch fold merges its runs into the visits every 3 runs
+        lq = np.array(values)
+        rq, ns = lq[::-1].copy(), np.arange(1, len(lq) + 1)
+        d = gapped_example()
+        folds = (
+            simulate._SwitchFold(burn_in),
+            simulate._SandwichFold(d, 0.5, 0.5, burn_in),
+            simulate._GapFold(d.quantile_pair(0.5)),
+        )
+        edges = sorted({0, len(lq), *(c for c in cuts if c < len(lq))})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_CHUNK", 3)
+            for i, j in zip(edges, edges[1:]):
+                for fold in folds:
+                    fold.add(ns[i:j], lq[i:j], rq[i:j])
+        whole = _traj(ns, lq, rq)
+        assert folds[2].hits == gap_interior_hits(whole, d, 0.5)
+        if burn_in > len(lq):
+            for fold in folds[:2]:
+                with pytest.raises(QuantileLimitsError, match="^no records at or beyond"):
+                    fold.result()
+            return
+        assert folds[1].result() == sandwich_check(whole, d, 0.5, 0.5, burn_in)
+        split, one = folds[0].result(), switch_stats(whole, burn_in)
+        assert split.switch_count == one.switch_count
+        assert repr((split.running_min, split.running_max)) == repr((one.running_min, one.running_max))
+        assert sorted(map(repr, split.visits.items())) == sorted(map(repr, one.visits.items()))
+
+    @pytest.mark.parametrize(
+        "n_max, stride", [(1, 1), (10, 3), (12, 3), (5, 7), (7, 7), (70_001, 32_771)]
+    )
+    def test_stride_points_stand_in_for_their_array(self, n_max, stride):
+        want = np.arange(stride, n_max + 1, stride, dtype=np.int64)
+        if len(want) == 0 or want[-1] != n_max:
+            want = np.append(want, n_max)
+        points = simulate._StridePoints(n_max, stride)
+        assert len(points) == len(want)
+        assert [points[r] for r in range(len(want))] == want.tolist()
+        for r0 in range(len(want) + 1):
+            for r1 in range(len(want) + 2):
+                assert np.array_equal(points[r0:r1], want[r0:r1])
+        for n in sorted({0, 1, 2, stride - 1, stride, stride + 1, n_max - 1, n_max, n_max + 1}):
+            for side in ("left", "right"):
+                assert points.searchsorted(n, side=side) == np.searchsorted(want, n, side=side)
 
 
 def _traj(ns, lq, rq) -> Trajectory:
