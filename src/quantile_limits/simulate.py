@@ -30,6 +30,7 @@ from .errors import (
     check_seed,
     check_size,
 )
+from ._csvrows import _csv_rows
 from .rng import _level_threshold, _word_matrix, _word_threshold, derive_seed, stream_words
 
 __all__ = [
@@ -1115,8 +1116,9 @@ def trajectory_csv_bytes(traj: Trajectory) -> bytes:
     left and the right quantile, comma-separated, exactly as
     ``f"{int(n)},{float(lq)!r},{float(rq)!r}\n"`` spells it.
 
-    Each distinct float64 bit pattern is ``repr``'d once per trajectory, so
-    ``-0.0``, NaN and values off the support keep their exact text.
+    Each distinct float64 bit pattern is ``repr``'d once per block of at
+    most ``_CSV_ROWS`` records, so ``-0.0``, NaN and values off the support
+    keep their exact text.
     """
     return b"".join(_csv_chunks([(traj.ns, traj.lq, traj.rq)]))
 
@@ -1124,9 +1126,8 @@ def trajectory_csv_bytes(traj: Trajectory) -> bytes:
 def _csv_chunks(blocks):
     # the CSV of trajectory_csv_bytes for the records of blocks, (ns, lq,
     # rq) in order, piece by piece: the header, then up to _CSV_ROWS records
-    # of a block at a time, so the scratch memory of encoding does not grow
-    # with the trajectory.  One repr cache serves the whole file.
-    text: dict[int, bytes] = {}  # float64 bit pattern -> its repr
+    # of a block at a time as a uint8 array, so the scratch memory of
+    # encoding, repr texts included, does not grow with the trajectory
     yield b"n,lq,rq\n"
     for ns, lq, rq in blocks:
         ns = np.asarray(ns, dtype=np.int64)
@@ -1134,50 +1135,8 @@ def _csv_chunks(blocks):
         rq = np.asarray(rq, dtype=np.float64)
         for r0 in range(0, len(ns), _CSV_ROWS):
             r1 = r0 + _CSV_ROWS
-            yield _csv_rows(ns[r0:r1], lq[r0:r1], rq[r0:r1], text)
+            yield _csv_rows(ns[r0:r1], lq[r0:r1], rq[r0:r1])
         del ns, lq, rq  # let go before the next block is made
-
-
-def _csv_rows(ns: np.ndarray, lq: np.ndarray, rq: np.ndarray, text: dict) -> bytes:
-    # Rows are laid out in a NUL-padded byte matrix, whose padding one mask
-    # drops (ASCII text holds no NUL).
-    rows = len(ns)
-    # value table: the chunk's distinct bit patterns, repr'd and NUL-padded
-    bits = np.concatenate([lq, rq]).view(np.uint64)
-    keys = np.sort(bits)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    reprs = [
-        text.get(k) or text.setdefault(k, repr(v).encode("ascii"))
-        for k, v in zip(keys.tolist(), keys.view(np.float64).tolist())
-    ]
-    w = max(map(len, reprs))
-    table = np.frombuffer(b"".join(t.ljust(w, b"\0") for t in reprs), np.uint8)
-    vals = np.take(table.reshape(-1, w), np.searchsorted(keys, bits), axis=0)
-
-    # decimal digits of |n|, least significant first; leading places stay 0
-    neg = ns < 0
-    mag = ns.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)
-    wn = len(str(int(mag.max()))) + bool(neg.any())
-    digits = np.zeros((wn, rows), np.uint8)
-    for j in range(wn - 1, -1, -1):
-        q = mag // np.uint64(10)
-        np.subtract(mag, q * np.uint64(10), out=digits[j], casting="unsafe")
-        digits[j] += ord("0")
-        if j < wn - 1:
-            digits[j][mag == 0] = 0
-        mag = q
-    if neg.any():  # the sign goes just left of the leading digit
-        lead = wn - 1 - np.count_nonzero(digits[:, neg], axis=0)
-        digits[lead, np.flatnonzero(neg)] = ord("-")
-
-    m = np.zeros((rows, wn + 2 * w + 3), np.uint8)
-    m[:, :wn] = digits.T
-    m[:, wn] = m[:, wn + w + 1] = ord(",")
-    m[:, wn + 1 : wn + w + 1] = vals[:rows]
-    m[:, wn + w + 2 : -1] = vals[rows:]
-    m[:, -1] = ord("\n")
-    return m[m != 0].tobytes()
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import itertools
 import math
 import re
@@ -6,10 +7,11 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -28,6 +30,7 @@ from quantile_limits.berry_esseen import bernoulli_moments, phi_of_k, std_normal
 from quantile_limits.distributions import (
     bernoulli,
     fair_coin,
+    from_spec,
     gapped_example,
     make_discrete,
     point_mass,
@@ -1421,6 +1424,20 @@ class TestDeviationExperiment:
         assert freq_low > 0.30 and freq_high > 0.30
         assert freq_low + freq_high <= 1.0
 
+    @pytest.mark.parametrize("q", [0.5, 0.3])
+    def test_high_frequency_matches_exact_tail(self, q):
+        # freq_high within 5 standard errors of P(S - phi*q > k) for S ~
+        # Binomial(phi, q), summed exactly for the double q, either way
+        # (alpha 0.4: phi is 225 and 361, which the rational sum takes in
+        # well under a second)
+        k, alpha, reps = 1, 0.4, 20_000
+        phi = phi_of_k(bernoulli_moments(q), k, alpha).phi
+        top = math.floor(phi * Fraction(q) + k)  # the largest S with S - phi*q <= k
+        p_true = 1.0 - exact_binomial_cdfs(phi, q)[top]
+        _, freq_high = deviation_experiment(q, k, alpha, reps, 2024)
+        z = (freq_high - p_true) / math.sqrt(p_true * (1 - p_true) / reps)
+        assert abs(z) < 5
+
     def test_single_rep_is_indicator(self):
         freq_low, freq_high = deviation_experiment(0.5, 1, 0.25, 1, 7)
         assert freq_low in (0.0, 1.0) and freq_high in (0.0, 1.0)
@@ -2116,6 +2133,54 @@ class TestStreamedReplications:
                 assert points.searchsorted(n, side=side) == np.searchsorted(want, n, side=side)
 
 
+def wide_spec(seed: int) -> dict:
+    """The 128-atom support of the benchmark's simulate-wide workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads._wide_spec(seed)
+
+
+# n on both sides of every power of ten, the int64 ends, -1 and 0
+N_EDGES = sorted(
+    {0, -1, 2**63 - 1, -(2**63)}
+    | {s * (10**k + e) for k in range(19) for e in (-1, 0, 1) for s in (1, -1)}
+)
+# float64 bit patterns: +-0, +-inf, quiet and signalling NaNs with payloads,
+# subnormals, the smallest normals (the widest repr) and +-1
+BIT_EDGES = [
+    0, 1 << 63, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
+    0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0123, 0x7FF0_0000_0000_0001,
+    0x7FFF_FFFF_FFFF_FFFF, 1, 0x800F_FFFF_FFFF_FFFF, 0x0010_0000_0000_0000,
+    0x8010_0000_0000_0000, 0x3FF0_0000_0000_0000, 0xBFF0_0000_0000_0000,
+]
+
+
+@st.composite
+def csv_blocks(draw):
+    """(ns, lq, rq) of one block: n drawn from a few values (edges mixed in)
+    or a run of consecutive record points, each side from one pool of 1,
+    2-4 or many float64 bit patterns, at _CSV_ROWS +- 1 rows or a few."""
+    rows = draw(st.sampled_from([1, 2, 5, simulate._CSV_ROWS - 1, simulate._CSV_ROWS,
+                                 simulate._CSV_ROWS + 1]))
+    some_n = st.one_of(st.sampled_from(N_EDGES), st.integers(-(2**63), 2**63 - 1))
+    ns = draw(st.lists(some_n, min_size=1, max_size=6))
+    stride = draw(st.sampled_from([0, 1, 7]))
+    some_bits = st.one_of(st.sampled_from(BIT_EDGES), st.integers(0, 2**64 - 1),
+                          st.floats(width=64).map(lambda v: np.float64(v).view(np.uint64)))
+    size = draw(st.sampled_from([1, 2, 3, 4, 5, 40]))
+    pool = np.array(draw(st.lists(some_bits, min_size=size, max_size=size, unique_by=int)),
+                    dtype=np.uint64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if stride:
+        start = min(ns[0], 2**63 - 1 - stride * rows)
+        ns = start + stride * np.arange(rows, dtype=np.int64)
+    else:
+        ns = rng.choice(np.array(ns, dtype=np.int64), rows)
+    return ns, rng.choice(pool, rows).view(np.float64), rng.choice(pool, rows).view(np.float64)
+
+
 def _traj(ns, lq, rq) -> Trajectory:
     return Trajectory(
         np.asarray(ns, dtype=np.int64),
@@ -2232,3 +2297,51 @@ class TestTrajectoryCsv:
             tracemalloc.stop()
         assert out.count(b"\n") == n + 1
         assert peak < 2 * len(out) + 8 * 2**20
+
+    @settings(max_examples=80, deadline=None)
+    @given(block=csv_blocks())
+    @example(block=(np.array([10**8, 10**9 - 1]), np.full(2, 1e16), np.full(2, -0.0)))
+    @example(block=(np.array([123, 99_999]), np.array([-1.5, 2.0]), np.array([1e22, np.nan])))
+    @example(block=(np.array([5_000_000, 5_000_001]), np.full(2, 0.5), np.full(2, 0.5)))
+    @example(block=(np.array([9, 10, 99_999, 100_000]), np.full(4, 0.5), np.full(4, 0.5)))
+    def test_matches_rowwise_on_random_blocks(self, block):
+        self.assert_oracle_bytes(_traj(*block))
+
+    def test_repr_memory_does_not_grow_with_distinct_values(self, tmp_path):
+        # every record holds a new value, and only one block's reprs are
+        # kept at a time, so 4 * 10**5 records peak near 10**5
+        peaks = []
+        for n in (10**5, 4 * 10**5):
+            values = np.random.default_rng(n).standard_normal(n)
+            traj = _traj(np.arange(1, n + 1), values, values)
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(traj, tmp_path / "traj.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "traj.csv").stat().st_size > 15 * 10**6
+        assert peaks[1] < peaks[0] + 2**20, peaks
+
+    @pytest.mark.parametrize(
+        "support, stride, bound",
+        [("coin", 1, 84.0), ("wide", 10, 103.0)],
+    )
+    def test_encoder_scratch_per_row(self, support, stride, bound):
+        # tracemalloc peak of one _csv_rows call on the first _CSV_ROWS
+        # records, in bytes per row: the coin's n = 1..16384 (two values of
+        # two widths) and 128 atoms at stride 10 (11 distinct values).  The
+        # per-digit encoder with a repr cache per file peaked at 84.91 and
+        # 103.65 bytes per row; the peak sets peak RSS on simulate-dense.
+        d = fair_coin() if support == "coin" else from_spec(wide_spec(1))
+        rows = simulate._CSV_ROWS
+        traj = run_trajectory(SimConfig(d, 0.5, stride * rows, 1, record_stride=stride), 0)
+        ns, lq, rq = traj.ns, traj.lq, traj.rq
+        simulate._csv_rows(ns[:1], lq[:1], rq[:1])  # builds the digit-group table
+        tracemalloc.start()
+        try:
+            simulate._csv_rows(ns, lq, rq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rows <= bound
