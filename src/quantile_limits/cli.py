@@ -22,7 +22,8 @@ numpy's OpenBLAS starts no thread pool, and under glibc the allocator keeps
 the memory it frees (its mmap threshold is fixed at 32 MiB and its trim
 threshold at 64 MiB, glibc's own ceiling and twice it), so the arrays every
 trajectory frees are not faulted in again by the next one.  Either threshold
-alone leaves one way for freed arrays back to the kernel.  A setting the
+alone leaves one way for freed arrays back to the kernel.  All threads share
+one arena, so what one worker frees the other reuses.  A setting the
 caller made, an ``OPENBLAS_NUM_THREADS`` value or any ``MALLOC_*`` variable or
 ``glibc.malloc`` tunable, is kept.  Once its imports are done the module
 also moves every object the collector tracks into the permanent generation
@@ -69,10 +70,15 @@ def _keep_freed_memory() -> None:
     # the other way open.  32 MiB is glibc's own ceiling for its dynamic mmap
     # threshold on 64-bit systems and 64 MiB keeps its 2x trim ratio: the
     # process starts where glibc would settle after freeing one 32 MiB block.
+    #
+    # One arena: with one per worker thread, the scratch each worker frees
+    # stays in its own arena, where the other cannot reuse it, so the
+    # process holds the peak of every worker's scratch at once.
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _keep_freed_memory()

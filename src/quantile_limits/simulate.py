@@ -57,9 +57,23 @@ __all__ = [
 DENSE_RECORD_LIMIT = 10_000
 
 # counting working-set bounds: draws per chunk (and the length of a
-# workspace), and cells of the chunk's atom-by-segment count matrix
+# workspace), and cells of a run's atom-by-record count matrix, its records
+# times its window plus one spare column (_record_counts): 256 KiB.  Two
+# simulate-wide trajectories (128 atoms, stride 10; 2 cores, medians of 45
+# over three seeds) took 10.3-10.7 ms at 2**13 to 2**16 cells, 11.2 ms at
+# 2**17 and 12.8 ms at 2**18, where more groups share a wider window; one
+# trajectory on 4096 atoms at stride 100, whose groups' windows are wider,
+# took 20.5, 17.5 and 15.5 ms at 2**13, 2**15 and 2**17.
 _CHUNK = 1 << 15
-_CELLS = 1 << 18
+_CELLS = 1 << 15
+
+# records per group of the guide path, each counted on a window of atoms
+# placed from the counts at the group's ends (_record_counts).  At 16, 32,
+# 64 and 128 records two simulate-wide trajectories took 11.8, 10.4, 10.0
+# and 10.2 ms (as above), and one on 4096 atoms at stride 100 took 24.5,
+# 20.1, 22.8 and 28.7 ms (medians of 9): the table grows as groups shrink,
+# and windows widen as they grow.
+_GROUP = 32
 
 # supports of at most this many atoms are counted on the raw words, one
 # threshold comparison per atom and draw (_record_counts); larger ones
@@ -147,8 +161,9 @@ def _workspace() -> np.ndarray:
     # the buffers of one running draw: three int64 rows of _CHUNK.  Row 0
     # holds the words (then their levels, then segment ids, or the starts
     # of the segments between records), row 1 the mixing scratch (then
-    # record offsets, or the words' threshold comparisons) and row 2 the
-    # atom indices (then their count columns, or one atom's running sum)
+    # record offsets and the bin keys of the group table and of each run, or
+    # the words' threshold comparisons) and row 2 the atom indices (or one
+    # atom's running sum)
     return np.empty((3, _CHUNK), dtype=np.int64)
 
 
@@ -226,35 +241,57 @@ class _StridePoints:
 def _chunks(atoms: int, rec_ns):
     # (lo, hi, r0, rb, r1) of each chunk of draws lo .. hi-1, in order:
     # records r0 .. rb-1 fall strictly inside it, and r0 .. r1-1 are the
-    # records it completes
-    max_segs = max(1, _CELLS // atoms)
+    # records it completes.  A chunk completes at most _GROUP * max(1,
+    # _CHUNK // atoms) records, so its (rb - r0) // _GROUP + 1 groups of
+    # segments times the atoms, its table of group counts, are at most
+    # max(_CHUNK, atoms) cells
+    max_recs = _GROUP * max(1, _CHUNK // atoms)
     n_end = int(rec_ns[len(rec_ns) - 1])
     lo = r0 = 0  # records before r0 are complete: rec_ns[r0] > lo
     while lo < n_end:
-        hi = min(lo + _CHUNK, int(rec_ns[min(r0 + max_segs, len(rec_ns)) - 1]))
+        hi = min(lo + _CHUNK, int(rec_ns[min(r0 + max_recs, len(rec_ns)) - 1]))
         rb = int(rec_ns.searchsorted(hi, side="left"))
         r1 = int(rec_ns.searchsorted(hi, side="right"))
         yield lo, hi, r0, rb, r1
         lo, r0 = hi, r1
 
 
-def _segment_counts(cols, ids, rec_ns, lo, r0, rb, ws) -> np.ndarray:
-    # column-by-segment counts of the chunk of draws lo .. lo + len(ids) - 1,
-    # whose column ids (each below cols) are ids, made in the workspace ws:
-    # draw k (0-based) first counts at the first record n >= k + 1, so its
-    # segment is the number of record points in (lo, k], a running sum of
-    # boundary marks at offsets n - lo.  Records r0 .. rb-1 fall strictly
-    # inside the chunk, and rb > r0.  ids may be overwritten; the segment ids
-    # go in ws[0] and the marks' offsets in ws[1], so ids must not be those
-    # rows.
-    segs = rb - r0 + 1
-    seg = ws[0, : len(ids)]
+def _segment_ids(rec_ns, lo, r0, rb, n, ws) -> np.ndarray:
+    # the record segment of each draw of the chunk lo .. lo + n - 1, made
+    # in ws[0] (the marks' offsets go in ws[1]): draw k (0-based) first
+    # counts at the first record n >= lo + k + 1, so its segment is the
+    # number of record points in (lo, lo + k], a running sum of boundary
+    # marks at offsets n - lo.  Records r0 .. rb-1 fall strictly inside the
+    # chunk, so segment s < rb - r0 ends at record r0 + s.
+    seg = ws[0, :n]
     seg.fill(0)
     seg[np.subtract(rec_ns[r0:rb], lo, out=ws[1, : rb - r0])] = 1
     np.cumsum(seg, out=seg)
-    ids *= segs
-    seg += ids
-    return np.bincount(seg, minlength=cols * segs).reshape(cols, segs)
+    return seg
+
+
+def _runs(a, b, step: int, records: int):
+    # (q0, q1, a, b) of each run of a chunk's records, in order: its records
+    # q0 .. q1-1, counted from the chunk's first, and its window of atoms
+    # a .. b-1.  Groups g of step records, with windows a[g] .. b[g]-1, are
+    # joined while the run's records times its window (the union of
+    # theirs) plus one spare column stay within _CELLS; a group that alone
+    # passes _CELLS is split into runs of fewer records.
+    g0 = 0
+    while g0 < len(a):
+        lo, hi, g = a[g0:], b[g0:], 1
+        if len(lo) > 1:
+            lo, hi = np.minimum.accumulate(lo), np.maximum.accumulate(hi)
+            held = np.minimum(np.arange(g0 + 1, len(a) + 1) * step, records) - g0 * step
+            # non-decreasing: each group adds records and keeps or widens the window
+            cells = held * (hi - lo + 1)
+            g = max(1, int(cells.searchsorted(_CELLS, side="right")))
+        q0, q1 = g0 * step, min((g0 + g) * step, records)
+        a_run, b_run = int(lo[g - 1]), int(hi[g - 1])
+        per = max(1, _CELLS // (b_run - a_run + 1))
+        for q in range(q0, q1, per):
+            yield q, min(q + per, q1), a_run, b_run
+        g0 += g
 
 
 def _in_order(fn, jobs, workers: int):
@@ -283,49 +320,62 @@ def _in_order(fn, jobs, workers: int):
 
 def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
     """Per-atom cumulative counts of one sample path at each record point,
-    on a window of atoms per chunk.
+    on a window of atoms per group of records.
 
     ``rec_ns`` is a strictly increasing int64 array of positive sample
     sizes, or a ``_StridePoints``, which makes the slices the chunks read.
-    Draws are made and counted a chunk at a time (``_chunks``).
-    For a chunk that completes records ``r0 .. r1-1``, ``window(r0, r1,
-    below, end)`` is asked for the atoms to count, ``(a, b)``, where
-    ``below[j]`` and ``end[j]`` are the numbers of draws at or below atom j
-    before and at the chunk's end; then ``(r0, r1, a, C)`` is yielded,
-    where ``C[j, r - r0]`` is the number of draws at or below atom ``a + j``
-    among the first ``rec_ns[r]``.  C has ``b - a`` rows.  The ranges are
+    Draws are made and counted a chunk at a time (``_chunks``).  The records
+    a chunk completes, ``r0 .. r1-1``, fall in groups of ``step`` records
+    from r0 (the last may hold fewer), and ``window(r0, r1, step, below,
+    ends)`` is asked for the atoms to count in each: two int arrays
+    ``(a, b)`` with an entry per group, its window ``a[g] .. b[g]-1``.
+    ``below[j]`` is the number of draws at or below atom j before the
+    chunk, and ``ends[g, j]`` that at the end of group g, its last record
+    (for the chunk's last group, some point from its last record up to the
+    next record point).  Then ``(q0, q1, a, C)`` is yielded for each run of
+    records ``q0 .. q1-1``, where ``C[j, r - q0]`` is the number of draws
+    at or below atom ``a + j`` among the first ``rec_ns[r]``, and the rows
+    of C hold the window of every group the run meets.  The ranges are
     consecutive and cover every record, and drawing stops at
     ``rec_ns[-1]``.  A chunk whose only record is its last draw needs no
-    more counting: C is ``end[a:b]``.
+    more counting: C is the window's rows of ``ends``.
 
-    A support of at most ``_WORD_ATOMS`` atoms is counted on the raw words.
-    The drawn index is the number of j with ``T[j] <= level``, where
-    ``T = _level_threshold(cum)`` is non-decreasing, so a draw is at or
-    below atom j iff its word is below ``T[j] << 11``, and every draw is
-    when ``T[j]`` is 2**53.  Each atom's comparisons are made once per
-    chunk, a byte a draw in the workspace: their count gives ``end``, and a
-    window atom's counts at the records are their running sum, read at the
-    record offsets.  Where every draw is a record that is one cumulative
-    sum, read as a slice.  Elsewhere the comparisons are summed between
-    records (``np.add.reduceat``) and those sums summed along the records:
-    slower than one cumulative sum at 2 to 5 draws a record (up to 2.5
-    times), faster from about 6 up (8 times at one record a chunk), and
-    the segment starts fit in a workspace row.  Total work is
-    O(rec_ns[-1] * atoms).
+    A support of at most ``_WORD_ATOMS`` atoms is counted on the raw words,
+    one group and one run a chunk.  The drawn index is the number of j with
+    ``T[j] <= level``, where ``T = _level_threshold(cum)`` is
+    non-decreasing, so a draw is at or below atom j iff its word is below
+    ``T[j] << 11``, and every draw is when ``T[j]`` is 2**53.  Each atom's
+    comparisons are made once per chunk, a byte a draw in the workspace:
+    their count gives ``ends``, and a window atom's counts at the records
+    are their running sum, read at the record offsets.  Where every draw is
+    a record that is one cumulative sum, read as a slice.  Elsewhere the
+    comparisons are summed between records (``np.add.reduceat``) and those
+    sums summed along the records: slower than one cumulative sum at 2 to 5
+    draws a record (up to 2.5 times), faster from about 6 up (8 times at
+    one record a chunk), and the segment starts fit in a workspace row.
+    Total work is O(rec_ns[-1] * atoms).
 
     A larger support looks each word's level up in the guide table
-    (``_draw_indices``), and ``end`` is a bincount of the atom indices.
-    Draws are binned by atom and record segment (the draws after one record
-    point up to and including the next), atoms below the window counted
-    with its first atom and those above it in one spare column, so the
-    counts at every record come from one cumulative sum over segments.
-    Total work is O(rec_ns[-1] + records * window).
+    (``_draw_indices``), in groups of ``_GROUP`` records.  Each draw's
+    record segment (the draws after one record point up to and including
+    the next) is found once per chunk (``_segment_ids``).  The chunk's
+    draws are binned once by (group of segments, atom), and cumulative
+    sums of that table over the atoms and the groups give ``ends``.
+    Consecutive groups are then counted in runs (``_runs``) whose records
+    times (window + 1) stay within ``_CELLS``, a group that alone passes it
+    split into runs of fewer records.  A run bins its own draws by atom and
+    segment, atoms below its window counted with its first atom and those
+    above it in one spare column, so its counts at every record come from
+    one cumulative sum over atoms and one over segments, from the counts at
+    the record before it.  Total work is O(rec_ns[-1] + records * group
+    window), plus the table.
 
     Both add O(atoms) per chunk.  The working set is one workspace, ``3 *
     _CHUNK`` int64 words (768 KiB), in which every per-draw array is made,
-    and one chunk's counts, at most ``_CELLS`` of them, whatever
-    ``rec_ns[-1]`` is, so long as the consumer drops C before it asks for
-    the next chunk.
+    one chunk's table of at most ``max(_CHUNK, atoms)`` cells, and
+    one run's counts: at most ``max(_CELLS, window + 1)`` cells, or
+    ``_WORD_ATOMS * _CHUNK`` on a small support, whatever ``rec_ns[-1]``
+    is, so long as the consumer drops C before it asks for the next run.
     """
     atoms = len(d)
     ws = _workspace()
@@ -345,62 +395,98 @@ def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
             for j, w in enumerate(thresholds):
                 np.less(words, w, out=hits[j])
                 end[j] = below[j] + np.count_nonzero(hits[j])
+            ends, step = end[None], r1 - r0  # one group
         else:
             idx = _draw_indices(d, seed, n, lo, ws)
-            end = np.cumsum(np.bincount(idx, minlength=atoms))
-            end += below
+            groups = (rb - r0) // _GROUP + 1
+            key = idx
+            if rb > r0:
+                seg = _segment_ids(rec_ns, lo, r0, rb, n, ws)
+            if groups > 1:
+                key = np.floor_divide(seg, _GROUP, out=ws[1, :n])
+                key *= atoms
+                key += idx
+            ends = np.bincount(key, minlength=groups * atoms).reshape(groups, atoms)
+            np.cumsum(ends, axis=1, out=ends)
+            ends[0] += below
+            # down the groups: numpy's pass per column took 3-6 ns a cell,
+            # one add per group about 0.8 us plus 0.1 ns a cell, so rows of
+            # 256 atoms or more are added one at a time (2 cores, 2 to 256
+            # groups of 128 to 16,384 atoms)
+            if atoms >= 256:
+                for g in range(1, groups):
+                    ends[g] += ends[g - 1]
+            elif groups > 1:
+                np.cumsum(ends, axis=0, out=ends)
+            # a copy: the next chunk's table is made while below is held
+            end, step = ends[-1].copy(), _GROUP
         if r1 > r0:
-            a, b = window(r0, r1, below, end)
-            if rb == r0 or a == b:
-                cum = end[a:b, None]
-            elif on_words:
-                # record r counts the chunk's first rec_ns[r] - lo draws
-                cum = np.empty((b - a, r1 - r0), dtype=np.int64)
-                first, last = int(rec_ns[r0]) - lo, int(rec_ns[r1 - 1]) - lo
-                every_draw = last - first == r1 - 1 - r0  # a record at every draw
-                if not every_draw:
-                    # the segments between records start at draw 0 and
-                    # after each record but the last
-                    starts = ws[0, : r1 - r0]
-                    starts[0] = 0
-                    np.subtract(rec_ns[r0 : r1 - 1], lo, out=starts[1:])
-                run = ws[2, :last]
-                for j in range(a, b):
-                    if j >= len(thresholds):  # every draw lies at or below atom j
-                        cum[j - a] = rec_ns[r0:r1]
-                        continue
-                    # cast, then summed in place: numpy would cast the bytes
-                    # through a temporary
-                    np.copyto(run, hits[j, :last])
-                    if every_draw:  # the running sum, read at the records
-                        np.cumsum(run, out=run)
-                        np.add(run[first - 1 :], below[j], out=cum[j - a])
-                    else:  # the segment sums, summed along the segments
-                        np.add.reduceat(run, starts, out=cum[j - a])
-                        cum[j - a, 0] += below[j]
-                        np.cumsum(cum[j - a], out=cum[j - a])
-            else:
-                # column j holds atom a + j, column 0 the draws below atom
-                # a too, and column b - a the draws above the window
-                idx -= a
-                np.maximum(idx, 0, out=idx)
-                np.minimum(idx, b - a, out=idx)
-                cum = _segment_counts(b - a + 1, idx, rec_ns, lo, r0, rb, ws)[: b - a]
-                # down the atoms, in whichever makes fewer, longer inner
-                # loops: one add per row, or numpy's one pass per column
-                if len(cum) <= cum.shape[1]:
-                    for j in range(1, len(cum)):
-                        cum[j] += cum[j - 1]
+            k = -(-(r1 - r0) // step)
+            a, b = window(r0, r1, step, below, ends[:k])
+            runs = [(0, r1 - r0, int(a[0]), int(b[0]))] if on_words else _runs(a, b, step, r1 - r0)
+            for q0, q1, a, b in runs:
+                if rb == r0 or a == b:
+                    cum = end[a:b, None]
+                elif on_words:
+                    # record r counts the chunk's first rec_ns[r] - lo draws
+                    cum = np.empty((b - a, r1 - r0), dtype=np.int64)
+                    first, last = int(rec_ns[r0]) - lo, int(rec_ns[r1 - 1]) - lo
+                    every_draw = last - first == r1 - 1 - r0  # a record at every draw
+                    if not every_draw:
+                        # the segments between records start at draw 0 and
+                        # after each record but the last
+                        starts = ws[0, : r1 - r0]
+                        starts[0] = 0
+                        np.subtract(rec_ns[r0 : r1 - 1], lo, out=starts[1:])
+                    running = ws[2, :last]
+                    for j in range(a, b):
+                        if j >= len(thresholds):  # every draw lies at or below atom j
+                            cum[j - a] = rec_ns[r0:r1]
+                            continue
+                        # cast, then summed in place: numpy would cast the bytes
+                        # through a temporary
+                        np.copyto(running, hits[j, :last])
+                        if every_draw:  # the running sum, read at the records
+                            np.cumsum(running, out=running)
+                            np.add(running[first - 1 :], below[j], out=cum[j - a])
+                        else:  # the segment sums, summed along the segments
+                            np.add.reduceat(running, starts, out=cum[j - a])
+                            cum[j - a, 0] += below[j]
+                            np.cumsum(cum[j - a], out=cum[j - a])
                 else:
-                    cum.cumsum(axis=0, out=cum)
-                cum[:, 0] += below[a:b]
-                cum.cumsum(axis=1, out=cum)  # along the segments
-                cum = cum[:, : r1 - r0]
-            yield r0, r1, a, cum
-            # freed here, not when the next chunk rebinds the name, so no
-            # two chunks' counts are ever held at once
-            del cum
+                    # the run's draws, after record r0 + q0 - 1 up to and
+                    # including record r0 + q1 - 1, binned by atom and
+                    # segment: column j holds atom a + j, column 0 the draws
+                    # below atom a too, and column b - a those above it
+                    d0 = int(rec_ns[r0 + q0 - 1]) - lo if q0 else 0
+                    d1 = int(rec_ns[r0 + q1 - 1]) - lo
+                    segs = q1 - q0
+                    key = np.clip(idx[d0:d1], a, b, out=ws[1, d0:d1])
+                    key *= segs
+                    key += seg[d0:d1]
+                    key -= a * segs + q0
+                    cum = np.bincount(key, minlength=(b - a + 1) * segs).reshape(-1, segs)
+                    cum = cum[: b - a]
+                    # down the atoms, in whichever makes fewer, longer inner
+                    # loops: one add per row, or numpy's one pass per column
+                    if len(cum) <= segs:
+                        for j in range(1, len(cum)):
+                            cum[j] += cum[j - 1]
+                    else:
+                        cum.cumsum(axis=0, out=cum)
+                    # from the counts at the record before the run: a group's
+                    # start, or the end of the run before it in its group
+                    g, within = divmod(q0, step)
+                    cum[:, 0] += carry if within else (ends[g - 1] if g else below)[a:b]
+                    cum.cumsum(axis=1, out=cum)  # along the segments
+                    if q1 % step:
+                        carry = cum[:, -1].copy()
+                yield r0 + q0, r0 + q1, a, cum
+                # freed here, not when the next run rebinds the name, so no
+                # two runs' counts are ever held at once
+                del cum
         below = end
+        del ends  # before the next chunk's table is made
 
 
 def _trajectory_blocks(cfg: SimConfig, seed: int):
@@ -409,15 +495,19 @@ def _trajectory_blocks(cfg: SimConfig, seed: int):
 
     The order statistic of rank r is the first atom whose cumulative count
     reaches r, and the ranks L and R are computed for the records each
-    chunk completes only.  Only a window of atoms can hold those records'
-    quantiles: an atom whose cumulative count at the chunk's end is still
-    below the first L lies below all of them, and one whose count at the
-    chunk's start already reaches the last R lies at or above all of them.
-    So only the window's atoms are counted, and a quantile's index is the
-    window's first atom plus the number of window atoms whose cumulative
-    count is below its rank.  Total work is O(n_max * atoms) on a support of at most
-    ``_WORD_ATOMS`` atoms, and otherwise O(n_max + records * window), plus
-    O(atoms) per chunk to place the window.
+    chunk completes only.  Only a window of atoms can hold the quantiles of
+    a group of records: an atom whose cumulative count at the group's end
+    is still below its first L lies below all of them, and one whose count
+    at the group's start already reaches its last R lies at or above all of
+    them.  The last atom is never in a window, since its count at a record
+    n is n, at least R(n) for every p in (0, 1).  So only the window's
+    atoms are counted, and a quantile's index is the window's first atom
+    plus the number of window atoms whose cumulative count is below its
+    rank.  Total work is O(n_max * atoms) on a support of at most
+    ``_WORD_ATOMS`` atoms, with one window a chunk, and otherwise
+    O(n_max + records * group window) plus the chunk's table of counts at
+    the group ends, from which the windows of its groups of ``_GROUP``
+    records are placed: O(atoms) per chunk and per group.
 
     A block's arrays, its record points too, are made for its chunk, so the
     working set is one workspace and a few chunk-length arrays whatever
@@ -427,32 +517,44 @@ def _trajectory_blocks(cfg: SimConfig, seed: int):
     d = cfg.distribution
     values = d.values_array
     points = _StridePoints(cfg.n_max, cfg.record_stride)
-    ranks = None
+    last = len(d) - 1
+    chunk = ranks = None
 
-    def window(r0, r1, below, end):
-        nonlocal ranks
-        ranks = quantile_ranks(points[r0:r1], cfg.p)
-        return int(np.searchsorted(end, ranks[0][0])), int(np.searchsorted(below, ranks[1][-1]))
+    def window(r0, r1, step, below, ends):
+        nonlocal chunk, ranks
+        chunk, ranks = (r0, r1), quantile_ranks(points[r0:r1], cfg.p)
+        left, right = ranks
+        # each group's least L and largest R: those of its first and last
+        # records, as both grow with n
+        top = right[np.minimum(np.arange(step, r1 - r0 + step, step), r1 - r0) - 1]
+        a = (ends < left[::step, None]).sum(axis=1)
+        b = np.empty_like(a)
+        b[0] = np.count_nonzero(below < top[0])
+        b[1:] = (ends[:-1] < top[1:, None]).sum(axis=1)
+        return a, np.minimum(b, last, out=b)
 
-    for r0, r1, a, cum in _record_counts(d, seed, points, window):
+    for q0, q1, a, cum in _record_counts(d, seed, points, window):
+        r0, r1 = chunk
         # the quantiles are written over their ranks, which quantile_ranks
-        # made for this call and which are not read again
-        lq, rq = (r.view(np.float64) for r in ranks)
+        # made for this chunk and which are not read again
+        run_ranks = [r[q0 - r0 : q1 - r0] for r in ranks]
+        lq, rq = (r.view(np.float64) for r in run_ranks)
         if len(cum) == 0:
             lq.fill(values[a])
             rq.fill(values[a])
         else:
-            left, right = quantile_indices(cum, *ranks)
+            left, right = quantile_indices(cum, *run_ranks)
             left += a
             right += a
             values.take(left, out=lq, mode="wrap")
             values.take(right, out=rq, mode="wrap")
             del left, right
-        del cum
-        # the record points are made again, not kept from the window: one
-        # chunk-length array fewer while the quantiles are found
-        yield points[r0:r1], lq, rq
-        ranks = lq = rq = None  # let go before the next chunk's are made
+        del cum, lq, rq, run_ranks
+        if q1 == r1:
+            # the record points are made again, not kept from the window:
+            # one chunk-length array fewer while the quantiles are found
+            yield points[r0:r1], *(r.view(np.float64) for r in ranks)
+            ranks = None  # let go before the next chunk's are made
 
 
 def _coalesced(blocks, rows: int):
@@ -549,8 +651,11 @@ def gc_path(
         )
     dist = np.empty(len(ns), dtype=np.float64)
     witness = np.empty(len(ns), dtype=np.float64)
-    support = (0, len(d))
-    for r0, r1, _, cum in _record_counts(d, seed, ns, lambda *chunk: support):
+
+    def support(r0, r1, step, below, ends):  # every atom, in every group
+        return np.zeros(len(ends), dtype=np.int64), np.full(len(ends), len(d))
+
+    for r0, r1, _, cum in _record_counts(d, seed, ns, support):
         dist[r0:r1], j = sup_distances(cum.T, ns[r0:r1], d.cum_array)
         witness[r0:r1] = d.values_array[j]
         del cum

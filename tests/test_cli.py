@@ -752,8 +752,8 @@ needs_glibc = pytest.mark.skipif(not _glibc(), reason="qlim sets glibc's allocat
 
 class TestAllocator:
     """qlim keeps the memory it frees: a dense simulate run faults its
-    arrays in once, not once per replication, unless the caller has set
-    glibc's allocator."""
+    arrays in once, not once per replication, and its worker threads share
+    one arena, unless the caller has set glibc's allocator."""
 
     @staticmethod
     def faults(out_dir: Path, reps: int, **env_vars: str) -> int:
@@ -770,6 +770,47 @@ class TestAllocator:
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         return int(run_fresh(code, QL_THREADS="1", **env_vars).split()[-1])
+
+    @staticmethod
+    def heaps(out_dir: Path, **env_vars: str) -> int:
+        # glibc's heaps (arenas) that malloc_info reports after a dense coin
+        # run on two worker threads
+        report = out_dir / "malloc.xml"
+        code = (
+            "import ctypes\n"
+            "from quantile_limits import cli\n"
+            "rc = cli.main(['simulate', '--family', 'coin', '--p', '0.5',\n"
+            "    '--n-max', '100000', '--record-stride', '1', '--replications', '4',\n"
+            "    '--analysis', 'switch_stats', '--min-switches', '0',\n"
+            f"    '--output-dir', {str(out_dir / 'run')!r}])\n"
+            "assert rc == 0\n"
+            "libc = ctypes.CDLL(None)\n"
+            "libc.fopen.argtypes = ctypes.c_char_p, ctypes.c_char_p\n"
+            "libc.fopen.restype = ctypes.c_void_p\n"
+            "libc.malloc_info.argtypes = ctypes.c_int, ctypes.c_void_p\n"
+            "libc.malloc_info.restype = ctypes.c_int\n"
+            "libc.fclose.argtypes, libc.fclose.restype = (ctypes.c_void_p,), ctypes.c_int\n"
+            f"fp = libc.fopen({str(report).encode()!r}, b'w')\n"
+            "assert fp and libc.malloc_info(0, fp) == 0 and libc.fclose(fp) == 0\n"
+        )
+        run_fresh(code, QL_THREADS="2", **env_vars)
+        return report.read_text().count("<heap nr=")
+
+    @needs_glibc
+    def test_worker_threads_share_one_arena(self, tmp_path):
+        # with glibc's default, each worker thread got an arena of its own
+        assert self.heaps(tmp_path) == 1
+
+    @needs_glibc
+    @pytest.mark.parametrize(
+        "env_vars",
+        [{"MALLOC_TOP_PAD_": "131072"}, {"GLIBC_TUNABLES": "glibc.malloc.top_pad=131072"}],
+        ids=["malloc-variables", "glibc-tunables"],
+    )
+    def test_caller_arena_settings_are_kept(self, tmp_path, env_vars):
+        # a caller's allocator setting, even one on another knob, leaves
+        # glibc's per-thread arenas as they are
+        assert self.heaps(tmp_path, **env_vars) > 1
 
     @needs_glibc
     def test_faults_do_not_grow_with_replications(self, tmp_path):

@@ -548,6 +548,14 @@ class TestSimConfig:
         assert info.value.param == field
 
 
+def _every_atom(atoms: int):
+    # a _record_counts window callback: every atom, in every group
+    def window(r0, r1, step, below, ends):
+        return np.zeros(len(ends), dtype=np.int64), np.full(len(ends), atoms)
+
+    return window
+
+
 class TestRunTrajectory:
     def test_point_mass_constant(self):
         cfg = SimConfig(point_mass(7.0), 0.3, 500, 1)
@@ -625,24 +633,48 @@ class TestRunTrajectory:
         def prefix(n):
             return np.cumsum(np.bincount(idx[:n], minlength=atoms))
 
-        def full(r0, r1, below, end):
-            return 0, atoms
+        full = _every_atom(atoms)
+        windows = {}  # record -> the window its group asked for
 
-        def narrow(r0, r1, below, end):
-            # the counts before and at the chunk's end, and a window of up
-            # to two atoms that moves from chunk to chunk
+        def narrow(r0, r1, step, below, ends):
+            # the counts before the chunk and at each group's end, and
+            # windows of up to two atoms that move from group to group
             assert np.array_equal(below, prefix(int(below[-1])))
-            assert np.array_equal(end, prefix(int(end[-1])))
-            assert rec_ns[r1 - 1] <= end[-1] and (r1 == len(rec_ns) or end[-1] < rec_ns[r1])
-            a = 7 * r0 % atoms
-            return a, min(a + 2, atoms)
+            assert (r0 == 0 or rec_ns[r0 - 1] <= below[-1]) and below[-1] < rec_ns[r0]
+            assert len(ends) == -(-(r1 - r0) // step)
+            for g, end in enumerate(ends):
+                assert np.array_equal(end, prefix(int(end[-1])))
+                last = min(r0 + (g + 1) * step, r1) - 1  # the group's last record
+                if g < len(ends) - 1:
+                    assert end[-1] == rec_ns[last]
+                else:  # the chunk's end, before the next record
+                    assert rec_ns[last] <= end[-1]
+                    assert last + 1 == len(rec_ns) or end[-1] < rec_ns[last + 1]
+            a = 7 * (r0 + step * np.arange(len(ends))) % atoms
+            b = np.minimum(a + 2, atoms)
+            for r in range(r0, r1):
+                windows[r] = a[(r - r0) // step], b[(r - r0) // step]
+            return a, b
 
+        # a chunk's table of group counts: at most max(_CHUNK, atoms) cells
+        for _, _, r0, rb, _ in simulate._chunks(atoms, rec_ns):
+            assert ((rb - r0) // simulate._GROUP + 1) * atoms <= max(simulate._CHUNK, atoms)
         for window in (full, narrow):
             covered = 0
             for r0, r1, a, cum in simulate._record_counts(d, seed, rec_ns, window):
                 assert r0 == covered < r1
-                assert (r1 - r0) * atoms <= max(simulate._CELLS, atoms)
-                assert len(cum) == (atoms if window is full else min(2, atoms - a))
+                if atoms > simulate._WORD_ATOMS:
+                    # a run's records times its window and spare column
+                    cells = (r1 - r0) * (len(cum) + 1)
+                    assert cells <= max(simulate._CELLS, len(cum) + 1)
+                else:  # one chunk's counts
+                    assert (r1 - r0) * len(cum) <= simulate._WORD_ATOMS * simulate._CHUNK
+                if window is full:
+                    assert len(cum) == atoms
+                else:
+                    # the union of the windows of the groups the run meets
+                    assert a == min(windows[r][0] for r in range(r0, r1))
+                    assert a + len(cum) == max(windows[r][1] for r in range(r0, r1))
                 assert np.array_equal(cum.T, want[r0:r1, a : a + len(cum)])
                 covered = r1
             assert covered == len(rec_ns)
@@ -760,7 +792,7 @@ class TestWordCounts:
             want = np.array([np.cumsum(np.bincount(idx[:n], minlength=len(d))) for n in rec_ns])
             got = [
                 cum.T for _, _, _, cum in
-                simulate._record_counts(d, seed, rec_ns, lambda *chunk: (0, len(d)))
+                simulate._record_counts(d, seed, rec_ns, _every_atom(len(d)))
             ]
             assert np.array_equal(np.concatenate(got), want)
             dist, j = sup_distances(want, rec_ns, d.cum_array)
@@ -790,7 +822,7 @@ class TestWordCounts:
         points = simulate._StridePoints(n_max, stride)
         got = [
             cum.T for _, _, _, cum in
-            simulate._record_counts(d, 4, points, lambda *chunk: (0, len(d)))
+            simulate._record_counts(d, 4, points, _every_atom(len(d)))
         ]
         assert np.array_equal(np.concatenate(got), prefix[rec_ns - 1])
 
@@ -833,10 +865,70 @@ def _window_case(name: str):
     return random_distribution(np.random.default_rng(13), max_atoms=13), 0.375, 40_000, 8, simulate._CHUNK
 
 
+@st.composite
+def grouped_window_cases(draw):
+    """(cfg, {name: value}) of a trajectory on a guide-table support, with
+    the kernel's _CHUNK, _GROUP and _CELLS to run it under: 9-600 atoms of
+    uniform or skewed weights, levels where n*p is an integer at every
+    eighth n or that lie near 0 and 1, strides from 1 to past a chunk, and
+    n_max on or off the stride.  Small chunks and groups put group and
+    chunk ends and the draws after a chunk's last record in reach of a
+    short path, and a small _CELLS splits groups into runs."""
+    atoms = draw(st.integers(9, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    weights = {
+        "uniform": np.ones(atoms),
+        "power": rng.random(atoms) ** 6 + 1e-9,
+        "one-heavy": np.where(np.arange(atoms) == rng.integers(atoms), 10.0 * atoms, 1.0),
+    }[draw(st.sampled_from(["uniform", "power", "one-heavy"]))]
+    values = np.cumsum(rng.integers(1, 10, size=atoms)) * 0.5
+    d = make_discrete(zip(values.tolist(), (weights / weights.sum()).tolist()))
+    p = draw(st.sampled_from([0.5, 0.375, 0.125, 1e-3, 2.0**-20, 0.999, 1 - 2.0**-20])
+             | st.floats(0.01, 0.99))
+    chunk = draw(st.sampled_from([64, 1000, simulate._CHUNK]))
+    stride = draw(st.integers(1, 3 * chunk // 2))
+    # the oracle takes O(atoms) per record: at most about 2 * 10**5 cells
+    top = max(1, min(6 * chunk, 2 * 10**5 * stride // atoms))
+    n_max = draw(st.integers(1, top) | st.integers(top // 2, top))
+    constants = {
+        "_CHUNK": chunk,
+        "_GROUP": draw(st.sampled_from([simulate._GROUP, 1, 3])),
+        "_CELLS": draw(st.sampled_from([simulate._CELLS, 40])),
+    }
+    cfg = SimConfig(d, p, n_max, draw(st.integers(0, 2**63 - 1)), record_stride=stride)
+    return cfg, constants
+
+
 class TestQuantileWindow:
     """run_trajectory evaluates the rank rule only on a window of atoms per
-    chunk; every record equals the streaming oracle's and the order
-    statistics of the exact ranks."""
+    group of records; every record equals the streaming oracle's and the
+    order statistics of the exact ranks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=grouped_window_cases())
+    def test_grouped_windows_match_streaming(self, case):
+        cfg, constants = case
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in constants.items():
+                mp.setattr(simulate, name, value)
+            traj = run_trajectory(cfg, 3)
+        assert_same_records(traj, run_trajectory_streaming(cfg, 3))
+
+    def test_wide_support_memory(self):
+        # one simulate-wide replication: 128 atoms at stride 10.  The first
+        # chunk's count matrix over all its records took 2.06 MiB when each
+        # chunk had one window; each group's window and the runs' budget of
+        # _CELLS cells leave the workspace (768 KiB) the largest array
+        cfg = SimConfig(from_spec(wide_spec(1)), 0.5, 200_000, 1, record_stride=10)
+        qrng._steps()  # the step table, a chunk-length row made once per process
+        tracemalloc.start()
+        try:
+            traj = run_trajectory(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 20_000
+        assert peak <= 2.5 * 2**20
 
     @pytest.mark.parametrize("case", ["4096-atoms", "flat-level", "chunk-ends", "integral"])
     def test_matches_oracles(self, monkeypatch, case):
