@@ -22,8 +22,10 @@ doubles.
 
 The map from level to uniform is non-decreasing, so a comparison ``u > x`` of
 a uniform with a probability is one comparison ``level >= T`` of integers,
-with T the first level whose uniform exceeds x (:func:`_level_threshold`),
-and T = ``2**53``, past every level, when none does.  On the raw word that
+with T the first level whose uniform exceeds x, and T = ``2**53``, past
+every level, when none does: an exact closed form in x (see
+:func:`_level_threshold`), which ``test_agrees_with_uniform_matrix_on_a_stream``
+checks against :func:`_uniform` on a stream.  On the raw word that
 is ``word >= T << 11`` (:func:`_word_threshold`, which names the T no word
 reaches).  The samplers decide every draw that way and make no uniform.
 Words are compared with a word threshold where the question has one or a
@@ -140,21 +142,20 @@ def _uniform(levels):
 def _level_threshold(x):
     """First level T whose uniform exceeds x: ``u > x`` iff ``level >= T``.
 
-    At levels from 2**52 up the ``+ 0.5`` of :func:`_uniform` rounds to
-    even, so T is found by bisection on that float expression, not from
-    real-number algebra.  T is ``_LEVELS`` (2**53), a level no word has,
-    when no uniform exceeds x (x >= 1.0).  x is a float, giving an int, or
-    an array of them bisected together, giving an int64 array.
+    Closed form in y = x * 2**53, exact as a power-of-two scaling, with x
+    clamped to [0, 1].  Below 2**52 level l's uniform is exactly (2l + 1) *
+    2**-54, so u > x iff l > y - 0.5, and T = floor(y - 0.5) + 1: y - 0.5
+    is exact from 0.5 up, and T is 0 below.  From 2**52 up y is an integer
+    and ``+ 0.5`` rounds half to even: an odd level shares its uniform with
+    the even level above it, so T = min(y | 1, ``_LEVELS``), 2**53, a level
+    no word has, when no uniform exceeds x (x >= 1.0).  A float x gives an
+    int, an array int64s.
     """
-    x = np.asarray(x, dtype=np.float64)
-    lo = np.zeros(x.shape, dtype=np.int64)  # T lies in [lo, hi]
-    hi = np.full(x.shape, _LEVELS, dtype=np.int64)
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        above = _uniform(mid) > x
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, np.minimum(mid + 1, hi))
-    return int(lo) if x.ndim == 0 else lo
+    y = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0) * 2.0**53
+    below = y < 2.0**52
+    t = np.where(below, np.floor(y - 0.5) + 1, y).astype(np.int64)
+    t = np.where(below, t, np.minimum(t | 1, _LEVELS))
+    return int(t) if t.ndim == 0 else t
 
 
 def _word_threshold(level):

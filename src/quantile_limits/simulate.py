@@ -160,10 +160,9 @@ class SwitchStats:
 def _workspace() -> np.ndarray:
     # the buffers of one running draw: three int64 rows of _CHUNK.  Row 0
     # holds the words (then their levels, then segment ids, or the starts
-    # of the segments between records), row 1 the mixing scratch (then
-    # record offsets and the bin keys of the group table and of each run, or
-    # the words' threshold comparisons) and row 2 the atom indices (or one
-    # atom's running sum)
+    # of the segments between records), row 1 the mixing scratch (then the
+    # bin keys of the group table and of each run, or the words' threshold
+    # comparisons) and row 2 the atom indices (or one atom's running sum)
     return np.empty((3, _CHUNK), dtype=np.int64)
 
 
@@ -258,15 +257,15 @@ def _chunks(atoms: int, rec_ns):
 
 def _segment_ids(rec_ns, lo, r0, rb, n, ws) -> np.ndarray:
     # the record segment of each draw of the chunk lo .. lo + n - 1, made
-    # in ws[0] (the marks' offsets go in ws[1]): draw k (0-based) first
-    # counts at the first record n >= lo + k + 1, so its segment is the
-    # number of record points in (lo, lo + k], a running sum of boundary
-    # marks at offsets n - lo.  Records r0 .. rb-1 fall strictly inside the
-    # chunk, so segment s < rb - r0 ends at record r0 + s.
+    # in ws[0]: draw k (0-based) first counts at the first record n >= lo +
+    # k + 1.  Records r0 .. rb-1 fall strictly inside the chunk, so segment
+    # s < rb - r0 ends at record r0 + s and segment rb - r0 at the chunk's
+    # end, and each s is repeated for its draws.  The repeat's row, freed
+    # before the chunk's table is made, is within its max(_CHUNK, atoms).
+    bounds = np.empty(rb - r0 + 2, dtype=np.int64)  # the segments' first draws, then hi
+    bounds[0], bounds[1:-1], bounds[-1] = lo, rec_ns[r0:rb], lo + n
     seg = ws[0, :n]
-    seg.fill(0)
-    seg[np.subtract(rec_ns[r0:rb], lo, out=ws[1, : rb - r0])] = 1
-    np.cumsum(seg, out=seg)
+    np.copyto(seg, np.repeat(np.arange(rb - r0 + 1), np.diff(bounds)))
     return seg
 
 
@@ -371,7 +370,7 @@ def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
     window), plus the table.
 
     Both add O(atoms) per chunk.  The working set is one workspace, ``3 *
-    _CHUNK`` int64 words (768 KiB), in which every per-draw array is made,
+    _CHUNK`` int64 words (768 KiB), in which every per-draw array is held,
     one chunk's table of at most ``max(_CHUNK, atoms)`` cells, and
     one run's counts: at most ``max(_CELLS, window + 1)`` cells, or
     ``_WORD_ATOMS * _CHUNK`` on a small support, whatever ``rec_ns[-1]``

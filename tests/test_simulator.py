@@ -125,6 +125,10 @@ def _uniforms_of_words(words) -> np.ndarray:
     return qrng.uniform_matrix(seed_for_word(np.asarray(words, dtype=np.uint64)), 1)[:, 0]
 
 
+NEIGHBOUR_LEVELS = [0, 1, 2**51 + 7, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2,
+                    3 * 2**51 + 5, 2**53 - 3, 2**53 - 2, 2**53 - 1]
+
+
 class TestWordThreshold:
     """rng._level_threshold(x), the threshold every draw is decided by: a
     word's uniform exceeds x iff its level, word >> 11, is at least T."""
@@ -139,11 +143,7 @@ class TestWordThreshold:
                 t = qrng._level_threshold(float(x))
                 assert np.array_equal(levels >= np.uint64(t), u > x), x
 
-    @pytest.mark.parametrize(
-        "level",
-        [0, 1, 2**51 + 7, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2,
-         3 * 2**51 + 5, 2**53 - 3, 2**53 - 2, 2**53 - 1],
-    )
+    @pytest.mark.parametrize("level", NEIGHBOUR_LEVELS)
     def test_neighbour_levels(self, level):
         # words of the levels around one, lowest and highest of each: from
         # 2**52 up, ``+ 0.5`` rounds to even and two levels share a uniform
@@ -156,8 +156,8 @@ class TestWordThreshold:
                 assert [word >> 11 >= t for word in words] == (u > x).tolist(), (level, x)
 
     def test_vector_matches_scalar_definition(self):
-        # one bisection over an array of x, against the definition bisected
-        # one x at a time over Python-int levels
+        # the closed form over an array of x, against the definition
+        # bisected one x at a time over Python-int levels
         def definition(x):
             lo, hi = 0, 2**53
             while lo < hi:
@@ -168,13 +168,24 @@ class TestWordThreshold:
                     lo = mid + 1
             return lo
 
-        xs = [0.0, 2.0**-54, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
-              1.0 - 2.0**-53, 1.0, np.nextafter(1.0, 2.0), 2.0]
+        edges = [0.0, 2.0**-54, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                 1.0 - 2.0**-53, 1.0, np.nextafter(1.0, 2.0), 2.0]
+        # each neighbour level's midpoint and the doubles on either side,
+        # values below and at the least uniform, and seeded doubles
+        mids = (np.array(NEIGHBOUR_LEVELS, dtype=np.float64) + 0.5) * 2.0**-53
+        rng = np.random.default_rng(28)
+        xs = np.concatenate([
+            edges, mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+            [-1.0, -0.0, 2.0**-1074, 2.0**-54],
+            rng.random(2000),
+            0.5 + rng.uniform(-(2.0**-40), 2.0**-40, 500),
+            1.0 + rng.uniform(-(2.0**-40), 2.0**-40, 500),
+        ]).tolist()
         got = qrng._level_threshold(np.array(xs))
         assert got.shape == (len(xs),) and got.dtype == np.int64
         assert got.tolist() == [definition(x) for x in xs]
         assert got.tolist() == [qrng._level_threshold(x) for x in xs]
-        assert got.tolist()[-3:] == [2**53] * 3
+        assert got.tolist()[len(edges) - 3 : len(edges)] == [2**53] * 3
         square = qrng._level_threshold(np.array(xs[:4]).reshape(2, 2))
         assert square.tolist() == [got.tolist()[:2], got.tolist()[2:4]]
 
@@ -619,6 +630,9 @@ class TestRunTrajectory:
             [simulate._CHUNK + 5, 3 * simulate._CHUNK, simulate._CHUNK],
         ])
         rng.shuffle(gaps)
+        # then records at the first two draws of a chunk: chunks start
+        # _CHUNK draws apart until the cap on a chunk's records cuts one
+        gaps = np.append(gaps, [-int(gaps.sum()) % simulate._CHUNK + 1, 1, 1])
         rec_ns = np.cumsum(gaps)
         seed = 99
         idx = np.searchsorted(d.values_array, sample_stream(d, seed, int(rec_ns[-1])))
@@ -657,8 +671,15 @@ class TestRunTrajectory:
             return a, b
 
         # a chunk's table of group counts: at most max(_CHUNK, atoms) cells
-        for _, _, r0, rb, _ in simulate._chunks(atoms, rec_ns):
+        inside = []  # the records strictly inside each chunk, as draw offsets
+        for lo, _, r0, rb, r1 in simulate._chunks(atoms, rec_ns):
             assert ((rb - r0) // simulate._GROUP + 1) * atoms <= max(simulate._CHUNK, atoms)
+            inside.append((rec_ns[r0:rb] - lo, r1 > rb))
+        # segments end on a chunk's first draw, on adjacent draws, and the
+        # last one on a record at the chunk's last draw
+        assert any(len(ns) and ns[0] == 1 for ns, _ in inside)
+        assert any(np.any(np.diff(ns) == 1) for ns, _ in inside)
+        assert any(len(ns) and at_end for ns, at_end in inside)
         for window in (full, narrow):
             covered = 0
             for r0, r1, a, cum in simulate._record_counts(d, seed, rec_ns, window):
@@ -809,9 +830,10 @@ class TestWordCounts:
             assert first_atom[:2] == ([[1000], []] if name == "light-T1" else [[], []])
 
     @pytest.mark.parametrize("stride", [1, 2, 7, simulate._CHUNK + 3])
-    def test_counts_at_a_stride_match_recount(self, stride):
+    def test_counts_at_a_stride_match_recount(self, monkeypatch, stride):
         # records at every draw, read from one running sum, and at a stride
-        # and n_max, off it, from sums between records
+        # and n_max, off it, from sums between records; then the same
+        # points through the guide table, whose segments end at them
         d = SUPPORTS["six"]
         n_max = 70_001
         rec_ns = np.arange(stride, n_max + 1, stride)
@@ -820,11 +842,13 @@ class TestWordCounts:
         idx = np.searchsorted(d.values_array, sample_stream(d, 4, n_max))
         prefix = np.cumsum(np.cumsum(np.eye(len(d), dtype=np.int64)[idx], axis=0), axis=1)
         points = simulate._StridePoints(n_max, stride)
-        got = [
-            cum.T for _, _, _, cum in
-            simulate._record_counts(d, 4, points, _every_atom(len(d)))
-        ]
-        assert np.array_equal(np.concatenate(got), prefix[rec_ns - 1])
+        for word_atoms in (simulate._WORD_ATOMS, 0):
+            monkeypatch.setattr(simulate, "_WORD_ATOMS", word_atoms)
+            got = [
+                cum.T for _, _, _, cum in
+                simulate._record_counts(d, 4, points, _every_atom(len(d)))
+            ]
+            assert np.array_equal(np.concatenate(got), prefix[rec_ns - 1])
 
     @pytest.mark.parametrize("support", ["coin", "figure", "six"])
     def test_word_and_guide_binnings_agree(self, monkeypatch, support):
