@@ -31,10 +31,16 @@ also moves every object the collector tracks into the permanent generation
 the package's import-time objects one by one, which took 30-40 ms of every
 run; objects made later are collected as before.  A long-lived process that
 imports this module can hand them back to the collector with ``gc.unfreeze()``.
+The collector is paused while the module imports (36 passes, 4-6 ms on 2 vCPUs),
+then left as the caller had it.  No pass runs before the freeze: it would cost
+more than it frees, so ~360 unreachable import-time objects (~60 KB) are frozen.
 """
 
-import argparse
 import gc
+_collecting = gc.isenabled()
+gc.disable()  # until the freeze below, which keeps what these imports make
+
+import argparse
 import json
 import os
 import re
@@ -87,13 +93,14 @@ from . import distributions as dist_mod
 from . import simulate as sim
 from .berry_esseen import BEParams, be_bound, bernoulli_moments, phi_of_k
 from .errors import QuantileLimitsError, check_size
-from .transforms import binarize, collapse_shift
 
-# The finalizer would otherwise collect and free the ~22,000 objects the
+# The finalizer would otherwise collect and free the ~33,000 objects the
 # collector tracks by now (numpy's and this package's modules, functions and
 # classes) one by one; frozen, they are never traversed and are left to the
 # OS.  Here and not in main(): a freeze per call would pin each call's garbage.
 gc.freeze()
+if _collecting:
+    gc.enable()
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:
@@ -274,6 +281,7 @@ def _cmd_phi_of_k(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .transforms import binarize, collapse_shift  # no other command uses it
     d = _resolve_distribution(args)
     out = (binarize if args.kind == "binarize" else collapse_shift)(d, args.p)
     pair_in = d.quantile_pair(args.p)
@@ -434,7 +442,8 @@ def main(argv=None) -> int:
         print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        notes = getattr(exc, "__notes__", [])  # e.g. the failed replication
+        print(f"internal error: {type(exc).__name__}: {exc}", *notes, sep="\n", file=sys.stderr)
         return 1
 
 

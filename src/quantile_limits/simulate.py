@@ -13,8 +13,8 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Event, Semaphore, Thread
 
 import numpy as np
 
@@ -294,27 +294,47 @@ def _runs(a, b, step: int, records: int):
 
 
 def _in_order(fn, jobs, workers: int):
-    # (job, fn(*job)) for each job, in order.  With workers > 1 the calls
-    # run on that many threads, at most workers + 1 of them ahead of the
-    # consumer; closing the generator, or an error in a call, cancels the
-    # rest and joins the threads.
+    # (job, fn(*job)) for each job, in order.  With workers > 1 the calls run on
+    # that many threads, at most workers + 1 ahead of the consumer; closing the
+    # generator, or an error in a call (raised in its turn), drops the calls not
+    # yet started and joins the threads.  No concurrent.futures: 3-7 ms of imports.
     if workers <= 1:
         for job in jobs:
             yield job, fn(*job)
         return
-    pool = ThreadPoolExecutor(max_workers=workers)
-    pending = collections.deque()
+    todo, ready, pending, threads = collections.deque(), Semaphore(0), collections.deque(), []
+
+    def work():  # runs the slots [job, done, result, error] of todo up to a None
+        while ready.acquire() and (slot := todo.popleft()) is not None:
+            try:
+                slot[2] = fn(*slot[0])
+            except BaseException as exc:
+                slot[3] = exc
+            slot[1].set()
+
+    def results(ahead: int):  # pending's, in order, until ahead slots are left
+        while len(pending) > ahead:
+            pending[0][1].wait()
+            job, _, result, error = pending.popleft()
+            if error is not None:
+                raise error
+            yield job, result
+
     try:
         for job in jobs:
-            pending.append((job, pool.submit(fn, *job)))
-            if len(pending) > workers:
-                job, done = pending.popleft()
-                yield job, done.result()
-        while pending:
-            job, done = pending.popleft()
-            yield job, done.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+            pending.append([job, Event(), None, None])
+            todo.append(pending[-1])
+            ready.release()
+            if len(threads) < workers:
+                (thread := Thread(target=work, name="qlim-worker")).start()
+                threads.append(thread)
+            yield from results(workers)
+        yield from results(0)
+    finally:  # a None for each thread, ahead of the calls not yet started
+        todo.extendleft([None] * len(threads))
+        ready.release(len(threads))
+        for thread in threads:
+            thread.join()
 
 
 def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
@@ -898,10 +918,9 @@ def _bernoulli_block_sums(
     Words are made and counted in tiles of at most ``_TILE``, a row group
     of ``_JOB_TILES`` tiles' worth of words (at least one row) is one pure
     job, and the jobs run on ``_worker_count()`` threads and are stored in
-    order.  A row
-    longer than a tile is counted a tile of columns at a time, so memory
-    does not grow with the block length, and the sums do not depend on the
-    worker count.
+    order.  A row longer than a tile is counted a tile of columns at a time,
+    so memory does not grow with the block length, and the sums do not
+    depend on the worker count.
 
     Read-only and cached for the last arguments: with k = 1 the deviation
     block and the first paired block are the same draws, so ``qlim blocks``
@@ -1132,45 +1151,49 @@ def run_replicated(
 
     def one(rep: int) -> dict:
         seed = derive_seed(cfg.master_seed, rep)
-        if analysis == "convergence":
-            folds = [_LastFold()]
-        elif analysis == "switch_stats":
-            folds = [_SwitchFold(burn_in)]
-        else:
-            folds = [_SandwichFold(d, cfg.p, epsilon, burn_in), _GapFold(pair)]
-        if on_trajectory is not None:
-            records = _Records(cfg, seed)
-            folds.append(records)
+        try:
+            if analysis == "convergence":
+                folds = [_LastFold()]
+            elif analysis == "switch_stats":
+                folds = [_SwitchFold(burn_in)]
+            else:
+                folds = [_SandwichFold(d, cfg.p, epsilon, burn_in), _GapFold(pair)]
+            if on_trajectory is not None:
+                records = _Records(cfg, seed)
+                folds.append(records)
 
-        def blocks():
-            for block in _coalesced(_trajectory_blocks(cfg, seed), _CSV_ROWS):
-                for fold in folds:
-                    fold.add(*block)
-                yield block
-                del block  # let go before the next block is made
+            def blocks():
+                for block in _coalesced(_trajectory_blocks(cfg, seed), _CSV_ROWS):
+                    for fold in folds:
+                        fold.add(*block)
+                    yield block
+                    del block  # let go before the next block is made
 
-        if csv_path is None:
-            collections.deque(blocks(), maxlen=0)
-        else:
-            _write_csv(blocks(), csv_path(rep))
-        if on_trajectory is not None:
-            on_trajectory(rep, records.trajectory)
-        row: dict = {"rep": rep, "seed": seed}
-        if analysis == "convergence":
-            last = folds[0]
-            row["final_n"], row["final_lq"], row["final_rq"] = last.n, last.lq, last.rq
-            row["pass"] = last.lq == last.rq == target
-        elif analysis == "switch_stats":
-            st = folds[0].result()
-            row["switch_count"] = st.switch_count
-            row["running_min"] = st.running_min
-            row["running_max"] = st.running_max
-            row["visits"] = {repr(v): c for v, c in sorted(st.visits.items())}
-            row["pass"] = st.switch_count >= min_switches
-        else:
-            row["interior_gap_hits"] = folds[1].hits
-            row["pass"] = folds[0].result() and folds[1].hits == 0
-        return row
+            if csv_path is None:
+                collections.deque(blocks(), maxlen=0)
+            else:
+                _write_csv(blocks(), csv_path(rep))
+            if on_trajectory is not None:
+                on_trajectory(rep, records.trajectory)
+            row: dict = {"rep": rep, "seed": seed}
+            if analysis == "convergence":
+                last = folds[0]
+                row["final_n"], row["final_lq"], row["final_rq"] = last.n, last.lq, last.rq
+                row["pass"] = last.lq == last.rq == target
+            elif analysis == "switch_stats":
+                st = folds[0].result()
+                row["switch_count"] = st.switch_count
+                row["running_min"] = st.running_min
+                row["running_max"] = st.running_max
+                row["visits"] = {repr(v): c for v, c in sorted(st.visits.items())}
+                row["pass"] = st.switch_count >= min_switches
+            else:
+                row["interior_gap_hits"] = folds[1].hits
+                row["pass"] = folds[0].result() and folds[1].hits == 0
+            return row
+        except Exception as exc:  # a PEP 678 note, as add_note (3.11+) makes it
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"replication {rep}, seed {seed}"]
+            raise
 
     reps = [(rep,) for rep in range(cfg.replications)]
     rows = [row for _, row in _in_order(one, reps, min(_worker_count(), cfg.replications))]
@@ -1230,7 +1253,7 @@ def trajectory_csv_bytes(traj: Trajectory) -> bytes:
 def _csv_chunks(blocks):
     # the CSV of trajectory_csv_bytes for the records of blocks, (ns, lq,
     # rq) in order, piece by piece: the header, then up to _CSV_ROWS records
-    # of a block at a time as a uint8 array, so the scratch memory of
+    # of a block at a time as bytes or a uint8 array, so the scratch memory of
     # encoding, repr texts included, does not grow with the trajectory
     yield b"n,lq,rq\n"
     for ns, lq, rq in blocks:

@@ -131,6 +131,32 @@ class TestSimulateCommand:
         assert report["config"]["n_max"] == 100
         assert report["aggregate"]["total"] == 3
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_replication_names_itself(self, capsys, monkeypatch, tmp_path, threads):
+        # replication 3 of 5 fails: the error carries a note with its index
+        # and derived seed, and qlim's internal error line prints it
+        monkeypatch.setenv("QL_THREADS", threads)
+        seed = sim.derive_seed(7, 3)
+        blocks = sim._trajectory_blocks
+
+        def failing(cfg, rep_seed):
+            if rep_seed == seed:
+                raise RuntimeError("draw failed")
+            return blocks(cfg, rep_seed)
+
+        monkeypatch.setattr(sim, "_trajectory_blocks", failing)
+        cfg = sim.SimConfig(fair_coin(), 0.5, 100, 7, replications=5)
+        with pytest.raises(RuntimeError, match="draw failed") as info:
+            sim.run_replicated(cfg, "convergence")
+        assert info.value.__notes__ == [f"replication 3, seed {seed}"]
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--family", "coin", "--p", "0.5", "--n-max", "100",
+            "--replications", "5", "--master-seed", "7", "--output-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert err == f"internal error: RuntimeError: draw failed\nreplication 3, seed {seed}\n"
+
     def test_refuses_overwrite_without_force(self, capsys, tmp_path):
         out_dir = tmp_path / "runs"
         args = (
@@ -441,6 +467,24 @@ class TestTransformCommand:
         assert "atom_out,0.0,0.5" in lines
         assert "atom_out,1.0,0.5" in lines
 
+    def test_output_bytes_are_pinned(self):
+        # a fresh process, so transforms is loaded by the command itself
+        proc = fresh("-m", "quantile_limits", "transform", "--family", "figure", "--p", "0.5",
+                     "--kind", "collapse_shift")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (
+            b"transform: collapse_shift  p: 0.5\ninput atoms:\n  0.0  0.5\n  3.0  0.3\n"
+            b"  5.0  0.2\ninput quantiles: left=0.0 right=3.0\noutput atoms:\n  0.0  0.8\n"
+            b"  2.0  0.2\noutput quantiles: left=0.0 right=0.0\n"
+        )
+        proc = fresh("-m", "quantile_limits", "transform", "--family", "coin", "--p", "0.5",
+                     "--kind", "binarize", "--format", "csv")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (
+            b"section,a,b\natom_in,-1.0,0.5\natom_in,1.0,0.5\natom_out,0.0,0.5\n"
+            b"atom_out,1.0,0.5\nquantiles_in,-1.0,1.0\nquantiles_out,0.0,1.0\n"
+        )
+
     def test_no_gap_is_validation_error(self, capsys):
         code, _, err = run_cli(
             capsys, "transform", "--family", "figure", "--p", "0.3",
@@ -665,6 +709,25 @@ class TestStartup:
         count, numpy_dict_tracked = out.split()
         assert int(count) >= 10_000
         assert numpy_dict_tracked == "False"  # frozen after numpy loaded
+
+    def test_cli_import_leaves_out_what_no_command_needs_at_load(self):
+        # concurrent.futures (and the logging it imports) is not on the
+        # path, and transforms loads with the one command that uses it
+        out = run_fresh(
+            "import sys\nimport quantile_limits.cli\n"
+            "print(*[m in sys.modules for m in\n"
+            "        ('concurrent.futures', 'logging', 'quantile_limits.transforms')])"
+        )
+        assert out.split() == ["False", "False", "False"]
+
+    @pytest.mark.parametrize("caller", ["", "gc.disable()\n"], ids=["enabled", "disabled"])
+    def test_cli_import_keeps_the_callers_collector_state(self, caller):
+        # the collector is paused only while the CLI loads its imports
+        out = run_fresh(
+            f"import gc\n{caller}enabled = gc.isenabled()\nimport quantile_limits.cli\n"
+            "print(enabled, gc.isenabled(), gc.get_freeze_count() >= 10_000)"
+        )
+        assert out.split() == [str(not caller), str(not caller), "True"]
 
     @pytest.mark.parametrize("module", ["quantile_limits", "quantile_limits.simulate"])
     def test_library_import_freezes_nothing(self, module):

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -1086,7 +1087,7 @@ def _use_cpus(monkeypatch, cpus: int) -> None:
 
 
 def _pool_threads() -> list:
-    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+    return [t for t in threading.enumerate() if t.name == "qlim-worker"]
 
 
 class TestChunkWorkers:
@@ -1117,7 +1118,7 @@ class TestChunkWorkers:
     def test_gc_path_same_at_one_and_two_threads(self, monkeypatch):
         # QL_THREADS does not reach gc_path, which starts no thread
         monkeypatch.setattr(simulate, "_CHUNK", 97)
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", None)
+        monkeypatch.setattr(simulate, "Thread", None)
         _use_cpus(monkeypatch, 2)
         d = gapped_example()
         ns = np.unique(np.concatenate([np.geomspace(1, 50_000, 40).astype(np.int64),
@@ -1179,6 +1180,34 @@ class TestChunkWorkers:
                 seen.append(k)
         assert seen == list(range(20))  # every job before the failing one
         assert _pool_threads() == []
+
+    def test_error_while_later_jobs_run(self):
+        # job 2 fails while job 1 waits for that and job 3 runs: jobs 0 and
+        # 1 are still yielded, then job 2's error, and only once every
+        # started call has returned and every thread is joined
+        failed, lock, started, finished = threading.Event(), threading.Lock(), set(), set()
+
+        def job(k):
+            with lock:
+                started.add(k)
+            if k == 2:
+                failed.set()
+                raise RuntimeError("job 2 failed")
+            if k in (1, 3):
+                assert failed.wait(10)
+                time.sleep(0.05)
+            with lock:
+                finished.add(k)
+            return k
+
+        seen = []
+        with pytest.raises(RuntimeError, match="job 2 failed"):
+            for (k,), result in simulate._in_order(job, [(k,) for k in range(20)], 3):
+                seen.append(result)
+        assert seen == [0, 1]
+        assert _pool_threads() == []
+        assert 3 in started and started - {2} == finished
+        assert max(started) <= 5  # at most workers + 1 ahead of the consumer
 
     def test_early_close_joins_workers(self):
         gen = simulate._in_order(lambda k: k, zip(range(10**6)), 2)
