@@ -72,17 +72,24 @@ def bernoulli_moments(q: float) -> BEParams:
 def be_bound(params: BEParams, n: int) -> float:
     """The uniform CDF error bound 3*rho/(sigma^3*sqrt(n)) at sample size n."""
     check_at_least("n", n, 1)
+    # the first factor past the double range is at fault: sqrt(n), 3*rho or sigma^3
     try:
-        bound = 3.0 * params.rho / (params.sigma**3 * math.sqrt(n))
-    except (OverflowError, ZeroDivisionError):  # sigma**3 leaves the double range
+        root = math.sqrt(n)
+    except OverflowError:
+        raise _nonfinite("n", n, "sqrt(n)") from None
+    if 3.0 * params.rho == math.inf:
+        raise _nonfinite("rho", params.rho, "3*rho")
+    try:
+        bound = 3.0 * params.rho / (params.sigma**3 * root)
+    except (OverflowError, ZeroDivisionError):
         bound = math.nan
     if not math.isfinite(bound):
-        raise QuantileLimitsError(
-            f"sigma={params.sigma!r} is too small or too large: "
-            f"3*rho/(sigma^3*sqrt(n)) is not a finite double",
-            param="sigma",
-        )
+        raise _nonfinite("sigma", params.sigma, "3*rho/(sigma^3*sqrt(n))", "too small or too large")
     return bound
+
+
+def _nonfinite(name: str, x, expr: str, what: str = "too large") -> QuantileLimitsError:
+    return QuantileLimitsError(f"{name}={x!r} is {what}: {expr} is not a finite double", param=name)
 
 
 def interval_prob_bounds(
@@ -122,8 +129,12 @@ def phi_of_k(params: BEParams, k: int, alpha: float) -> PhiOfK:
     check_open("alpha", alpha, 0.0, 0.5)
     half = alpha / 2.0
     n1 = _least_n(lambda n: be_bound(params, n) <= half)
+    try:
+        k_float = float(k)  # what k / x divides
+    except OverflowError:  # k is past the double range: no n is feasible
+        k_float = math.inf
     n2 = _least_n(
-        lambda n: std_normal_cdf(k / (params.sigma * math.sqrt(n))) < 0.5 + half
+        lambda n: std_normal_cdf(k_float / (params.sigma * math.sqrt(n))) < 0.5 + half
     )
     if n1 is None or n2 is None:  # n1 runs away as sigma shrinks, n2 also as k grows
         raise QuantileLimitsError(

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from threading import Event, Semaphore, Thread
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -92,8 +92,8 @@ _WORD_ATOMS = 8
 _TAIL_SDS = 12
 _TAIL_CHUNK = 1 << 16
 
-# _bernoulli_block_sums: words made and counted at a time, and tiles' worth
-# of words per worker job
+# words made and counted at a time (_bernoulli_block_sums), or replications
+# compared (block_event_experiment), and tiles' worth of words per sums job
 _TILE = 1 << 16
 _JOB_TILES = 16
 
@@ -293,48 +293,40 @@ def _runs(a, b, step: int, records: int):
         g0 += g
 
 
-def _in_order(fn, jobs, workers: int):
-    # (job, fn(*job)) for each job, in order.  With workers > 1 the calls run on
-    # that many threads, at most workers + 1 ahead of the consumer; closing the
-    # generator, or an error in a call (raised in its turn), drops the calls not
-    # yet started and joins the threads.  No concurrent.futures: 3-7 ms of imports.
-    if workers <= 1:
-        for job in jobs:
-            yield job, fn(*job)
-        return
-    todo, ready, pending, threads = collections.deque(), Semaphore(0), collections.deque(), []
+def _run_jobs(fn, jobs) -> list:
+    # [fn(*job) for job in jobs] on min(_worker_count(), len(jobs)) threads,
+    # the calling one among them, taking the jobs in order.  The calling
+    # thread works rather than wait in a join, which an interrupt would not
+    # wake: the interrupt fails the job it lands in.  Once a job fails no job
+    # starts; the threads are joined, then the error of the lowest-index
+    # failing job is raised.  No concurrent.futures: 3-7 ms of imports.
+    results, errors, todo, lock = [None] * len(jobs), {}, iter(range(len(jobs))), Lock()
 
-    def work():  # runs the slots [job, done, result, error] of todo up to a None
-        while ready.acquire() and (slot := todo.popleft()) is not None:
-            try:
-                slot[2] = fn(*slot[0])
-            except BaseException as exc:
-                slot[3] = exc
-            slot[1].set()
+    def work():
+        i = len(jobs)  # the key of an interrupt before the first job
+        try:
+            while True:
+                with lock:  # a job is taken, or a failure recorded, one at a time
+                    if errors or (i := next(todo, len(jobs))) == len(jobs):
+                        return
+                results[i] = fn(*jobs[i])
+        except BaseException as exc:
+            with lock:
+                errors[i] = exc
 
-    def results(ahead: int):  # pending's, in order, until ahead slots are left
-        while len(pending) > ahead:
-            pending[0][1].wait()
-            job, _, result, error = pending.popleft()
-            if error is not None:
-                raise error
-            yield job, result
-
+    threads = [Thread(target=work, name="qlim-worker")
+               for _ in range(min(_worker_count(), len(jobs)) - 1)]
     try:
-        for job in jobs:
-            pending.append([job, Event(), None, None])
-            todo.append(pending[-1])
-            ready.release()
-            if len(threads) < workers:
-                (thread := Thread(target=work, name="qlim-worker")).start()
-                threads.append(thread)
-            yield from results(workers)
-        yield from results(0)
-    finally:  # a None for each thread, ahead of the calls not yet started
-        todo.extendleft([None] * len(threads))
-        ready.release(len(threads))
         for thread in threads:
+            thread.start()
+        work()
+    finally:  # also after an interrupt among the starts: no job starts, all are joined
+        todo = iter(())
+        for thread in filter(Thread.is_alive, threads):
             thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
@@ -882,16 +874,15 @@ def block_schedule(
     return tuple(indices)
 
 
-def _block_counts(master_seed, r0, r1, block_len, threshold) -> np.ndarray:
-    # Bernoulli sums of reps r0 .. r1-1: their words at or above threshold,
-    # made and counted a tile at a time in one reused pair of buffers
-    seeds = stream_words(master_seed, r1 - r0, r0)  # derive_seed of each rep
-    rows = max(1, min(r1 - r0, _TILE // block_len))
+def _block_counts(counts, master_seed, r0, block_len, threshold) -> None:
+    # adds to counts the Bernoulli sums of the reps from r0: their words at or
+    # above threshold, made and counted a tile at a time in one reused pair of buffers
+    seeds = stream_words(master_seed, len(counts), r0)  # derive_seed of each rep
+    rows = max(1, min(len(counts), _TILE // block_len))
     cols = min(block_len, _TILE)  # all of them when rows > 1
     words, scratch = np.empty((2, rows * cols), dtype=np.uint64)
     thr = np.uint64(threshold)
-    counts = np.zeros(r1 - r0, dtype=np.int64)
-    for a in range(0, r1 - r0, rows):
+    for a in range(0, len(counts), rows):
         tile_seeds = seeds[a:a + rows]
         for c0 in range(0, block_len, cols):
             shape = (len(tile_seeds), min(cols, block_len - c0))
@@ -903,7 +894,6 @@ def _block_counts(master_seed, r0, r1, block_len, threshold) -> np.ndarray:
             # int32 sums are the faster reduction, and a tile row holds at
             # most _TILE words
             counts[a:a + rows] += (tile >= thr).sum(axis=1, dtype=np.int32)
-    return counts
 
 
 @functools.lru_cache(maxsize=1)
@@ -916,11 +906,11 @@ def _bernoulli_block_sums(
     its level is at least ``T = _level_threshold(1 - q)``: the sums count
     words at or above ``_word_threshold(T)``, and no uniform is made.
     Words are made and counted in tiles of at most ``_TILE``, a row group
-    of ``_JOB_TILES`` tiles' worth of words (at least one row) is one pure
-    job, and the jobs run on ``_worker_count()`` threads and are stored in
-    order.  A row longer than a tile is counted a tile of columns at a time,
-    so memory does not grow with the block length, and the sums do not
-    depend on the worker count.
+    of ``_JOB_TILES`` tiles' worth of words (at least one row) is one job,
+    which writes its own rows of the sums, and the jobs run on
+    ``_worker_count()`` threads (``_run_jobs``).  A row longer than a tile
+    is counted a tile of columns at a time, so memory does not grow with
+    the block length, and the sums do not depend on the worker count.
 
     Read-only and cached for the last arguments: with k = 1 the deviation
     block and the first paired block are the same draws, so ``qlim blocks``
@@ -930,13 +920,9 @@ def _bernoulli_block_sums(
     sums = np.zeros(reps, dtype=np.int64)
     if threshold is not None:  # else 1 - q rounds to 1.0 and no draw is 1
         rows = max(1, _JOB_TILES * _TILE // block_len)
-        jobs = [
-            (master_seed, r0, min(r0 + rows, reps), block_len, threshold)
-            for r0 in range(0, reps, rows)
-        ]
-        workers = min(_worker_count(), len(jobs))
-        for (_, r0, r1, _, _), counts in _in_order(_block_counts, jobs, workers):
-            sums[r0:r1] = counts
+        jobs = [(sums[r0:r0 + rows], master_seed, r0, block_len, threshold)
+                for r0 in range(0, reps, rows)]
+        _run_jobs(_block_counts, jobs)
     sums.flags.writeable = False
     return sums
 
@@ -1026,8 +1012,10 @@ def block_event_experiment(
     word of the same per-replication stream.  S exceeds an integer t
     exactly when u > F(t), that is when the word's level is at least
     ``_level_threshold(F(t))``, so E_1 is one comparison of the level with
-    one threshold.  Both events compare S with integer cut-offs, exact for
-    the double q.
+    one threshold, made for ``_TILE`` replications at a time on the worker
+    threads (``_run_jobs``).  Both events compare S with integer cut-offs,
+    exact for the double q.  Past the first block's cached sums, 8 bytes a
+    replication, memory does not grow with ``reps``.
     """
     q = check_level("q", q)
     check_at_least("reps", reps, 1)
@@ -1043,17 +1031,19 @@ def block_event_experiment(
         raise
 
     d_sums = _bernoulli_block_sums(q, phi_a, reps, master_seed)
-    next_words = _word_matrix(stream_words(master_seed, reps), 1, phi_a)[:, 0]
-
     # D_1 is S - phi_a*q < -1; E_1 is S - phi_b*q > m1, so t is the largest
     # S that fails it
     d_low = _deviation_bounds(phi_a, q, 1)[0]
     t = _deviation_bounds(phi_b, q, m1)[1] - 1
+    level = np.uint64(_level_threshold(_binomial_cdf(t, phi_b, q)))
 
-    d_hit = d_sums <= d_low
-    level = _level_threshold(_binomial_cdf(t, phi_b, q))
-    e_hit = (next_words >> np.uint64(11)) >= np.uint64(level)
-    return float(np.count_nonzero(d_hit & e_hit)) / reps
+    def hits(r0: int) -> int:  # C_1 among reps r0 .. r0 + _TILE - 1
+        seeds = stream_words(master_seed, min(_TILE, reps - r0), r0)
+        levels = _word_matrix(seeds, 1, phi_a, seeds[:, None])[:, 0]  # made over the seeds
+        levels >>= np.uint64(11)
+        return int(np.count_nonzero((levels >= level) & (d_sums[r0:r0 + _TILE] <= d_low)))
+
+    return float(sum(_run_jobs(hits, [(r0,) for r0 in range(0, reps, _TILE)]))) / reps
 
 
 # ---------------------------------------------------------------------------
@@ -1090,12 +1080,12 @@ def run_replicated(
 ) -> dict:
     """Run cfg.replications trajectories and aggregate one analysis.
 
-    Replications use derived seeds and may execute on several worker threads
-    (QL_THREADS of them, at most the CPUs the process may run on), one
-    thread per trajectory.  Per-replication results are keyed by index, so
-    the report is identical however the work is scheduled.  An error in a
-    replication cancels those not yet started and is raised once the
-    threads are joined.
+    Replications use derived seeds and run on QL_THREADS threads, the
+    calling one among them, at most the CPUs the process may run on
+    (``_run_jobs``).  Results are stored by index, so the report is
+    identical however the work is scheduled.  Once a replication fails, or
+    the calling thread is interrupted, no replication starts; the threads
+    are joined, and the error of the lowest-index failed one is raised.
 
     Each replication's records arrive a chunk of draws at a time, as the
     blocks of ``run_trajectory``, and each block is folded into the
@@ -1195,8 +1185,7 @@ def run_replicated(
             exc.__notes__ = [*getattr(exc, "__notes__", ()), f"replication {rep}, seed {seed}"]
             raise
 
-    reps = [(rep,) for rep in range(cfg.replications)]
-    rows = [row for _, row in _in_order(one, reps, min(_worker_count(), cfg.replications))]
+    rows = _run_jobs(one, [(rep,) for rep in range(cfg.replications)])
 
     passes = sum(1 for r in rows if r["pass"])
     report = {

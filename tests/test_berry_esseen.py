@@ -130,6 +130,33 @@ class TestBeBound:
             phi_of_k(params, 1, 0.25)
         assert info.value.param == "sigma"
 
+    def test_n_past_double_range_names_n(self):
+        # sqrt(n) overflows converting n to a double: n is at fault, not sigma
+        n = 10**400
+        message = f"n={n!r} is too large: sqrt(n) is not a finite double"
+        with pytest.raises(QuantileLimitsError, match=f"^{re.escape(message)}$") as info:
+            be_bound(bernoulli_moments(0.5), n)
+        assert info.value.param == "n"
+
+    def test_rho_past_double_range_names_rho(self):
+        # 3*rho overflows at rho = 1e308, whatever sigma and n
+        params = BEParams(mu=0.0, sigma=1.0, rho=1e308)
+        message = "rho=1e+308 is too large: 3*rho is not a finite double"
+        for call in (lambda: be_bound(params, 1), lambda: phi_of_k(params, 1, 0.25)):
+            with pytest.raises(QuantileLimitsError, match=f"^{re.escape(message)}$") as info:
+                call()
+            assert info.value.param == "rho"
+
+    @pytest.mark.parametrize(
+        "mu,sigma,rho,n",
+        [(0.5, 0.5, 0.125, 1), (0.0, 1.0, 5e307, 1), (0.0, 1e-100, 1e-300, 10**7),
+         (0.0, 1e100, 1.0, 2**1020), (0.0, 2.0, 3.0, 2**1024 - 2**971)],
+    )
+    def test_accepted_bounds_keep_their_value(self, mu, sigma, rho, n):
+        # the checks in front of the one expression change no value it gives
+        want = 3.0 * rho / (sigma**3 * math.sqrt(n))
+        assert be_bound(BEParams(mu=mu, sigma=sigma, rho=rho), n) == want
+
     def test_runaway_n2_names_k(self):
         # n1 is 576 at sigma 1/2; only the n2 search passes 2**62
         message = "no feasible n below 2^62 for k=100000000000, sigma=0.5, rho=0.125, alpha=0.25"
@@ -215,6 +242,15 @@ class TestPhiOfK:
         params = bernoulli_moments(0.5)
         phis = [phi_of_k(params, k, 0.25).phi for k in range(1, 8)]
         assert all(a <= b for a, b in zip(phis, phis[1:]))
+
+    @pytest.mark.parametrize("k", [2**1024 - 2**970, 10**400])
+    def test_k_past_double_range_names_k(self, k):
+        # k rounds past the largest double: no n is feasible, as for any
+        # k that is too large, and the search refuses it in k's name
+        message = f"no feasible n below 2^62 for k={k!r}, sigma=0.5, rho=0.125, alpha=0.25"
+        with pytest.raises(QuantileLimitsError, match=f"^{re.escape(message)}$") as info:
+            phi_of_k(bernoulli_moments(0.5), k, 0.25)
+        assert info.value.param == "k"
 
     def test_parameter_checks(self):
         params = bernoulli_moments(0.5)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import itertools
 import json
@@ -803,6 +804,19 @@ class TestEntryPoint:
         assert b"error: --p:" in proc.stderr
 
 
+def test_sources_parse_at_the_oldest_declared_python():
+    # pyproject.toml declares the oldest Python the package runs on; the
+    # interpreter running the tests may be newer and accept newer syntax
+    root = Path(quantile_limits.__file__).resolve().parent
+    pyproject = (root.parents[1] / "pyproject.toml").read_text()
+    oldest = re.search(r'requires-python\s*=\s*">=\s*3\.(\d+)"', pyproject)
+    assert oldest, "pyproject.toml declares no requires-python >= 3.x"
+    paths = sorted(root.glob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:  # 3.10 today
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(oldest[1])))
+
+
 def _glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))
@@ -947,6 +961,7 @@ BAD_FLAGS = [
     (BE + ("--mu", "0", "--sigma", "inf", "--rho", "1"), "--sigma"),
     (BE + ("--mu", "0", "--sigma", "1", "--rho", "-1"), "--rho"),
     (BE + ("--mu", "0", "--sigma", "1", "--rho", "inf"), "--rho"),
+    (BE + ("--mu", "0", "--sigma", "1", "--rho", "1e308"), "--rho", "3*rho is not a finite double"),
     (BE + ("--mu", "nan", "--sigma", "1", "--rho", "1"), "--mu"),
     (BE + ("--mu", "inf", "--sigma", "1", "--rho", "1"), "--mu"),
     (BE + ("--mu", "0", "--sigma", "1e-200", "--rho", "1"), "--sigma"),
@@ -1015,6 +1030,22 @@ def _row_id(row) -> str:
 
 def _no_draw(*args):
     raise AssertionError("a block was drawn")
+
+
+@pytest.mark.parametrize(
+    "argv,flag,text",
+    [(("be-bound", "--q", "0.5", "--n"), "--n", "sqrt(n) is not a finite double"),
+     (("phi-of-k", "--q", "0.5", "--k"), "--k", "no feasible n below 2^62"),
+     (("blocks", "--q", "0.5", "--reps", "1", "--k"), "--k", "no feasible n below 2^62")],
+    ids=["be-bound", "phi-of-k", "blocks"],
+)
+def test_integer_past_double_range_names_flag(capsys, monkeypatch, argv, flag, text):
+    # 10**400 is past the double range: a refusal in the flag's name, not
+    # an internal OverflowError, and no block is drawn
+    monkeypatch.setattr(sim, "_block_counts", _no_draw)
+    code, out, err = run_cli(capsys, *argv, str(10**400))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: ") and text in err, err
 
 
 @pytest.mark.parametrize("row", BAD_FLAGS, ids=map(_row_id, BAD_FLAGS))

@@ -1,3 +1,4 @@
+import _thread
 import functools
 import importlib.util
 import itertools
@@ -1091,29 +1092,43 @@ def _pool_threads() -> list:
 
 
 class TestChunkWorkers:
-    """_in_order, which runs the replications of run_replicated and the
-    block tiles on worker threads: results in job order whatever the
-    workers, a bounded look-ahead, and no thread outlives the generator.
-    gc_path counts on the calling thread."""
+    """_run_jobs, which runs the replications of run_replicated and the
+    block jobs of qlim blocks on min(QL_THREADS, CPUs) threads, the calling
+    one among them: results in job order whatever the threads, no job
+    started once one has failed or the calling thread is interrupted, and
+    no thread outlives the call.  gc_path counts on the calling thread."""
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_counts_do_not_depend_on_workers(self, workers):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_counts_do_not_depend_on_workers(self, monkeypatch, cpus):
         # block tiles of varied sizes, and thread switches as often as the
         # interpreter allows, so jobs finish out of order
+        _use_cpus(monkeypatch, cpus)
+        monkeypatch.setenv("QL_THREADS", str(cpus))
         threshold = qrng._level_threshold(0.5) << 11
-        rng = np.random.default_rng(workers)
+        rng = np.random.default_rng(cpus)
         r0s = np.concatenate([[0], np.cumsum(rng.integers(1, 40, size=60))])
-        jobs = [(8, int(a), int(b), int(n), threshold)
+        jobs = [(int(a), int(b), int(n))
                 for a, b, n in zip(r0s, r0s[1:], rng.integers(1, 5000, size=60))]
-        one = list(simulate._in_order(simulate._block_counts, jobs, 1))
+        threads = set()
+
+        def sums(r0, r1, block_len):
+            threads.add(threading.current_thread())
+            counts = np.zeros(r1 - r0, dtype=np.int64)
+            simulate._block_counts(counts, 8, r0, block_len, threshold)
+            return counts
+
+        want = [sums(*job) for job in jobs]
+        threads.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = list(simulate._in_order(simulate._block_counts, jobs, workers))
+            got = simulate._run_jobs(sums, jobs)
         finally:
             sys.setswitchinterval(interval)
-        assert [job for job, _ in many] == jobs
-        assert all(np.array_equal(a[1], b[1]) for a, b in zip(one, many))
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+        assert np.array_equal(want[0], recount_block_sums(0.5, jobs[0][2], jobs[0][1], 8))
+        assert threading.main_thread() in threads and len(threads) <= cpus
+        assert _pool_threads() == []
 
     def test_gc_path_same_at_one_and_two_threads(self, monkeypatch):
         # QL_THREADS does not reach gc_path, which starts no thread
@@ -1166,70 +1181,122 @@ class TestChunkWorkers:
             for rep, traj in enumerate(want):
                 assert_same_records(trajs[rep], traj)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_chunk_error_propagates(self, workers):
-        def job(k):
-            if k == 20:
-                raise RuntimeError("job failed")
-            return k * k
-
-        seen = []
-        with pytest.raises(RuntimeError, match="job failed"):
-            for (k,), result in simulate._in_order(job, [(k,) for k in range(50)], workers):
-                assert result == k * k
-                seen.append(k)
-        assert seen == list(range(20))  # every job before the failing one
-        assert _pool_threads() == []
-
-    def test_error_while_later_jobs_run(self):
-        # job 2 fails while job 1 waits for that and job 3 runs: jobs 0 and
-        # 1 are still yielded, then job 2's error, and only once every
-        # started call has returned and every thread is joined
-        failed, lock, started, finished = threading.Event(), threading.Lock(), set(), set()
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_chunk_error_propagates(self, monkeypatch, cpus):
+        _use_cpus(monkeypatch, cpus)
+        monkeypatch.setenv("QL_THREADS", str(cpus))
+        lock, started = threading.Lock(), set()
 
         def job(k):
             with lock:
                 started.add(k)
+            if k == 20:
+                raise RuntimeError("job failed")
+            return k * k
+
+        with pytest.raises(RuntimeError, match="job failed"):
+            simulate._run_jobs(job, [(k,) for k in range(50)])
+        # jobs are taken in order, and each taken one runs
+        assert set(range(21)) <= started
+        if cpus == 1:
+            assert started == set(range(21))
+        assert _pool_threads() == []
+
+    def test_lowest_failing_job_is_raised(self, monkeypatch):
+        # jobs 0-2 meet, so one runs on each of the three threads.  Job 2
+        # fails first and job 1 after it, while job 0 runs on: job 1's error
+        # is raised, and only once every started call has returned and
+        # every thread is joined
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setenv("QL_THREADS", "3")
+        meet, failed = threading.Barrier(3), threading.Event()
+        lock, started, finished = threading.Lock(), set(), set()
+
+        def job(k):
+            with lock:
+                started.add(k)
+            if k < 3:
+                meet.wait(10)
             if k == 2:
                 failed.set()
                 raise RuntimeError("job 2 failed")
-            if k in (1, 3):
+            if k == 1:
+                assert failed.wait(10)
+                raise RuntimeError("job 1 failed")
+            if k == 0:
                 assert failed.wait(10)
                 time.sleep(0.05)
             with lock:
                 finished.add(k)
             return k
 
-        seen = []
-        with pytest.raises(RuntimeError, match="job 2 failed"):
-            for (k,), result in simulate._in_order(job, [(k,) for k in range(20)], 3):
-                seen.append(result)
-        assert seen == [0, 1]
+        with pytest.raises(RuntimeError, match="^job 1 failed$"):
+            simulate._run_jobs(job, [(k,) for k in range(20)])
         assert _pool_threads() == []
-        assert 3 in started and started - {2} == finished
-        assert max(started) <= 5  # at most workers + 1 ahead of the consumer
+        assert {0, 1, 2} <= started and started - {1, 2} == finished
 
-    def test_early_close_joins_workers(self):
-        gen = simulate._in_order(lambda k: k, zip(range(10**6)), 2)
-        assert next(gen) == ((0,), 0)
-        assert _pool_threads()
-        gen.close()
-        assert _pool_threads() == []
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_chunks_ahead_are_bounded(self, workers):
-        lock, started = threading.Lock(), [0]
+    def test_no_job_starts_after_a_failure(self, monkeypatch):
+        # jobs 0 and 1 meet, so one runs on each of the two threads.  The
+        # worker's job fails, and the calling thread's returns once the
+        # worker has exited, which it does only after recording the
+        # failure: the calling thread then starts no job
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setenv("QL_THREADS", "2")
+        meet, started, failing = threading.Barrier(2), [], []
 
         def job(k):
-            with lock:
-                started[0] += 1
+            started.append(k)
+            if k > 1:
+                return k
+            meet.wait(10)
+            if threading.current_thread() is threading.main_thread():
+                for thread in _pool_threads():
+                    thread.join(10)
+                return k
+            failing.append(k)
+            raise RuntimeError(f"job {k} failed")
+
+        with pytest.raises(RuntimeError, match="failed") as info:
+            simulate._run_jobs(job, [(k,) for k in range(10)])
+        assert str(info.value) == f"job {failing[0]} failed"
+        assert sorted(started) == [0, 1]
+        assert _pool_threads() == []
+
+    def test_interrupt_starts_no_job(self, monkeypatch):
+        # jobs 0 and 1 meet, so one runs on each of the two threads.  The
+        # worker's job interrupts the calling thread, whose job the
+        # interrupt fails, and returns once that thread waits to join the
+        # worker, which it does only after recording the failure: no other
+        # job starts, and the interrupt reaches the caller
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setenv("QL_THREADS", "2")
+        meet, started, main = threading.Barrier(2), [], threading.main_thread()
+
+        def joining(thread) -> bool:  # whether thread waits in Thread.join
+            frame = sys._current_frames().get(thread.ident)
+            while frame is not None and frame.f_code is not threading.Thread.join.__code__:
+                frame = frame.f_back
+            return frame is not None
+
+        def job(k):
+            started.append(k)
+            if k > 1:
+                return k
+            meet.wait(10)
+            deadline = time.monotonic() + 10
+            if threading.current_thread() is main:
+                while time.monotonic() < deadline:  # where the interrupt lands
+                    pass
+            else:
+                _thread.interrupt_main()
+                while not joining(main) and time.monotonic() < deadline:
+                    time.sleep(0.001)
             return k
 
-        consumed = 0
-        for _ in simulate._in_order(job, [(k,) for k in range(200)], workers):
-            consumed += 1
-            assert started[0] <= consumed + (workers if workers > 1 else 0)
-        assert consumed == started[0] == 200
+        with pytest.raises(KeyboardInterrupt):
+            simulate._run_jobs(job, [(k,) for k in range(10)])
+        assert sorted(started) == [0, 1]
+        assert _pool_threads() == []
 
 
 class TestGcPath:
@@ -1900,6 +1967,37 @@ class TestBlockEventExperiment:
         assert np.array_equal(u > simulate._binomial_cdf(t, n, q), want)
         assert 0.2 < want.mean() < 0.8
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_row_groups_on_threads_equal_ppf_recount(self, monkeypatch, cpus):
+        # row groups of 64 replications, the last one short: 16 jobs of the
+        # E_1 comparison on up to three threads
+        monkeypatch.setattr(simulate, "_TILE", 64)
+        _use_cpus(monkeypatch, cpus)
+        monkeypatch.setenv("QL_THREADS", str(cpus))
+        assert block_event_experiment(0.3, 0.25, 1000, 11) == block_event_ppf_oracle(
+            0.3, 0.25, 1000, 11
+        )
+
+    def test_memory_per_replication(self, monkeypatch):
+        # qlim blocks' two experiments at k = 1 on two threads: past
+        # tile-sized arrays they hold the cached first-block sums, 8 bytes a
+        # replication, and a mask of them at a time
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setenv("QL_THREADS", "2")
+
+        def peak(reps: int) -> int:
+            simulate._bernoulli_block_sums.cache_clear()
+            tracemalloc.start()
+            try:
+                block_event_experiment(0.5, 0.25, reps, 3)
+                deviation_experiment(0.5, 1, 0.25, reps, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                simulate._bernoulli_block_sums.cache_clear()
+
+        assert (peak(3 * 10**5) - peak(10**5)) / (2 * 10**5) <= 16
+
     def test_unreachable_second_block_names_q(self, monkeypatch):
         # phi(m1) passes 2**62 at q = 1e-5, where phi(1) is 57598273: m1
         # comes of q, so q is named, before any draw
@@ -2087,8 +2185,10 @@ class TestRunReplicated:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_on_trajectory_error_propagates(self, monkeypatch, threads):
-        # the error reaches the caller, the replications not yet started are
-        # cancelled (at most workers + 1 run ahead), and the threads are joined
+        # the error reaches the caller once the threads are joined, and no
+        # replication starts once it is recorded: on one thread none after
+        # rep 1, on two only those the other thread took before rep 1 failed
+        _use_cpus(monkeypatch, 2)
         monkeypatch.setenv("QL_THREADS", threads)
         seen = []
 
@@ -2100,7 +2200,9 @@ class TestRunReplicated:
         cfg = SimConfig(fair_coin(), 0.5, 200, 4, replications=6)
         with pytest.raises(RuntimeError, match="write failed"):
             run_replicated(cfg, "convergence", on_trajectory=on_trajectory)
-        assert set(seen) <= {0, 2, 3}
+        assert 0 in seen and 1 not in seen
+        if threads == "1":
+            assert seen == [0]
         assert _pool_threads() == []
 
 
