@@ -14,7 +14,14 @@ sum escapes +/-k with probability > 1/2 - alpha on each side.
 import math
 from dataclasses import dataclass, field
 
-from .errors import QuantileLimitsError, check_at_least, check_finite, check_open, check_positive
+from .errors import (
+    QuantileLimitsError,
+    _brief,
+    check_at_least,
+    check_finite,
+    check_open,
+    check_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,9 @@ def be_bound(params: BEParams, n: int) -> float:
 
 
 def _nonfinite(name: str, x, expr: str, what: str = "too large") -> QuantileLimitsError:
-    return QuantileLimitsError(f"{name}={x!r} is {what}: {expr} is not a finite double", param=name)
+    return QuantileLimitsError(
+        f"{name}={_brief(x)} is {what}: {expr} is not a finite double", param=name
+    )
 
 
 def interval_prob_bounds(
@@ -138,7 +147,7 @@ def phi_of_k(params: BEParams, k: int, alpha: float) -> PhiOfK:
     )
     if n1 is None or n2 is None:  # n1 runs away as sigma shrinks, n2 also as k grows
         raise QuantileLimitsError(
-            f"no feasible n below 2^62 for k={k!r}, sigma={params.sigma!r}, "
+            f"no feasible n below 2^62 for k={_brief(k)}, sigma={params.sigma!r}, "
             f"rho={params.rho!r}, alpha={alpha!r}",
             param="sigma" if n1 is None else "k",
         )

@@ -124,21 +124,9 @@ class DiscreteDistribution:
     def __len__(self) -> int:
         return len(self.values)
 
-    def prob_of(self, x: float) -> float:
-        """Probability mass at exactly x (0.0 if x is not an atom)."""
-        i = bisect_left(self.values, x)
-        if i < len(self.values) and self.values[i] == x:
-            return self.probs[i]
-        return 0.0
-
     def cdf(self, x: float) -> float:
         """F(x) = P(X <= x); right-continuous step function."""
         i = bisect_right(self.values, x)
-        return 0.0 if i == 0 else self.cum[i - 1]
-
-    def cdf_left_limit(self, x: float) -> float:
-        """F(x-) = P(X < x); the left limit of the step function at x."""
-        i = bisect_left(self.values, x)
         return 0.0 if i == 0 else self.cum[i - 1]
 
     def left_quantile(self, p: float) -> float:

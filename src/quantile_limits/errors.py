@@ -24,8 +24,29 @@ class QuantileLimitsError(ValueError):
         self.param = param
 
 
+# integers of more digits than this are spelled in brief (_brief)
+_BRIEF_DIGITS = 30
+
+
+def _brief(x) -> str:
+    """``repr(x)``, but an integer of more than 30 digits as its first four
+    and last three digits and its digit count, ``1000...000 (401 digits)``:
+    in full it would fill the line, and past 4300 digits Python refuses to
+    spell it at all.  The digits are found by a division with a short
+    quotient, so a huge integer costs little more than its bit count."""
+    if not isinstance(x, int) or -(10**_BRIEF_DIGITS) < x < 10**_BRIEF_DIGITS:
+        return repr(x)
+    mag = abs(x)
+    d = int((mag.bit_length() - 1) * math.log10(2)) + 1  # the digit count, or about it
+    while 10 ** (d - 1) > mag:
+        d -= 1
+    while 10**d <= mag:
+        d += 1
+    return f"{'-' if x < 0 else ''}{mag // 10 ** (d - 4)}...{mag % 1000:03d} ({d} digits)"
+
+
 def _out_of_range(param: str, rule: str, x):
-    return QuantileLimitsError(f"{param} must be {rule}, got {x!r}", param=param)
+    return QuantileLimitsError(f"{param} must be {rule}, got {_brief(x)}", param=param)
 
 
 def check_open(param: str, x, lo=0.0, hi=1.0) -> None:

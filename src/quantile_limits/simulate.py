@@ -7,7 +7,6 @@ seeds therefore give byte-identical trajectories, reports and files, on any
 platform, regardless of worker scheduling.
 """
 
-import collections
 import contextlib
 import functools
 import json
@@ -30,7 +29,8 @@ from .errors import (
     check_seed,
     check_size,
 )
-from ._csvrows import _csv_rows
+from ._csvrows import _csv_matrix, _csv_rows, _n_field, _value_table
+from ._folds import SwitchStats, _GapFold, _LastFold, _SandwichFold, _SwitchFold
 from .rng import _level_threshold, _word_matrix, _word_threshold, derive_seed, stream_words
 
 __all__ = [
@@ -97,9 +97,15 @@ _TAIL_CHUNK = 1 << 16
 _TILE = 1 << 16
 _JOB_TILES = 16
 
-# records encoded at a time (_csv_chunks), and the fewest records a block
-# that run_replicated folds and writes holds, but the last (_coalesced)
+# records encoded at a time (_csv_chunks, _csv_pieces), and the fewest
+# records a block that run_replicated folds and writes holds, but the last
+# (_coalesced)
 _CSV_ROWS = 1 << 14
+
+# the most replications in one group of run_replicated, whose lanes share a
+# record plan (_Plan): each lane holds an open file, O(atoms) counts and its
+# folds' state
+_LANES = 16
 
 
 @dataclass(frozen=True)
@@ -141,16 +147,6 @@ class Trajectory:
 
     def __repr__(self) -> str:
         return f"Trajectory(records={len(self)}, seed={self.seed})"
-
-
-@dataclass(frozen=True)
-class SwitchStats:
-    """Oscillation summary of the recorded left-quantile sequence."""
-
-    switch_count: int
-    visits: dict
-    running_min: float
-    running_max: float
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +325,7 @@ def _run_jobs(fn, jobs) -> list:
     return results
 
 
-def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
+def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window, ws=None):
     """Per-atom cumulative counts of one sample path at each record point,
     on a window of atoms per group of records.
 
@@ -387,9 +383,12 @@ def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
     one run's counts: at most ``max(_CELLS, window + 1)`` cells, or
     ``_WORD_ATOMS * _CHUNK`` on a small support, whatever ``rec_ns[-1]``
     is, so long as the consumer drops C before it asks for the next run.
+    The workspace is ``ws``, or a new one.  Nothing in it is read again
+    once a chunk's last run is yielded, so callers that each take every run
+    of a chunk before the next caller resumes may share one.
     """
     atoms = len(d)
-    ws = _workspace()
+    ws = _workspace() if ws is None else ws
     below = np.zeros(atoms, dtype=np.int64)  # draws before lo at or below each atom
     on_words = atoms <= _WORD_ATOMS
     if on_words:
@@ -492,48 +491,107 @@ def _record_counts(d: DiscreteDistribution, seed: int, rec_ns, window):
                     cum.cumsum(axis=1, out=cum)  # along the segments
                     if q1 % step:
                         carry = cum[:, -1].copy()
-                yield r0 + q0, r0 + q1, a, cum
-                # freed here, not when the next run rebinds the name, so no
-                # two runs' counts are ever held at once
+                if q1 == r1 - r0:  # the chunk's last run: its table is done with
+                    ends = None
+                # handed over, not held here while the consumer runs (which
+                # may be another lane's turn, _Plan), so no two runs' counts
+                # are ever held at once
+                out = [cum]
                 del cum
-        below = end
-        del ends  # before the next chunk's table is made
+                yield r0 + q0, r0 + q1, a, out.pop()
+        below, ends = end, None  # before the next chunk's table is made
 
 
-def _trajectory_blocks(cfg: SimConfig, seed: int):
-    """The records of run_trajectory, in blocks: ``(ns, lq, rq)`` of the
-    records each chunk of ``_record_counts`` completes, in order.
+class _Plan:
+    """The record plan of a group of replications of one configuration, its
+    lanes, which advance in lockstep a block at a time on one workspace
+    (``ws``): each lane takes every chunk of its block before the next lane
+    resumes.  Nothing is kept in the workspace across a lane's yield
+    (``_record_counts`` reads nothing in it again once it has yielded a
+    chunk's last run), which is what makes sharing it safe.
+
+    Every lane has the same record points, so what depends on them alone
+    is made once, by the first lane to ask for it, and let go by the last
+    (``shared``): a chunk's ranks, a block's record points and the ``n``
+    texts of each CSV piece.  The lanes ask for the same keys in the same
+    order and a lane finishes its block before the next one starts it, so
+    the plan holds only the current block's shared arrays.
+    """
+
+    def __init__(self, cfg: SimConfig, lanes: int):
+        self.cfg, self.lanes = cfg, lanes
+        self.points = _StridePoints(cfg.n_max, cfg.record_stride)
+        self.ws = _workspace()
+        self.code = np.min_scalar_type(len(cfg.distribution) - 1)  # the type of an atom index
+        self._held: dict = {}
+        self._table = None, None
+
+    def shared(self, key, make) -> tuple:
+        # (make(), made once for the group's lanes, and whether the caller is
+        # the last lane to ask, which may write over it)
+        entry = self._held.get(key)
+        if entry is None:
+            entry = self._held[key] = [make(), self.lanes]
+        entry[1] -= 1
+        if entry[1] == 0:
+            del self._held[key]
+        return entry[0], entry[1] == 0
+
+    def records(self, r0: int, r1: int) -> np.ndarray:
+        # the record points r0 .. r1-1, of a block that starts at record r0
+        return self.shared(("ns", r0), lambda: self.points[r0:r1])[0]
+
+    def table(self, lo: int, hi: int) -> tuple:
+        # the _value_table of atoms lo .. hi, kept while pieces span the same atoms
+        if self._table[0] != (lo, hi):
+            values = self.cfg.distribution.values_array[lo : hi + 1].tolist()
+            self._table = (lo, hi), _value_table(values)
+        return self._table[1]
+
+
+def _trajectory_blocks(plan: _Plan, seed: int, codes: bool = False):
+    """The records of one lane of plan, in blocks: ``(r0, r1, lq, rq)`` of
+    the records ``r0 .. r1-1`` each chunk of ``_record_counts`` completes,
+    in order, and with ``codes`` ``(r0, r1, lq, rq, lc, rc)``, where lc and
+    rc are the quantiles' atom indices.  The record points are
+    ``plan.records(r0, r1)``.
 
     The order statistic of rank r is the first atom whose cumulative count
     reaches r, and the ranks L and R are computed for the records each
-    chunk completes only.  Only a window of atoms can hold the quantiles of
-    a group of records: an atom whose cumulative count at the group's end
-    is still below its first L lies below all of them, and one whose count
-    at the group's start already reaches its last R lies at or above all of
-    them.  The last atom is never in a window, since its count at a record
-    n is n, at least R(n) for every p in (0, 1).  So only the window's
-    atoms are counted, and a quantile's index is the window's first atom
-    plus the number of window atoms whose cumulative count is below its
-    rank.  Total work is O(n_max * atoms) on a support of at most
-    ``_WORD_ATOMS`` atoms, with one window a chunk, and otherwise
-    O(n_max + records * group window) plus the chunk's table of counts at
-    the group ends, from which the windows of its groups of ``_GROUP``
-    records are placed: O(atoms) per chunk and per group.
+    chunk completes only, once for the plan's lanes.  Only a window of
+    atoms can hold the quantiles of a group of records: an atom whose
+    cumulative count at the group's end is still below its first L lies
+    below all of them, and one whose count at the group's start already
+    reaches its last R lies at or above all of them.  The last atom is
+    never in a window, since its count at a record n is n, at least R(n)
+    for every p in (0, 1).  So only the window's atoms are counted, and a
+    quantile's index is the window's first atom plus the number of window
+    atoms whose cumulative count is below its rank.  Total work is
+    O(n_max * atoms) on a support of at most ``_WORD_ATOMS`` atoms, with
+    one window a chunk, and otherwise O(n_max + records * group window)
+    plus the chunk's table of counts at the group ends, from which the
+    windows of its groups of ``_GROUP`` records are placed: O(atoms) per
+    chunk and per group.
 
-    A block's arrays, its record points too, are made for its chunk, so the
-    working set is one workspace and a few chunk-length arrays whatever
-    n_max and the stride are, so long as the consumer lets go of a block
-    before it asks for the next.
+    A block's arrays are made for its chunk.  The atom indices are held in
+    the narrowest unsigned type the support's indices fit (``plan.code``),
+    a byte a record up to 256 atoms, and the last lane to read a chunk's
+    ranks writes the quantiles over them, so a group of one holds one
+    workspace and a few chunk-length arrays whatever n_max and the stride
+    are, so long as the consumer lets go of a block before it asks for the
+    next.
     """
+    cfg = plan.cfg
     d = cfg.distribution
     values = d.values_array
-    points = _StridePoints(cfg.n_max, cfg.record_stride)
+    points = plan.points
     last = len(d) - 1
-    chunk = ranks = None
+    chunk = None
 
     def window(r0, r1, step, below, ends):
-        nonlocal chunk, ranks
-        chunk, ranks = (r0, r1), quantile_ranks(points[r0:r1], cfg.p)
+        nonlocal chunk
+        ranks, mine = plan.shared(("ranks", r0), lambda: quantile_ranks(points[r0:r1], cfg.p))
+        chunk = r0, r1, ranks, mine, [np.empty(r1 - r0, plan.code) for _ in ranks]
         left, right = ranks
         # each group's least L and largest R: those of its first and last
         # records, as both grow with n
@@ -544,51 +602,56 @@ def _trajectory_blocks(cfg: SimConfig, seed: int):
         b[1:] = (ends[:-1] < top[1:, None]).sum(axis=1)
         return a, np.minimum(b, last, out=b)
 
-    for q0, q1, a, cum in _record_counts(d, seed, points, window):
-        r0, r1 = chunk
-        # the quantiles are written over their ranks, which quantile_ranks
-        # made for this chunk and which are not read again
-        run_ranks = [r[q0 - r0 : q1 - r0] for r in ranks]
-        lq, rq = (r.view(np.float64) for r in run_ranks)
+    for q0, q1, a, cum in _record_counts(d, seed, points, window, plan.ws):
+        r0, r1, ranks, mine, idx = chunk
+        (lr, rr), (li, ri) = ([x[q0 - r0 : q1 - r0] for x in pair] for pair in (ranks, idx))
         if len(cum) == 0:
-            lq.fill(values[a])
-            rq.fill(values[a])
+            li.fill(a)
+            ri.fill(a)
+        elif len(cum) == 1:  # quantile_indices on one atom, without its 2-D sum
+            np.add(cum[0] < lr, plan.code.type(a), out=li)
+            np.add(cum[0] < rr, plan.code.type(a), out=ri)
         else:
-            left, right = quantile_indices(cum, *run_ranks)
-            left += a
-            right += a
-            values.take(left, out=lq, mode="wrap")
-            values.take(right, out=rq, mode="wrap")
+            left, right = quantile_indices(cum, lr, rr)
+            np.add(left, a, out=li, casting="unsafe")
+            np.add(right, a, out=ri, casting="unsafe")
             del left, right
-        del cum, lq, rq, run_ranks
+        del cum, lr, rr, li, ri
         if q1 == r1:
-            # the record points are made again, not kept from the window:
-            # one chunk-length array fewer while the quantiles are found
-            yield points[r0:r1], *(r.view(np.float64) for r in ranks)
-            ranks = None  # let go before the next chunk's are made
+            if mine:  # the quantiles are written over their ranks
+                qs = [values.take(i, out=r.view(np.float64), mode="wrap") for i, r in zip(idx, ranks)]
+            else:
+                qs = [values.take(i) for i in idx]
+            # handed over, not held here while the consumer (or another lane)
+            # runs; the next chunk's ranks are made only then
+            out = [(r0, r1, *qs, *(idx if codes else ()))]
+            chunk = ranks = idx = qs = None
+            yield out.pop()
 
 
 def _coalesced(blocks, rows: int):
-    # the records of blocks, with each run of shorter blocks joined into one
-    # of at least rows records (but the last), so that per-block costs, of
-    # the folds and the CSV encoder, are not paid per kernel chunk when the
-    # chunks complete few records each
+    # the blocks (r0, r1, *arrays), with each run of shorter blocks joined
+    # into one of at least rows records (but the last), so that per-block
+    # costs, of the folds and the CSV encoder, are not paid per kernel chunk
+    # when the chunks complete few records each
     pending, held = [], 0
     for block in blocks:
         pending.append(block)
-        held += len(block[0])
+        held += block[1] - block[0]
         del block
         if held >= rows:
-            block, pending, held = _joined(pending), [], 0
-            yield block
-            del block  # let go before the next block is made
+            out, pending, held = [_joined(pending)], [], 0
+            yield out.pop()  # not held here while the consumer runs
     if pending:
-        yield _joined(pending)
+        out, pending = [_joined(pending)], None
+        yield out.pop()
 
 
 def _joined(blocks) -> tuple:
     # consecutive blocks as one
-    return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+    if len(blocks) == 1:
+        return blocks[0]
+    return blocks[0][0], blocks[-1][1], *map(np.concatenate, zip(*(b[2:] for b in blocks)))
 
 
 class _Records:
@@ -618,19 +681,20 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> Trajectory:
     exactly for the double p (``empirical.quantile_ranks``).
 
     The records are made a chunk of draws at a time (``_trajectory_blocks``,
-    on the counts of ``_record_counts``) and filled into the trajectory's
-    three arrays, 24 bytes a record.  Past those, the working set is
-    O(chunk) whatever n_max and the stride are: one workspace and a few
-    chunk-length arrays.  ``run_replicated`` folds and writes the same
-    blocks without assembling a Trajectory at all.  It all runs on the
-    calling thread: ``run_replicated`` spreads the replications over the
-    worker threads.
+    on the counts of ``_record_counts``, a group of one lane) and filled
+    into the trajectory's three arrays, 24 bytes a record.  Past those, the
+    working set is O(chunk) whatever n_max and the stride are: one
+    workspace and a few chunk-length arrays.  ``run_replicated`` folds and
+    writes the same blocks without assembling a Trajectory at all.  It all
+    runs on the calling thread: ``run_replicated`` spreads the replications
+    over the worker threads.
     """
     seed = derive_seed(cfg.master_seed, rep_index)
     records = _Records(cfg, seed)
-    for block in _trajectory_blocks(cfg, seed):
-        records.add(*block)
-        del block  # let go before the next block is made
+    plan = _Plan(cfg, 1)
+    for r0, r1, lq, rq in _trajectory_blocks(plan, seed):
+        records.add(plan.records(r0, r1), lq, rq)
+        del lq, rq  # let go before the next block is made
     return records.trajectory
 
 
@@ -675,137 +739,6 @@ def gc_path(
 
 # ---------------------------------------------------------------------------
 # Trajectory analyses
-
-
-class _WindowFold:
-    """The records past burn_in, over a trajectory's blocks in order: a
-    fold takes each block with ``add(ns, lq, rq)``, then gives its result."""
-
-    def __init__(self, burn_in: int):
-        self.burn_in = burn_in
-        self.records = self.kept = 0
-
-    def _window(self, ns: np.ndarray):
-        # an index of the block's records at or past burn_in: slice(None),
-        # which copies nothing, when that is all of them, else a mask
-        self.records += len(ns)
-        if len(ns) and ns.min() >= self.burn_in:
-            self.kept += len(ns)
-            return slice(None)
-        mask = ns >= self.burn_in
-        self.kept += int(np.count_nonzero(mask))
-        return mask
-
-    def _check(self) -> None:
-        if self.records == 0:
-            raise QuantileLimitsError("trajectory holds no records")
-        if self.kept == 0:
-            raise QuantileLimitsError(f"no records at or beyond burn_in={self.burn_in}")
-
-
-class _SwitchFold(_WindowFold):
-    """switch_stats over blocks: the switch count carries the last left
-    quantile from block to block, and the visits and extremes merge."""
-
-    def __init__(self, burn_in: int):
-        super().__init__(burn_in)
-        self.switch_count = 0
-        self.visits: dict = {}
-        self.last = self.low = self.high = None
-        # runs of one value and where each ends among the kept records, not
-        # yet merged into the visits, and the end of the last merged run
-        self.runs, self.ends, self.held, self.merged = [], [], 0, -1
-
-    def add(self, ns, lq, rq) -> None:
-        w = lq[self._window(ns)]
-        if len(w) == 0:
-            return
-        # w is runs of one value, which end at each change and at w's end
-        ends = np.append(np.flatnonzero(w[1:] != w[:-1]), len(w) - 1)
-        self.switch_count += len(ends) - 1
-        if self.last is not None:
-            self.switch_count += bool(w[0] != self.last)
-        self.last = w[-1]
-        self.runs.append(w[ends])
-        self.ends.append(ends + (self.kept - len(w)))
-        self.held += len(ends)
-        if self.held >= _CHUNK:  # merged a chunk's worth at a time, not per block
-            self._merge()
-
-    def _merge(self) -> None:
-        # the visits and extremes are the runs', so only the runs are sorted
-        runs, ends = np.concatenate(self.runs), np.concatenate(self.ends)
-        vals, which = np.unique(runs, return_inverse=True)
-        counts = np.bincount(which, weights=np.diff(ends, prepend=self.merged))
-        for v, c in zip(vals.tolist(), counts.tolist()):
-            v = v if v == v else math.nan  # one NaN key, whichever block it is in
-            self.visits[v] = self.visits.get(v, 0) + int(c)
-        # np.minimum and np.maximum carry a NaN on, as min and max of w do
-        low, high = runs.min(), runs.max()
-        self.low = low if self.low is None else np.minimum(self.low, low)
-        self.high = high if self.high is None else np.maximum(self.high, high)
-        self.runs, self.ends, self.held, self.merged = [], [], 0, ends[-1]
-
-    def result(self) -> SwitchStats:
-        self._check()
-        if self.runs:
-            self._merge()
-        return SwitchStats(self.switch_count, self.visits, float(self.low), float(self.high))
-
-
-class _SandwichFold(_WindowFold):
-    """sandwich_check over blocks."""
-
-    def __init__(self, d: DiscreteDistribution, p: float, epsilon: float, burn_in: int):
-        check_positive("epsilon", epsilon)
-        pair = d.quantile_pair(p)
-        super().__init__(burn_in)
-        # v > lq - epsilon iff v >= lo and v < rq + epsilon iff v <= hi, exactly:
-        # a rounded bound is the wanted double or a step short, and fsum's sign is exact
-        lo, hi = pair.left - epsilon, pair.right + epsilon
-        if math.fsum((lo, -pair.left, epsilon)) <= 0:
-            lo = math.nextafter(lo, math.inf)
-        if math.fsum((hi, -pair.right, -epsilon)) >= 0:
-            hi = math.nextafter(hi, -math.inf)
-        self.bounds = lo, pair.left, pair.right, hi
-        self.inside = True
-
-    def add(self, ns, lq, rq) -> None:
-        window = self._window(ns)
-        lo, left, right, hi = self.bounds
-        for vals in (lq[window], rq[window]):
-            # lo <= left <= right <= hi: the sandwich is [lo, hi] less the
-            # open gap (left, right); a NaN fails min() >= lo
-            if self.inside and len(vals):
-                self.inside = bool(
-                    vals.min() >= lo and vals.max() <= hi
-                    and not np.any((vals > left) & (vals < right))
-                )
-
-    def result(self) -> bool:
-        self._check()
-        return self.inside
-
-
-class _GapFold:
-    """gap_interior_hits over blocks."""
-
-    def __init__(self, pair):
-        self.pair = pair
-        self.hits = 0
-
-    def add(self, ns, lq, rq) -> None:
-        left, right = self.pair.left, self.pair.right
-        inside_l = (lq > left) & (lq < right)
-        inside_r = (rq > left) & (rq < right)
-        self.hits += int(np.count_nonzero(inside_l) + np.count_nonzero(inside_r))
-
-
-class _LastFold:
-    """The last record of a trajectory's blocks."""
-
-    def add(self, ns, lq, rq) -> None:
-        self.n, self.lq, self.rq = int(ns[-1]), float(lq[-1]), float(rq[-1])
 
 
 def switch_stats(traj: Trajectory, burn_in: int = 0) -> SwitchStats:
@@ -1080,23 +1013,33 @@ def run_replicated(
 ) -> dict:
     """Run cfg.replications trajectories and aggregate one analysis.
 
-    Replications use derived seeds and run on QL_THREADS threads, the
-    calling one among them, at most the CPUs the process may run on
-    (``_run_jobs``).  Results are stored by index, so the report is
-    identical however the work is scheduled.  Once a replication fails, or
-    the calling thread is interrupted, no replication starts; the threads
-    are joined, and the error of the lowest-index failed one is raised.
+    Replications use derived seeds and run in groups of consecutive ones,
+    ``min(ceil(replications / threads), _LANES, max(1, _CHUNK // atoms))``
+    each, on QL_THREADS threads, the calling one among them, at most the
+    CPUs the process may run on (``_run_jobs``).  Results are stored by
+    index, so the report is identical however the work is scheduled.  Once
+    a replication fails, or the calling thread is interrupted, its group
+    stops and no group starts; the threads are joined, and the error of the
+    lowest-index failed group is raised, with a note naming the failed
+    replication and its seed.
 
-    Each replication's records arrive a chunk of draws at a time, as the
-    blocks of ``run_trajectory``, and each block is folded into the
-    analysis and, when ``csv_path`` is given, written to the file
-    ``csv_path(rep_index)`` (the bytes of ``write_trajectory_csv``) as it
-    arrives; a file whose replication fails is removed.  So memory is
-    O(chunk) per worker thread whatever n_max is.
+    A group's replications are the lanes of one record plan (``_Plan``):
+    they advance in turn, a block of records at a time, on one workspace,
+    and the chunks' ranks, the blocks' record points and the ``n`` texts
+    of the CSV are made once for all of them.  Each lane folds its block
+    into the analysis and, when ``csv_path`` is given, writes it to the
+    file ``csv_path(rep_index)`` (the bytes of ``write_trajectory_csv``),
+    encoded from the atom indices of its quantiles, before the next lane
+    makes its own.  Every file of a group that fails is removed.  So a
+    group holds one workspace, one block's plan, the running lane's block,
+    and per lane O(atoms) counts, an open file and its folds' state (at
+    most ``_folds._RUNS`` runs of one value for switch_stats), whatever
+    n_max is.
     ``on_trajectory(rep_index, trajectory)``, when given, is invoked once
-    per replication with a Trajectory assembled from the same blocks,
-    which holds the whole trajectory, 24 bytes a record.  Both callables
-    run on the worker threads.
+    per replication, in order once its group's last block is written, with
+    a Trajectory assembled from the same blocks, which holds the whole
+    trajectory, 24 bytes a record: a group holds those of all its lanes at
+    once.  Both callables run on the worker threads.
 
     Analyses
     --------
@@ -1139,53 +1082,91 @@ def run_replicated(
     pair = d.quantile_pair(cfg.p)
     target = pair.left
 
-    def one(rep: int) -> dict:
-        seed = derive_seed(cfg.master_seed, rep)
+    def new_folds(seed: int) -> list:
+        if analysis == "convergence":
+            folds = [_LastFold()]
+        elif analysis == "switch_stats":
+            folds = [_SwitchFold(burn_in)]
+        else:
+            folds = [_SandwichFold(d, cfg.p, epsilon, burn_in), _GapFold(pair)]
+        if on_trajectory is not None:
+            folds.append(_Records(cfg, seed))
+        return folds
+
+    def report_row(rep: int, seed: int, folds: list) -> dict:
+        row: dict = {"rep": rep, "seed": seed}
+        if analysis == "convergence":
+            last = folds[0]
+            row["final_n"], row["final_lq"], row["final_rq"] = last.n, last.lq, last.rq
+            row["pass"] = last.lq == last.rq == target
+        elif analysis == "switch_stats":
+            st = folds[0].result()
+            row["switch_count"] = st.switch_count
+            row["running_min"] = st.running_min
+            row["running_max"] = st.running_max
+            row["visits"] = {repr(v): c for v, c in sorted(st.visits.items())}
+            row["pass"] = st.switch_count >= min_switches
+        else:
+            row["interior_gap_hits"] = folds[1].hits
+            row["pass"] = folds[0].result() and folds[1].hits == 0
+        return row
+
+    def group(rep0: int, rep1: int) -> list:
+        # replications rep0 .. rep1-1, the lanes of one plan, advanced a
+        # block at a time in turn: each folds and writes its block before
+        # the next lane makes its own
+        plan = _Plan(cfg, rep1 - rep0)
+        reps = range(rep0, rep1)
+        seeds, folds, lanes, paths, files = [], [], [], [], []
         try:
-            if analysis == "convergence":
-                folds = [_LastFold()]
-            elif analysis == "switch_stats":
-                folds = [_SwitchFold(burn_in)]
-            else:
-                folds = [_SandwichFold(d, cfg.p, epsilon, burn_in), _GapFold(pair)]
-            if on_trajectory is not None:
-                records = _Records(cfg, seed)
-                folds.append(records)
-
-            def blocks():
-                for block in _coalesced(_trajectory_blocks(cfg, seed), _CSV_ROWS):
-                    for fold in folds:
-                        fold.add(*block)
-                    yield block
-                    del block  # let go before the next block is made
-
-            if csv_path is None:
-                collections.deque(blocks(), maxlen=0)
-            else:
-                _write_csv(blocks(), csv_path(rep))
-            if on_trajectory is not None:
-                on_trajectory(rep, records.trajectory)
-            row: dict = {"rep": rep, "seed": seed}
-            if analysis == "convergence":
-                last = folds[0]
-                row["final_n"], row["final_lq"], row["final_rq"] = last.n, last.lq, last.rq
-                row["pass"] = last.lq == last.rq == target
-            elif analysis == "switch_stats":
-                st = folds[0].result()
-                row["switch_count"] = st.switch_count
-                row["running_min"] = st.running_min
-                row["running_max"] = st.running_max
-                row["visits"] = {repr(v): c for v, c in sorted(st.visits.items())}
-                row["pass"] = st.switch_count >= min_switches
-            else:
-                row["interior_gap_hits"] = folds[1].hits
-                row["pass"] = folds[0].result() and folds[1].hits == 0
-            return row
-        except Exception as exc:  # a PEP 678 note, as add_note (3.11+) makes it
-            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"replication {rep}, seed {seed}"]
+            for rep in reps:
+                seeds.append(derive_seed(cfg.master_seed, rep))
+                folds.append(new_folds(seeds[-1]))
+                if csv_path is not None:
+                    paths.append(csv_path(rep))
+                    files.append(open(paths[-1], "wb"))
+                    files[-1].write(b"n,lq,rq\n")
+                blocks = _trajectory_blocks(plan, seeds[-1], csv_path is not None)
+                lanes.append(_coalesced(blocks, _CSV_ROWS))
+            more = True
+            while more:
+                for i, rep in enumerate(reps):
+                    block = next(lanes[i], None)
+                    if block is None:  # every lane ends with the same block
+                        more = False
+                        break
+                    r0, r1, lq, rq, *codes = block
+                    del block
+                    ns = plan.records(r0, r1)
+                    for fold in folds[i]:
+                        fold.add(ns, lq, rq)
+                    del lq, rq  # before the pieces are encoded
+                    if files:  # no piece is held once written
+                        files[i].writelines(_csv_pieces(plan, r0, ns, *codes))
+                    del ns, codes  # let go before the next lane's block is made
+            rows = []
+            for i, rep in enumerate(reps):
+                if files:
+                    files[i].close()
+                if on_trajectory is not None:
+                    on_trajectory(rep, folds[i][-1].trajectory)
+                rows.append(report_row(rep, seeds[i], folds[i]))
+            return rows
+        except BaseException as exc:  # every lane's file goes
+            for fh in files:
+                with contextlib.suppress(OSError):
+                    fh.close()
+            for path in paths:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            if isinstance(exc, Exception):  # a PEP 678 note, as add_note (3.11+) makes it
+                seed = derive_seed(cfg.master_seed, rep)
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), f"replication {rep}, seed {seed}"]
             raise
 
-    rows = _run_jobs(one, [(rep,) for rep in range(cfg.replications)])
+    size = min(-(-cfg.replications // _worker_count()), _LANES, max(1, _CHUNK // len(d)))
+    jobs = [(r, min(r + size, cfg.replications)) for r in range(0, cfg.replications, size)]
+    rows = [r for part in _run_jobs(group, jobs) for r in part]
 
     passes = sum(1 for r in rows if r["pass"])
     report = {
@@ -1239,6 +1220,21 @@ def trajectory_csv_bytes(traj: Trajectory) -> bytes:
     return b"".join(_csv_chunks([(traj.ns, traj.lq, traj.rq)]))
 
 
+def _csv_pieces(plan: _Plan, r0: int, ns, lc, rc):
+    # the CSV rows of records r0 .. of a lane of plan, up to _CSV_ROWS at a
+    # time, from the atom indices of their quantiles (lc <= rc): the n texts
+    # are the plan's, and the values' table rows those of the atoms the
+    # piece spans
+    for q in range(0, len(ns), _CSV_ROWS):
+        n_field, _ = plan.shared(("n", r0 + q), lambda: _n_field(ns[q : q + _CSV_ROWS]))
+        left, right = lc[q : q + _CSV_ROWS], rc[q : q + _CSV_ROWS]
+        lo, hi = int(left.min()), int(right.max())
+        if lo:
+            left, right = left - lo, right - lo
+        yield _csv_matrix(n_field, left, right, plan.table(lo, hi))
+        del n_field, left, right  # let go before the next piece is made
+
+
 def _csv_chunks(blocks):
     # the CSV of trajectory_csv_bytes for the records of blocks, (ns, lq,
     # rq) in order, piece by piece: the header, then up to _CSV_ROWS records
@@ -1262,17 +1258,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     chunk as they are encoded, so memory does not grow with the trajectory.
     If encoding or writing fails, the partial file is removed.
     """
-    _write_csv([(traj.ns, traj.lq, traj.rq)], path)
-
-
-def _write_csv(blocks, path) -> None:
-    # the CSV of the records of blocks, written as they arrive; if making,
-    # encoding or writing them fails, the partial file is removed
     fh = open(path, "wb")
     try:
         with fh:
-            for piece in _csv_chunks(blocks):
-                fh.write(piece)
+            fh.writelines(_csv_chunks([(traj.ns, traj.lq, traj.rq)]))
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(path)

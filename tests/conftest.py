@@ -107,12 +107,26 @@ def bf_right_quantile(d: DiscreteDistribution, p: float) -> float:
     return POS_INF
 
 
+def prob_of(d: DiscreteDistribution, x: float) -> float:
+    """Probability mass of d at exactly x (0.0 if x is not an atom)."""
+    i = bisect.bisect_left(d.values, x)
+    if i < len(d.values) and d.values[i] == x:
+        return d.probs[i]
+    return 0.0
+
+
+def cdf_left_limit(d: DiscreteDistribution, x: float) -> float:
+    """F(x-) = P(X < x); the left limit of d's step function at x."""
+    i = bisect.bisect_left(d.values, x)
+    return 0.0 if i == 0 else d.cum[i - 1]
+
+
 def bf_solution_interval(d: DiscreteDistribution, p: float):
     """All candidates x with F(x-) <= p <= F(x); returns (lo, hi) or None."""
     sols = [
         x
         for x in candidate_grid(d.values)
-        if d.cdf_left_limit(x) <= p <= d.cdf(x)
+        if cdf_left_limit(d, x) <= p <= d.cdf(x)
     ]
     if not sols:
         return None

@@ -132,8 +132,9 @@ class TestBeBound:
 
     def test_n_past_double_range_names_n(self):
         # sqrt(n) overflows converting n to a double: n is at fault, not sigma
+        # (spelled in brief: its 401 digits would fill the line)
         n = 10**400
-        message = f"n={n!r} is too large: sqrt(n) is not a finite double"
+        message = "n=1000...000 (401 digits) is too large: sqrt(n) is not a finite double"
         with pytest.raises(QuantileLimitsError, match=f"^{re.escape(message)}$") as info:
             be_bound(bernoulli_moments(0.5), n)
         assert info.value.param == "n"
@@ -247,7 +248,10 @@ class TestPhiOfK:
     def test_k_past_double_range_names_k(self, k):
         # k rounds past the largest double: no n is feasible, as for any
         # k that is too large, and the search refuses it in k's name
-        message = f"no feasible n below 2^62 for k={k!r}, sigma=0.5, rho=0.125, alpha=0.25"
+        # (spelled in brief, as its first and last digits and their count)
+        digits = str(k)
+        brief = f"{digits[:4]}...{digits[-3:]} ({len(digits)} digits)"
+        message = f"no feasible n below 2^62 for k={brief}, sigma=0.5, rho=0.125, alpha=0.25"
         with pytest.raises(QuantileLimitsError, match=f"^{re.escape(message)}$") as info:
             phi_of_k(bernoulli_moments(0.5), k, 0.25)
         assert info.value.param == "k"

@@ -2,6 +2,7 @@ import ast
 import importlib
 import itertools
 import json
+import math
 import os
 import pkgutil
 import re
@@ -19,7 +20,7 @@ from conftest import gc_table_materialised
 from quantile_limits import simulate as sim
 from quantile_limits.cli import build_parser, main
 from quantile_limits.distributions import fair_coin, from_spec, gapped_example
-from quantile_limits.errors import QuantileLimitsError
+from quantile_limits.errors import QuantileLimitsError, _brief, check_size
 
 
 def run_cli(capsys, *argv):
@@ -140,10 +141,10 @@ class TestSimulateCommand:
         seed = sim.derive_seed(7, 3)
         blocks = sim._trajectory_blocks
 
-        def failing(cfg, rep_seed):
+        def failing(plan, rep_seed, *args):
             if rep_seed == seed:
                 raise RuntimeError("draw failed")
-            return blocks(cfg, rep_seed)
+            return blocks(plan, rep_seed, *args)
 
         monkeypatch.setattr(sim, "_trajectory_blocks", failing)
         cfg = sim.SimConfig(fair_coin(), 0.5, 100, 7, replications=5)
@@ -219,14 +220,14 @@ class TestSimulateCommand:
         )
         assert run_cli(capsys, *args, "--replications", "5")[0] == 0
         first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        encode, calls = sim._csv_chunks, itertools.count()
+        encode, calls = sim._csv_pieces, itertools.count()
 
-        def failing(blocks):  # the second replication to start writing fails
+        def failing(*args):  # the second replication to start writing fails
             if next(calls) == 1:
                 raise RuntimeError("encoder failed")
-            yield from encode(blocks)
+            yield from encode(*args)
 
-        monkeypatch.setattr(sim, "_csv_chunks", failing)
+        monkeypatch.setattr(sim, "_csv_pieces", failing)
         assert run_cli(capsys, *args, "--replications", "2", "--force")[0] == 1
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
 
@@ -338,20 +339,19 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("fault", ["encode", "write"])
     def test_failed_write_leaves_no_tmp_file(self, capsys, tmp_path, monkeypatch, threads, fault):
-        # the second replication to start writing fails while its CSV is
-        # encoded, or while its file is written, after the header
-        encode, calls = sim._csv_chunks, itertools.count()
+        # the second replication to write its records fails while its CSV
+        # is encoded, or while its file is written, after the header
+        encode, calls = sim._csv_pieces, itertools.count()
 
-        def failing(blocks):
+        def failing(*args):
             if next(calls) != 1:
-                yield from encode(blocks)
+                yield from encode(*args)
                 return
-            yield b"n,lq,rq\n"
             if fault == "encode":
                 raise RuntimeError("encoder failed")
             yield "not bytes"  # fh.write raises TypeError
 
-        monkeypatch.setattr(sim, "_csv_chunks", failing)
+        monkeypatch.setattr(sim, "_csv_pieces", failing)
         monkeypatch.setenv("QL_THREADS", threads)
         out_dir = tmp_path / "runs"
         code, _, err = run_cli(
@@ -738,15 +738,15 @@ class TestStartup:
     @needs_proc_tasks
     def test_simulate_runs_within_its_thread_budget(self, tmp_path):
         # the calling thread and QL_THREADS workers, counted as each
-        # replication starts to write its CSV
+        # replication starts
         code = (
             "import os\n"
             "from quantile_limits import cli, simulate\n"
-            "seen, encode = [], simulate._csv_chunks\n"
-            "def counted(blocks):\n"
+            "seen, blocks = [], simulate._trajectory_blocks\n"
+            "def counted(*args):\n"
             f"    seen.append({THREADS})\n"
-            "    yield from encode(blocks)\n"
-            "simulate._csv_chunks = counted\n"
+            "    return blocks(*args)\n"
+            "simulate._trajectory_blocks = counted\n"
             "rc = cli.main(['simulate', '--family', 'coin', '--p', '0.5', '--n-max', '20000',\n"
             f"             '--replications', '8', '--output-dir', {str(tmp_path)!r}])\n"
             "assert rc == 0 and len(seen) == 8, (rc, seen)\n"
@@ -1046,6 +1046,48 @@ def test_integer_past_double_range_names_flag(capsys, monkeypatch, argv, flag, t
     code, out, err = run_cli(capsys, *argv, str(10**400))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {flag}: ") and text in err, err
+    # the integer in brief, not its 401 digits
+    assert "=1000...000 (401 digits)" in err and len(err) < 150, err
+
+
+class TestBriefIntegers:
+    """A refusal spells an integer past 30 digits in brief: its first four
+    and last three digits and its digit count."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [10**30 - 1, 10**30, -(10**30), 2**100, -(2**100) + 1, 10**400, 3 * 10**4299 + 7,
+         10**4300, 10**5000 + 12, -(10**5000)],
+        ids=["10**30-1", "10**30", "-10**30", "2**100", "-2**100+1", "10**400", "3*10**4299+7",
+             "10**4300", "10**5000+12", "-10**5000"],
+    )
+    def test_against_the_full_text(self, x):
+        limit = getattr(sys, "get_int_max_str_digits", None)  # Python 3.11+
+        if limit is not None:
+            limit = limit()
+            sys.set_int_max_str_digits(0)  # no limit
+        try:
+            text = str(x)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        if len(text.lstrip("-")) <= 30:
+            assert _brief(x) == repr(x)
+        else:
+            sign, digits = ("-", text[1:]) if x < 0 else ("", text)
+            assert _brief(x) == f"{sign}{digits[:4]}...{digits[-3:]} ({len(digits)} digits)"
+
+    @pytest.mark.parametrize("x", [7, -(2**63), True, 1.5, math.inf, "10", None])
+    def test_others_are_their_repr(self, x):
+        assert _brief(x) == repr(x)
+
+    def test_past_the_int_text_limit_is_a_refusal(self):
+        # Python refuses to spell 10**5000 in full; the refusal still names
+        # n_max, as every refusal names its argument
+        with pytest.raises(QuantileLimitsError) as info:
+            check_size("n_max", 10**5000)
+        assert info.value.param == "n_max"
+        assert str(info.value) == "n_max must be <= 9223372036854775807, got 1000...000 (5001 digits)"
 
 
 @pytest.mark.parametrize("row", BAD_FLAGS, ids=map(_row_id, BAD_FLAGS))

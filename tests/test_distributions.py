@@ -11,8 +11,10 @@ from conftest import (
     bf_left_quantile,
     bf_right_quantile,
     bf_solution_interval,
+    cdf_left_limit,
     dist_and_level_st,
     distributions_st,
+    prob_of,
 )
 from quantile_limits.distributions import (
     QuantilePair,
@@ -128,10 +130,11 @@ class TestCdf:
         assert d.cdf(10.0) == 1.0
 
     def test_left_limit(self):
+        # the tests' F(x-), an oracle of the solution interval
         d = gapped_example()
-        assert d.cdf_left_limit(3.0) == 0.5
-        assert d.cdf_left_limit(0.0) == 0.0
-        assert d.cdf_left_limit(2.0) == d.cdf(2.0) == 0.5
+        assert cdf_left_limit(d, 3.0) == 0.5
+        assert cdf_left_limit(d, 0.0) == 0.0
+        assert cdf_left_limit(d, 2.0) == d.cdf(2.0) == 0.5
 
 
 class TestQuantiles:
@@ -324,5 +327,5 @@ def test_distribution_is_value_like():
     assert a == b
     assert hash(a) == hash(b)
     assert len(a) == 2
-    assert a.prob_of(0.0) == 0.5
-    assert a.prob_of(0.25) == 0.0
+    assert prob_of(a, 0.0) == 0.5
+    assert prob_of(a, 0.25) == 0.0

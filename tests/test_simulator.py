@@ -26,7 +26,7 @@ from conftest import (
     stream_word,
     trajectory_csv_bytes_rowwise,
 )
-from quantile_limits import simulate
+from quantile_limits import _folds, simulate
 from quantile_limits import rng as qrng
 from quantile_limits.berry_esseen import bernoulli_moments, phi_of_k, std_normal_cdf
 from quantile_limits.distributions import (
@@ -2345,7 +2345,7 @@ class TestStreamedReplications:
         )
         edges = sorted({0, len(lq), *(c for c in cuts if c < len(lq))})
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "_CHUNK", 3)
+            mp.setattr(_folds, "_RUNS", 3)
             for i, j in zip(edges, edges[1:]):
                 for fold in folds:
                     fold.add(ns[i:j], lq[i:j], rq[i:j])
@@ -2378,6 +2378,112 @@ class TestStreamedReplications:
         for n in sorted({0, 1, 2, stride - 1, stride, stride + 1, n_max - 1, n_max, n_max + 1}):
             for side in ("left", "right"):
                 assert points.searchsorted(n, side=side) == np.searchsorted(want, n, side=side)
+
+
+class TestReplicationGroups:
+    """run_replicated runs consecutive replications as the lanes of one
+    record plan (_Plan), a block at a time on one workspace: whatever the
+    group size and the threads, every CSV and the report are the bytes of
+    run_trajectory and trajectory_csv_bytes one replication at a time, a
+    failure removes every file of its group, and a lane holds no block
+    while the others run."""
+
+    @staticmethod
+    def run(monkeypatch, tmp_path, cfg, analysis, **kwargs):
+        # the report, the CSV paths by rep, and the lanes of each plan made
+        sizes, plan = [], simulate._Plan
+
+        class Spied(plan):
+            def __init__(self, cfg, lanes):
+                sizes.append(lanes)
+                super().__init__(cfg, lanes)
+
+        monkeypatch.setattr(simulate, "_Plan", Spied)
+        paths = {}
+        report = run_replicated(
+            cfg, analysis,
+            csv_path=lambda rep: paths.setdefault(rep, tmp_path / f"traj_{rep}.csv"),
+            **kwargs,
+        )
+        return report, paths, sorted(sizes)
+
+    @pytest.mark.parametrize(
+        "lanes, threads, groups",
+        [(3, "1", [1, 3, 3]), (3, "2", [1, 3, 3]), (3, "3", [1, 3, 3]),
+         (16, "1", [7]), (16, "2", [3, 4]), (16, "3", [1, 3, 3])],
+    )
+    @pytest.mark.parametrize("support, stride", [("coin", 1), ("guide-16", 7), ("neg-zero", 1)])
+    def test_groups_give_the_bytes_of_one_replication(
+        self, tmp_path, monkeypatch, support, stride, lanes, threads, groups
+    ):
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setenv("QL_THREADS", threads)
+        monkeypatch.setattr(simulate, "_LANES", lanes)
+        d, p = STREAM_SUPPORTS[support]
+        cfg = SimConfig(d, p, STREAM_N_MAX, 21, record_stride=stride, replications=7)
+        analysis = "switch_stats" if support != "guide-16" else "sandwich_check"
+        kwargs = _analysis_kwargs(analysis, 100)
+        report, paths, sizes = self.run(monkeypatch, tmp_path, cfg, analysis, **kwargs)
+        assert sizes == groups
+        rows = []
+        for rep in range(cfg.replications):
+            traj, row = _reference_row(cfg, rep, analysis, **kwargs)
+            assert paths[rep].read_bytes() == trajectory_csv_bytes(traj)
+            rows.append(row)
+        want = {**report, "replications": rows}
+        assert report_to_json_bytes(report) == report_to_json_bytes(want)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failure_removes_every_file_of_its_group(self, tmp_path, monkeypatch, threads):
+        # lane 2 of the group of reps 0-2 fails after its first block, once
+        # every lane has written one: all three files go, the error names
+        # rep 2 and its seed, and on one thread no later group starts
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setenv("QL_THREADS", threads)
+        monkeypatch.setattr(simulate, "_LANES", 3)
+        cfg = SimConfig(fair_coin(), 0.5, STREAM_N_MAX, 9, record_stride=1, replications=6)
+        seed, blocks = derive_seed(9, 2), simulate._trajectory_blocks
+
+        def failing(plan, rep_seed, *args):
+            for i, block in enumerate(blocks(plan, rep_seed, *args)):
+                if rep_seed == seed and i == 1:
+                    raise RuntimeError("lane failed")
+                yield block
+
+        monkeypatch.setattr(simulate, "_trajectory_blocks", failing)
+        with pytest.raises(RuntimeError, match="^lane failed") as info:
+            self.run(monkeypatch, tmp_path, cfg, "convergence")
+        assert info.value.__notes__ == [f"replication 2, seed {seed}"]
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert not {"traj_0.csv", "traj_1.csv", "traj_2.csv"} & set(left)
+        if threads == "1":
+            assert left == []
+        else:  # the other group ran to its end on the other thread
+            assert left in ([], ["traj_3.csv", "traj_4.csv", "traj_5.csv"])
+        assert _pool_threads() == []
+
+    def test_memory_does_not_grow_with_lanes(self, tmp_path, monkeypatch):
+        # one thread, the coin at stride 1: a group of 16 lanes peaks within
+        # one chunk-length row of a group of 3, which already holds the
+        # plan's ranks and n texts while its middle lane runs; a lane that
+        # held its block, or its counts, while the others run would add
+        # more than a row each
+        monkeypatch.setenv("QL_THREADS", "1")
+        peaks = []
+        for reps in (3, 16):
+            cfg = SimConfig(fair_coin(), 0.5, STREAM_N_MAX, 3, record_stride=1, replications=reps)
+            out = tmp_path / str(reps)
+            out.mkdir()
+            run_replicated(cfg, "switch_stats", min_switches=0,
+                           csv_path=lambda rep: out / f"warm_{rep}.csv")
+            tracemalloc.start()
+            try:
+                run_replicated(cfg, "switch_stats", min_switches=0,
+                               csv_path=lambda rep: out / f"traj_{rep}.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < simulate._CHUNK * 8, peaks
 
 
 def wide_spec(seed: int) -> dict:
