@@ -132,20 +132,20 @@ def _value_table(values: list) -> tuple[np.ndarray, bool]:
     return table, min(map(len, reprs)) < w
 
 
-def _csv_matrix(n_field: tuple, lq_at, rq_at, value_table: tuple) -> bytes | np.ndarray:
-    # The rows of a block as bytes or a uint8 array, from the n texts of
-    # _n_field and, for each quantile, its row of the _value_table (an
-    # array, or a scalar for all).  They are laid out in a byte matrix of
-    # fixed-width fields, each as wide as the block's widest text and NUL
-    # where a text is shorter: the n field, then ",lq" and ",rq\n" in w + 1
-    # and w + 2 bytes.  A field is written as one or two words per row
-    # through views of the matrix (_put), so it costs a few numpy calls
-    # whatever the digits and bytes it holds.  Calls on a block are too
-    # short for two worker threads to overlap, so their number, not their
-    # size, sets the time.  Fields are written right to left, so a word may
-    # spill into the field left of its own.  bytes.translate drops the NULs
-    # (ASCII text holds none), in about two thirds of a boolean mask's time;
-    # a block whose texts all fill their fields needs neither, and its
+def _csv_matrix(n_field: tuple, lq_at, rq_at, value_table: tuple) -> np.ndarray:
+    # The rows of a block as a uint8 array, from the n texts of _n_field
+    # and, for each quantile, its row of the _value_table (an array, or a
+    # scalar for all).  They are laid out in a byte matrix of fixed-width
+    # fields, each as wide as the block's widest text and NUL where a text
+    # is shorter: the n field, then ",lq" and ",rq\n" in w + 1 and w + 2
+    # bytes.  A field is written as one or two words per row through views
+    # of the matrix (_put), so it costs a few numpy calls whatever the
+    # digits and bytes it holds.  These calls are too short for two worker
+    # threads to overlap, so their number, not their size, sets their time.
+    # Fields are written right to left, so a word may spill into the field
+    # left of its own.  A boolean-mask copy drops the NULs (ASCII text holds
+    # none): it and its compare release the GIL, which a copy to bytes does
+    # not.  A block whose texts all fill their fields needs neither, and its
     # matrix is the text.
     (n_words, wn, n_padded), (table, ragged) = n_field, value_table
     rows = len(n_words[0][1])
@@ -154,14 +154,11 @@ def _csv_matrix(n_field: tuple, lq_at, rq_at, value_table: tuple) -> bytes | np.
     _put(m, wn + 2 * w + 3, w + 2, _words(table, w + 2, rq_at, rows, room=wn + w + 1))
     _put(m, wn + w + 1, w + 1, _words(table[:, : w + 8], w + 1, lq_at, rows, room=wn))
     _put(m, wn, wn, n_words)
-    if not (n_padded or ragged):
-        return m.reshape(-1)
-    text = m.tobytes()
-    del m  # before the text without NULs is made
-    return text.translate(None, b"\0")
+    flat = m.reshape(-1)
+    return flat[flat != 0] if n_padded or ragged else flat
 
 
-def _csv_rows(ns: np.ndarray, lq: np.ndarray, rq: np.ndarray) -> bytes | np.ndarray:
+def _csv_rows(ns: np.ndarray, lq: np.ndarray, rq: np.ndarray) -> np.ndarray:
     # The rows of a block of floats (_csv_matrix): each value's table row is
     # that of its float64 bit pattern among the block's distinct ones, so
     # -0.0, NaN and values off any support keep their exact text.
