@@ -107,9 +107,6 @@ _CSV_ROWS = 1 << 14
 # folds' state
 _LANES = 16
 
-# the fewest draws (replications x n_max) a thread of run_replicated gets
-_THREAD_DRAWS = 1 << 19
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -292,8 +289,8 @@ def _runs(a, b, step: int, records: int):
         g0 += g
 
 
-def _run_jobs(fn, jobs, cap: int) -> list:
-    # [fn(*job) for job in jobs] on min(cap, len(jobs)) threads,
+def _run_jobs(fn, jobs) -> list:
+    # [fn(*job) for job in jobs] on min(_worker_count(), len(jobs)) threads,
     # the calling one among them, taking the jobs in order.  The calling
     # thread works rather than wait in a join, which an interrupt would not
     # wake: the interrupt fails the job it lands in.  Once a job fails no job
@@ -313,7 +310,8 @@ def _run_jobs(fn, jobs, cap: int) -> list:
             with lock:
                 errors[i] = exc
 
-    threads = [Thread(target=work, name="qlim-worker") for _ in range(min(cap, len(jobs)) - 1)]
+    threads = [Thread(target=work, name="qlim-worker")
+               for _ in range(min(_worker_count(), len(jobs)) - 1)]
     try:
         for thread in threads:
             thread.start()
@@ -857,7 +855,7 @@ def _bernoulli_block_sums(
         rows = max(1, _JOB_TILES * _TILE // block_len)
         jobs = [(sums[r0:r0 + rows], master_seed, r0, block_len, threshold)
                 for r0 in range(0, reps, rows)]
-        _run_jobs(_block_counts, jobs, _worker_count())
+        _run_jobs(_block_counts, jobs)
     sums.flags.writeable = False
     return sums
 
@@ -978,8 +976,7 @@ def block_event_experiment(
         levels >>= np.uint64(11)
         return int(np.count_nonzero((levels >= level) & (d_sums[r0:r0 + _TILE] <= d_low)))
 
-    jobs = [(r0,) for r0 in range(0, reps, _TILE)]
-    return float(sum(_run_jobs(hits, jobs, _worker_count()))) / reps
+    return float(sum(_run_jobs(hits, [(r0,) for r0 in range(0, reps, _TILE)]))) / reps
 
 
 # ---------------------------------------------------------------------------
@@ -1018,14 +1015,13 @@ def run_replicated(
 
     Replications use derived seeds and run in groups of consecutive ones,
     ``min(ceil(replications / threads), _LANES, max(1, _CHUNK // atoms))``
-    each, on QL_THREADS threads, the calling one among them (``_run_jobs``):
-    at most the CPUs the process may run on, and one per ``_THREAD_DRAWS``
-    draws (replications x n_max), as on fewer a thread costs more than it
-    overlaps.  Results are stored by index, so the report is identical
-    however the work is scheduled.  Once a replication fails, or the
-    calling thread is interrupted, its group stops and no group starts; the
-    threads are joined, and the error of the lowest-index failed group is
-    raised, with a note naming the failed replication and its seed.
+    each, on QL_THREADS threads, the calling one among them, at most the
+    CPUs the process may run on (``_run_jobs``).  Results are stored by
+    index, so the report is identical however the work is scheduled.  Once
+    a replication fails, or the calling thread is interrupted, its group
+    stops and no group starts; the threads are joined, and the error of the
+    lowest-index failed group is raised, with a note naming the failed
+    replication and its seed.
 
     A group's replications are the lanes of one record plan (``_Plan``):
     they advance in turn, a block of records at a time, on one workspace,
@@ -1168,10 +1164,9 @@ def run_replicated(
                 exc.__notes__ = [*getattr(exc, "__notes__", ()), f"replication {rep}, seed {seed}"]
             raise
 
-    threads = min(_worker_count(), max(1, cfg.replications * cfg.n_max // _THREAD_DRAWS))
-    size = min(-(-cfg.replications // threads), _LANES, max(1, _CHUNK // len(d)))
+    size = min(-(-cfg.replications // _worker_count()), _LANES, max(1, _CHUNK // len(d)))
     jobs = [(r, min(r + size, cfg.replications)) for r in range(0, cfg.replications, size)]
-    rows = [r for part in _run_jobs(group, jobs, threads) for r in part]
+    rows = [r for part in _run_jobs(group, jobs) for r in part]
 
     passes = sum(1 for r in rows if r["pass"])
     report = {

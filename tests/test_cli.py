@@ -138,7 +138,6 @@ class TestSimulateCommand:
         # replication 3 of 5 fails: the error carries a note with its index
         # and derived seed, and qlim's internal error line prints it
         monkeypatch.setenv("QL_THREADS", threads)
-        monkeypatch.setattr(sim, "_THREAD_DRAWS", 1)
         seed = sim.derive_seed(7, 3)
         blocks = sim._trajectory_blocks
 
@@ -321,7 +320,6 @@ class TestSimulateCommand:
         # where the records of one replication of 10**6 take 92 rows
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("QL_THREADS", "2")
-        monkeypatch.setattr(sim, "_THREAD_DRAWS", 1)
         args = (
             "simulate", "--family", "coin", "--p", "0.5", "--n-max", str(n_max),
             "--record-stride", "1", "--replications", "3", "--master-seed", "7",
@@ -355,7 +353,6 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(sim, "_csv_pieces", failing)
         monkeypatch.setenv("QL_THREADS", threads)
-        monkeypatch.setattr(sim, "_THREAD_DRAWS", 1)
         out_dir = tmp_path / "runs"
         code, _, err = run_cli(
             capsys,
@@ -750,7 +747,6 @@ class TestStartup:
             f"    seen.append({THREADS})\n"
             "    return blocks(*args)\n"
             "simulate._trajectory_blocks = counted\n"
-            "simulate._THREAD_DRAWS = 1\n"
             "rc = cli.main(['simulate', '--family', 'coin', '--p', '0.5', '--n-max', '20000',\n"
             f"             '--replications', '8', '--output-dir', {str(tmp_path)!r}])\n"
             "assert rc == 0 and len(seen) == 8, (rc, seen)\n"
@@ -859,8 +855,7 @@ class TestAllocator:
         report = out_dir / "malloc.xml"
         code = (
             "import ctypes\n"
-            "from quantile_limits import cli, simulate\n"
-            "simulate._THREAD_DRAWS = 1\n"
+            "from quantile_limits import cli\n"
             "rc = cli.main(['simulate', '--family', 'coin', '--p', '0.5',\n"
             "    '--n-max', '100000', '--record-stride', '1', '--replications', '4',\n"
             "    '--analysis', 'switch_stats', '--min-switches', '0',\n"

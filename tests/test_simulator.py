@@ -1093,8 +1093,8 @@ def _pool_threads() -> list:
 
 class TestChunkWorkers:
     """_run_jobs, which runs the replications of run_replicated and the
-    block jobs of qlim blocks on at most min(QL_THREADS, CPUs) threads, the
-    calling one among them: results in job order whatever the threads, no job
+    block jobs of qlim blocks on min(QL_THREADS, CPUs) threads, the calling
+    one among them: results in job order whatever the threads, no job
     started once one has failed or the calling thread is interrupted, and
     no thread outlives the call.  gc_path counts on the calling thread."""
 
@@ -1122,7 +1122,7 @@ class TestChunkWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = simulate._run_jobs(sums, jobs, simulate._worker_count())
+            got = simulate._run_jobs(sums, jobs)
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == len(want) and all(map(np.array_equal, got, want))
@@ -1156,7 +1156,6 @@ class TestChunkWorkers:
         # interpreter allows: were a workspace shared by two running
         # trajectories, one would count the other's draws
         monkeypatch.setattr(simulate, "_CHUNK", 97)
-        monkeypatch.setattr(simulate, "_THREAD_DRAWS", 1)
         _use_cpus(monkeypatch, 3)
         d = SUPPORTS["random"]
         ns = np.unique(np.geomspace(1, 30_000, 60).astype(np.int64))
@@ -1196,7 +1195,7 @@ class TestChunkWorkers:
             return k * k
 
         with pytest.raises(RuntimeError, match="job failed"):
-            simulate._run_jobs(job, [(k,) for k in range(50)], simulate._worker_count())
+            simulate._run_jobs(job, [(k,) for k in range(50)])
         # jobs are taken in order, and each taken one runs
         assert set(range(21)) <= started
         if cpus == 1:
@@ -1232,7 +1231,7 @@ class TestChunkWorkers:
             return k
 
         with pytest.raises(RuntimeError, match="^job 1 failed$"):
-            simulate._run_jobs(job, [(k,) for k in range(20)], simulate._worker_count())
+            simulate._run_jobs(job, [(k,) for k in range(20)])
         assert _pool_threads() == []
         assert {0, 1, 2} <= started and started - {1, 2} == finished
 
@@ -1258,7 +1257,7 @@ class TestChunkWorkers:
             raise RuntimeError(f"job {k} failed")
 
         with pytest.raises(RuntimeError, match="failed") as info:
-            simulate._run_jobs(job, [(k,) for k in range(10)], simulate._worker_count())
+            simulate._run_jobs(job, [(k,) for k in range(10)])
         assert str(info.value) == f"job {failing[0]} failed"
         assert sorted(started) == [0, 1]
         assert _pool_threads() == []
@@ -1295,7 +1294,7 @@ class TestChunkWorkers:
             return k
 
         with pytest.raises(KeyboardInterrupt):
-            simulate._run_jobs(job, [(k,) for k in range(10)], simulate._worker_count())
+            simulate._run_jobs(job, [(k,) for k in range(10)])
         assert sorted(started) == [0, 1]
         assert _pool_threads() == []
 
@@ -2088,7 +2087,6 @@ class TestRunReplicated:
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         cfg = SimConfig(gapped_example(), 0.5, 2000, 9, replications=6)
-        monkeypatch.setattr(simulate, "_THREAD_DRAWS", 1)
         monkeypatch.setenv("QL_THREADS", "1")
         a = report_to_json_bytes(run_replicated(cfg, "sandwich_check", burn_in=50, epsilon=0.1))
         monkeypatch.setenv("QL_THREADS", "4")
@@ -2192,7 +2190,6 @@ class TestRunReplicated:
         # rep 1, on two only those the other thread took before rep 1 failed
         _use_cpus(monkeypatch, 2)
         monkeypatch.setenv("QL_THREADS", threads)
-        monkeypatch.setattr(simulate, "_THREAD_DRAWS", 1)
         seen = []
 
         def on_trajectory(rep, traj):
@@ -2309,7 +2306,6 @@ class TestStreamedReplications:
         # block: it keeps two, one or none of that block's records
         _use_cpus(monkeypatch, 2)
         monkeypatch.setenv("QL_THREADS", threads)
-        monkeypatch.setattr(simulate, "_THREAD_DRAWS", 1)
         d, p = STREAM_SUPPORTS[support]
         cfg = SimConfig(d, p, STREAM_N_MAX, 8, record_stride=1, replications=3)
         kwargs = _analysis_kwargs(analysis, _first_block_end(cfg) + offset)
@@ -2423,7 +2419,6 @@ class TestReplicationGroups:
         _use_cpus(monkeypatch, 3)
         monkeypatch.setenv("QL_THREADS", threads)
         monkeypatch.setattr(simulate, "_LANES", lanes)
-        monkeypatch.setattr(simulate, "_THREAD_DRAWS", 1)
         d, p = STREAM_SUPPORTS[support]
         cfg = SimConfig(d, p, STREAM_N_MAX, 21, record_stride=stride, replications=7)
         analysis = "switch_stats" if support != "guide-16" else "sandwich_check"
@@ -2446,7 +2441,6 @@ class TestReplicationGroups:
         _use_cpus(monkeypatch, 2)
         monkeypatch.setenv("QL_THREADS", threads)
         monkeypatch.setattr(simulate, "_LANES", 3)
-        monkeypatch.setattr(simulate, "_THREAD_DRAWS", 1)
         cfg = SimConfig(fair_coin(), 0.5, STREAM_N_MAX, 9, record_stride=1, replications=6)
         seed, blocks = derive_seed(9, 2), simulate._trajectory_blocks
 
@@ -2466,34 +2460,6 @@ class TestReplicationGroups:
             assert left == []
         else:  # the other group ran to its end on the other thread
             assert left in ([], ["traj_3.csv", "traj_4.csv", "traj_5.csv"])
-        assert _pool_threads() == []
-
-    @pytest.mark.parametrize("reps, workers", [(3, 0), (4, 1)])
-    def test_threads_only_for_runs_past_the_threshold(self, tmp_path, monkeypatch, reps, workers):
-        # 3 and 4 replications of _THREAD_DRAWS / 2 draws: below two
-        # threads' worth the run starts no worker at QL_THREADS=2, at it
-        # one, at 2 and at 3 alike, and the bytes are those of one thread
-        _use_cpus(monkeypatch, 3)
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self.name)
-                super().start()
-
-        monkeypatch.setattr(simulate, "Thread", Counted)
-        n_max = simulate._THREAD_DRAWS // 2
-        cfg = SimConfig(fair_coin(), 0.5, n_max, 5, record_stride=64, replications=reps)
-        out = {}
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("QL_THREADS", threads)
-            started.clear()
-            (tmp_path / threads).mkdir()
-            report, paths, _ = self.run(monkeypatch, tmp_path / threads, cfg, "switch_stats",
-                                        min_switches=0)
-            assert started == ["qlim-worker"] * min(workers, int(threads) - 1), threads
-            out[threads] = report_to_json_bytes(report), [paths[r].read_bytes() for r in range(reps)]
-        assert out["1"] == out["2"] == out["3"]
         assert _pool_threads() == []
 
     def test_memory_does_not_grow_with_lanes(self, tmp_path, monkeypatch):
